@@ -18,9 +18,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetError, InvariantViolation, ParameterError
-from .family import FamilyMeta, FamilyParams, build_family_graph, validate_family_membership
+from .family import (
+    FamilyMeta,
+    FamilyParams,
+    _contract_layer,
+    build_family_graph,
+    family_levels,
+    validate_family_membership,
+)
 from .graph import LabeledGraph, edge_key, eccentricity
-from .runtime import MemoryRecord, Trace, initial_record
+from .runtime import ReplayCursor, Trace
 from .surgery import SurgeryResult, move_gadget, switch_edges, switch_ports
 
 STAGE_DIVERT_PORT = "divert-port"
@@ -83,102 +90,59 @@ class AdversaryRun:
 
     @property
     def params(self) -> FamilyParams:
-        cap = (1 + self.alpha) * self.ecc
-        return FamilyParams(cap.numerator // cap.denominator + 1, self.width, self.ecc)
+        return FamilyParams(family_levels(self.ecc, self.alpha), self.width, self.ecc)
 
 
-class ReplayCursor:
-    """Stepwise execution of a policy that survives graph rewrites leaving
-    the already-traversed subgraph intact.
+class _Adversary:
+    """A cursor on the graph under rewrite, with the family bookkeeping that
+    guards the rewrites (green edges explored per layer, whether any red
+    edge was explored) and the count of checks run after rewrites."""
 
-    The policy only ever sees memory records, and rewrites preserve labels,
-    degrees and the ports of traversed edges, so the accumulated policy state
-    remains valid when :meth:`replace_graph` swaps the graph underneath it.
-    """
-
-    def __init__(self, graph: LabeledGraph, policy, source: int = 0, meta: FamilyMeta | None = None):
-        self.graph = graph
-        self.policy = policy
-        self.state = policy.start()
-        self.memory: list[MemoryRecord] = [initial_record(graph, source)]
-        self.traversed: set[tuple[int, int]] = set()
+    def __init__(self, graph: LabeledGraph, policy, meta: FamilyMeta):
+        self.cursor = ReplayCursor(graph, policy, source=0, gadgets=meta.gadget_labels)
         self.meta = meta
+        self.explored_green = {i: 0 for i in range(1, meta.params.levels)}
         self.red_explored = False
-        self.first_gadget_step: int | None = None
-        self.explored_green: dict[int, int] = (
-            {i: 0 for i in range(1, meta.params.levels)} if meta else {}
-        )
-        self.state.observe(self.memory[0])
+        self.prefix_checks = 0
+        self.membership_checks = 0
 
-    @property
-    def steps(self) -> int:
-        return len(self.memory) - 1
+    def commit(self) -> bool:
+        """Take the pending traversal; returns whether its edge was already
+        explored."""
+        cursor, meta = self.cursor, self.meta
+        e = cursor.pending_edge()
+        was_seen = e in cursor.traversed
+        cursor.commit()
+        if not was_seen:
+            kind, layer = meta.edge_kind(*e)
+            if kind == "green":
+                self.explored_green[layer] += 1
+            if meta.is_gadget(e[0]) or meta.is_gadget(e[1]):
+                self.red_explored = True
+        return was_seen
 
-    @property
-    def node(self) -> int:
-        return self.memory[-1].label
-
-    def pending_port(self) -> int | None:
-        return self.state.next_action()
-
-    def pending_edge(self) -> tuple[int, int] | None:
-        port = self.pending_port()
-        if port is None:
-            return None
-        return edge_key(self.node, self.graph.neighbor(self.node, port))
-
-    def pending_node(self) -> int | None:
-        port = self.pending_port()
-        if port is None:
-            return None
-        return self.graph.neighbor(self.node, port)
-
-    def replace_graph(self, new_graph: LabeledGraph, touched: tuple) -> None:
-        for key in touched:
-            if key in self.traversed:
-                raise InvariantViolation(
-                    f"surgery touched already-traversed edge {key}"
-                )
-        self.graph = new_graph
-
-    def commit(self) -> MemoryRecord:
-        port = self.pending_port()
-        if port is None:
-            raise InvariantViolation("commit requested but the policy halted")
-        cur = self.node
-        nxt = self.graph.neighbor(cur, port)
-        rec = MemoryRecord(nxt, self.graph.degree(nxt), port, self.graph.port_of(nxt, cur))
-        key = edge_key(cur, nxt)
-        new_edge = key not in self.traversed
-        self.traversed.add(key)
-        self.memory.append(rec)
-        if self.meta is not None:
-            meta = self.meta
-            if new_edge:
-                kind, layer = meta.edge_kind(cur, nxt)
-                if kind == "green":
-                    self.explored_green[layer] += 1
-                if meta.is_gadget(cur) or meta.is_gadget(nxt):
-                    self.red_explored = True
-            if self.first_gadget_step is None and meta.is_gadget(nxt):
-                self.first_gadget_step = self.steps
-        self.state.observe(rec)
-        return rec
-
-    def advance_to(self, t: int) -> bool:
-        """Commit steps until ``t`` traversals are done; False on early halt."""
-        while self.steps < t:
-            if self.pending_port() is None:
-                return False
-            self.commit()
-        return True
-
-    def as_trace(self) -> Trace:
-        return Trace(
-            memory=self.memory,
-            traversed=self.traversed,
-            first_gadget_step=self.first_gadget_step,
-        )
+    def rewrite(self, step: int, validate: bool = True) -> StepAudit:
+        """Rewrite the graph ahead of traversal ``step``; after a change,
+        check family membership (when ``validate``) and, by a fresh replay,
+        the memory prefix.  Either failure raises."""
+        cursor = self.cursor
+        before = cursor.graph
+        audit = StepAudit(step=step)
+        _modify_step(self, audit)
+        audit.changed = cursor.graph is not before
+        if audit.changed:
+            if validate:
+                report = validate_family_membership(cursor.graph, self.meta.params)
+                self.membership_checks += 1
+                if not report.ok:
+                    raise InvariantViolation(
+                        f"family membership broken at step {step}: {report.codes()}"
+                    )
+            audit.prefix_ok = _replay_agrees(cursor.policy, cursor.graph, cursor.memory, step - 1)
+            self.prefix_checks += 1
+            if not audit.prefix_ok:
+                raise InvariantViolation(f"memory prefix not preserved at step {step}")
+        return audit
 
 
 # -- the per-step modification ---------------------------------------------------
@@ -211,7 +175,7 @@ def _apply(cursor: ReplayCursor, audit: StepAudit, op: str, args: tuple, result:
     return result.changed
 
 
-def _modify_step(cursor: ReplayCursor, meta: FamilyMeta, audit: StepAudit) -> None:
+def _modify_step(adv: _Adversary, audit: StepAudit) -> None:
     """One modification round at the cursor's current prefix.
 
     Three stages, each firing only when its guards hold: repoint the pending
@@ -221,6 +185,7 @@ def _modify_step(cursor: ReplayCursor, meta: FamilyMeta, audit: StepAudit) -> No
     unexplored edge below it, move a spare gadget to mint a fresh green edge
     and switch the pending edge onto its endpoint, which does.
     """
+    cursor, meta = adv.cursor, adv.meta
     g = cursor.graph
     u = cursor.node
     e = cursor.pending_edge()
@@ -229,7 +194,7 @@ def _modify_step(cursor: ReplayCursor, meta: FamilyMeta, audit: StepAudit) -> No
     levels = meta.params.levels
     i = meta.level_of(u)
 
-    if cursor.red_explored or e in cursor.traversed or i is None or i >= levels:
+    if adv.red_explored or e in cursor.traversed or i is None or i >= levels:
         return
 
     # repoint the pending port onto the descending layer when it aims elsewhere
@@ -292,11 +257,9 @@ def _modify_step(cursor: ReplayCursor, meta: FamilyMeta, audit: StepAudit) -> No
             and _unexplored_layer_edge_at(cursor, meta, v, i + 1)
         }
         greens = [x for x in _unexplored_greens(cursor, meta, i) if x != e]
-        glo = meta._level_top + (i - 1) * meta.params.gadgets_per_layer + 1
         chosen = None
-        for gadget in range(glo, glo + meta.params.gadgets_per_layer):
-            pair = meta.gadget_level_pair(g, gadget)
-            if pair is None or pair[0] not in n_lo or pair[1] not in n_hi:
+        for gadget, pair in _contract_layer(g, meta, i).by_gadget.items():
+            if pair[0] not in n_lo or pair[1] not in n_hi:
                 continue
             # two specific green edges would make the follow-up switch
             # collide with a gadget next to the pending edge; skip them
@@ -340,55 +303,43 @@ def graph_modification(
     """
     if meta is None:
         ecc = eccentricity(graph, 0)
-        cap = (1 + Fraction(alpha)) * ecc
-        levels = cap.numerator // cap.denominator + 1
-        meta = FamilyMeta(FamilyParams(levels, graph.degree(0), ecc))
-    cursor = ReplayCursor(graph, policy, source=0, meta=meta)
-    if not cursor.advance_to(t):
-        raise ParameterError(f"policy halted before step {t + 1}")
-    audit = StepAudit(step=t + 1)
-    _modify_step(cursor, meta, audit)
-    audit.changed = cursor.graph is not graph
-    if audit.changed:
-        report = validate_family_membership(cursor.graph, meta.params)
-        if not report.ok:
-            raise InvariantViolation(f"rewrite left the family: {report.codes()}")
-        audit.prefix_ok = _prefix_matches_rolling(cursor, t)
-        if not audit.prefix_ok:
-            raise InvariantViolation("rewrite altered the memory prefix")
-    return cursor.graph, audit
+        meta = FamilyMeta(FamilyParams(family_levels(ecc, alpha), graph.degree(0), ecc))
+    adv = _Adversary(graph, policy, meta)
+    for _ in range(t):
+        if adv.cursor.pending_port() is None:
+            raise ParameterError(f"policy halted before step {t + 1}")
+        adv.commit()
+    audit = adv.rewrite(t + 1)
+    return adv.cursor.graph, audit
 
 
-def check_memory_prefix_equal(
-    policy, g1: LabeledGraph, g2: LabeledGraph, alpha, t: int
-) -> bool:
-    """True iff the agent's memory sequences on the two graphs agree through
-    index t.  An early halt on either side counts as disagreement."""
-    del alpha  # instances share the policy; replay depends on graphs only
-    c1 = ReplayCursor(g1, policy, source=0)
-    c2 = ReplayCursor(g2, policy, source=0)
-    if c1.memory[0] != c2.memory[0]:
+def _replay(policy, graph: LabeledGraph):
+    """The policy's memory records on ``graph`` from label 0, lazily."""
+    cursor = ReplayCursor(graph, policy, source=0)
+    yield cursor.memory[0]
+    while cursor.pending_port() is not None:
+        yield cursor.commit()
+
+
+def _replay_agrees(policy, graph: LabeledGraph, records, t: int) -> bool:
+    """Fresh replay of ``policy`` on ``graph`` from the first record's label,
+    compared with ``records`` through index ``t`` and stopped at the first
+    mismatch.  An early halt on either side counts as disagreement."""
+    records = iter(records)
+    first = next(records)
+    fresh = ReplayCursor(graph, policy, source=first.label)
+    if fresh.memory[0] != first:
         return False
     for _ in range(t):
-        if c1.pending_port() is None or c2.pending_port() is None:
-            return False
-        if c1.commit() != c2.commit():
+        if fresh.pending_port() is None or fresh.commit() != next(records, None):
             return False
     return True
 
 
-def _prefix_matches_rolling(cursor: ReplayCursor, t: int) -> bool:
-    """Fresh replay of the cursor's policy on its current graph, compared
-    element-wise against the cursor's rolling memory prefix."""
-    fresh = ReplayCursor(cursor.graph, cursor.policy, source=cursor.memory[0].label)
-    if fresh.memory[0] != cursor.memory[0]:
-        return False
-    for idx in range(1, t + 1):
-        if fresh.pending_port() is None:
-            return False
-        if fresh.commit() != cursor.memory[idx]:
-            return False
-    return True
+def check_memory_prefix_equal(policy, g1: LabeledGraph, g2: LabeledGraph, t: int) -> bool:
+    """True iff the agent's memory sequences on the two graphs agree through
+    index t.  An early halt on either side counts as disagreement."""
+    return _replay_agrees(policy, g2, _replay(policy, g1), t)
 
 
 def adversary_behavior(
@@ -416,61 +367,41 @@ def adversary_behavior(
         raise ParameterError(f"ecc must be >= 6, got {ecc}")
     if width < 16 or width % 16 != 0:
         raise ParameterError(f"width must be a positive multiple of 16, got {width}")
-    cap = (1 + alpha) * ecc
-    levels = cap.numerator // cap.denominator + 1
-    params = FamilyParams(levels, width, ecc)
+    params = FamilyParams(family_levels(ecc, alpha), width, ecc)
     graph, meta = build_family_graph(params, seed)
-    cursor = ReplayCursor(graph, policy, source=0, meta=meta)
+    adv = _Adversary(graph, policy, meta)
+    cursor = adv.cursor
     if max_steps is None:
         max_steps = 50 * graph.edge_count() + 1000
 
     audits: list[StepAudit] = []
     flags: list[tuple[int, str]] = []
-    prefix_checks = 0
-    membership_checks = 0
     half = params.greens_per_layer // 2
     x = 1
     while True:
         if x > max_steps:
             raise BudgetError(f"adversary exceeded {max_steps} steps", trace=cursor.as_trace())
-        before = cursor.graph
         u = cursor.node
         i = meta.level_of(u)
         greens_left_everywhere = all(
-            cursor.explored_green[j] < params.greens_per_layer
+            adv.explored_green[j] < params.greens_per_layer
             for j in range(1, params.levels)
         )
         avoid_hyp = (
-            i is not None and not cursor.red_explored and greens_left_everywhere
+            i is not None and not adv.red_explored and greens_left_everywhere
         )
         descent_hyp = (
             i is not None
             and i <= params.levels - 1
-            and not cursor.red_explored
+            and not adv.red_explored
             and _unexplored_layer_edge_at(cursor, meta, u, i)
             and all(
-                cursor.explored_green[j] <= half for j in range(1, params.levels)
+                adv.explored_green[j] <= half for j in range(1, params.levels)
             )
         )
 
-        audit = StepAudit(step=x)
-        _modify_step(cursor, meta, audit)
-        audit.changed = cursor.graph is not before
-        if audit.changed:
-            if validate_each:
-                report = validate_family_membership(cursor.graph, params)
-                membership_checks += 1
-                if not report.ok:
-                    raise InvariantViolation(
-                        f"family membership broken at step {x}: {report.codes()}"
-                    )
-            audit.prefix_ok = _prefix_matches_rolling(cursor, x - 1)
-            prefix_checks += 1
-            if not audit.prefix_ok:
-                raise InvariantViolation(f"memory prefix not preserved at step {x}")
-
-        was_seen = cursor.pending_edge() in cursor.traversed
-        cursor.commit()
+        audit = adv.rewrite(x, validate_each)
+        was_seen = adv.commit()
         reached = cursor.node
 
         if avoid_hyp and meta.is_gadget(reached):
@@ -506,6 +437,6 @@ def adversary_behavior(
         audit=audits,
         trace=cursor.as_trace(),
         flags=flags,
-        prefix_checks=prefix_checks,
-        membership_checks=membership_checks,
+        prefix_checks=adv.prefix_checks,
+        membership_checks=adv.membership_checks,
     )

@@ -1,4 +1,4 @@
-"""Command-line entry points: gen, validate, run, adversary, merge, lollipop,
+"""Command-line entry points: gen, validate, run, adversary, merge,
 experiment.  All artifacts are JSON; experiment tables are CSV."""
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 from .adversary import adversary_behavior
-from .errors import ParameterError
+from .errors import BudgetError, ParameterError, PolicyError
 from .experiments import ExperimentConfig, default_config, report_emit, run_experiment
 from .explorers import POLICY_NAMES, make_policy
 from .family import (
@@ -18,9 +18,10 @@ from .family import (
     LollipopParams,
     build_family_graph,
     build_lollipop,
+    family_levels,
     validate_family_membership,
 )
-from .graph import LabeledGraph, eccentricity
+from .graph import LabeledGraph, eccentricity, validate_consistent_labeling
 from .merge import merge_gadgets, validate_merge_behavior
 from .runtime import Instance, execute, layer_traversal_stats, penalty_before_step
 
@@ -39,9 +40,18 @@ def _write(path: str, text: str) -> None:
             fh.write("\n")
 
 
-def _load_graph(path: str) -> LabeledGraph:
+def _load_graph(path: str, *, check: bool = False) -> LabeledGraph:
+    """Read a graph file; with ``check``, reject one that is not
+    consistently labeled."""
     with open(path) as fh:
-        return LabeledGraph.from_json(fh.read())
+        graph = LabeledGraph.from_json(fh.read())
+    if check:
+        report = validate_consistent_labeling(graph)
+        if not report.ok:
+            raise ParameterError(
+                f"{path} is not a consistently labeled graph: {sorted(report.codes())}"
+            )
+    return graph
 
 
 def cmd_gen(args) -> int:
@@ -59,13 +69,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_lollipop(args) -> int:
-    params = LollipopParams(scale=args.k, ecc=args.r, alpha=args.alpha)
-    graph, _ = build_lollipop(params, args.seed)
-    _write(args.out, graph.to_json())
-    return 0
-
-
 def cmd_validate(args) -> int:
     l, w, r = (int(x) for x in args.family.split(","))
     graph = _load_graph(args.graph)
@@ -75,7 +78,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    graph = _load_graph(args.instance)
+    graph = _load_graph(args.instance, check=True)
     inst = Instance(graph=graph, source=args.source, alpha=args.alpha)
     policy = make_policy(args.policy, inst.alpha, inst.ecc)
     monitors = tuple(m for m in args.monitors.split(",") if m) if args.monitors else ()
@@ -134,11 +137,9 @@ def cmd_adversary(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    graph = _load_graph(args.infile)
+    graph = _load_graph(args.infile, check=True)
     ecc = eccentricity(graph, 0)
-    cap = (1 + args.alpha) * ecc
-    levels = cap.numerator // cap.denominator + 1
-    meta = FamilyMeta(FamilyParams(levels, 16 * args.k, ecc))
+    meta = FamilyMeta(FamilyParams(family_levels(ecc, args.alpha), 16 * args.k, ecc))
     merged, plan = merge_gadgets(graph, meta, args.k)
     _write(args.out, merged.to_json())
     if args.plan:
@@ -194,14 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("lollipop", help="generate a lollipop graph")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--alpha", type=_fraction, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_lollipop)
 
     p = sub.add_parser("validate", help="check family membership of a graph file")
     p.add_argument("--family", required=True, help="levels,width,ecc")
@@ -262,9 +255,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        # covers parameter and structural errors; internal invariant
-        # violations still produce a traceback on purpose
+    except (ValueError, OSError, PolicyError, BudgetError) as exc:
+        # covers parameter, structural, policy and budget errors; internal
+        # invariant violations still produce a traceback on purpose
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

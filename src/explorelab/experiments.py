@@ -137,8 +137,7 @@ def run_distance_experiment(cfg: ExperimentConfig) -> tuple[list[ExperimentRow],
             lambda a, r: make_policy(cfg.policy, a, r),
             cfg.alpha,
         )
-        cap = (1 + cfg.alpha) * cfg.ecc
-        denom = 16 * (2 * (cap.numerator // cap.denominator) + 3)
+        denom = 16 * (2 * (meta.params.levels - 1) + 3)
         thm1 = Fraction(len(merged), denom) ** 2
         seconds = time.perf_counter() - t0 if cfg.timing else 0.0
         rows.append(

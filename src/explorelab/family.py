@@ -13,16 +13,15 @@ ranges alone, so :class:`FamilyMeta` carries no per-graph state.
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParameterError
+from .errors import ParameterError, StructuralError
 from .graph import (
     LabeledGraph,
     ValidationReport,
     circulant_pairs,
-    edge_key,
     eccentricity,
     is_connected,
     validate_consistent_labeling,
@@ -86,6 +85,13 @@ class FamilyParams:
             + self.gadget_count
             + (self.ecc - 3)
         )
+
+
+def family_levels(ecc: int, alpha) -> int:
+    """Levels of the family that forces the return cap ``(1+alpha)*ecc``:
+    ``floor((1+alpha)*ecc) + 1``, exact for rational ``alpha``."""
+    cap = (1 + Fraction(alpha)) * ecc
+    return cap.numerator // cap.denominator + 1
 
 
 class FamilyMeta:
@@ -246,6 +252,67 @@ def build_family_graph(params: FamilyParams, seed: int = 0) -> tuple[LabeledGrap
     return LabeledGraph(assign_ports(adj, seed)), meta
 
 
+# -- layer contraction -------------------------------------------------------
+
+
+@dataclass
+class ContractedLayer:
+    """A layer with its gadgets contracted back into level-to-level edges:
+    the sorted green edges, then one edge per well-shaped gadget by label,
+    each as a (level-i node, level-i+1 node) pair.  ``problems`` reports
+    every way the result falls short of the layer-degree-regular bipartite
+    graph the construction started from."""
+
+    layer: int
+    left: set[int]
+    right: set[int]
+    edges: list[tuple[int, int]]
+    by_gadget: dict[int, tuple[int, int]]
+    problems: ValidationReport
+
+
+def _contract_layer(g: LabeledGraph, meta: FamilyMeta, layer: int) -> ContractedLayer:
+    p = meta.params
+    edges = meta.green_edges(g, layer)
+    by_gadget: dict[int, tuple[int, int]] = {}
+    problems = ValidationReport()
+    glo = meta._level_top + (layer - 1) * p.gadgets_per_layer + 1
+    for gd in range(glo, glo + p.gadgets_per_layer):
+        pair = meta.gadget_level_pair(g, gd)
+        if pair is None:
+            problems.add("gadget-shape", f"gadget {gd} lacks the degree-3 shape")
+            continue
+        by_gadget[gd] = pair
+        edges.append(pair)
+    if len(set(edges)) < len(edges):
+        problems.add("layer-contraction", f"layer {layer}: duplicate contracted edge")
+    deg = Counter(v for e in edges for v in e)
+    left, right = meta.level_labels(layer), meta.level_labels(layer + 1)
+    bad = [v for v in (*left, *right) if deg[v] != p.layer_degree]
+    if bad:
+        problems.add(
+            "layer-contraction",
+            f"layer {layer}: nodes {bad[:8]} off {p.layer_degree}-regularity",
+        )
+    return ContractedLayer(layer, set(left), set(right), edges, by_gadget, problems)
+
+
+def contract_layer_to_bipartite(
+    g: LabeledGraph, meta: FamilyMeta, layer: int
+) -> ContractedLayer:
+    """Replace each of the layer's gadgets by an edge between its two level
+    neighbors; raises :class:`StructuralError` unless the result is the
+    layer-degree-regular bipartite graph the construction started from."""
+    if not 1 <= layer <= meta.params.levels - 1:
+        raise ParameterError(f"layer must be in 1..{meta.params.levels - 1}, got {layer}")
+    contracted = _contract_layer(g, meta, layer)
+    if not contracted.problems.ok:
+        raise StructuralError(
+            "; ".join(v.detail for v in contracted.problems.violations)
+        )
+    return contracted
+
+
 # -- membership validation ---------------------------------------------------
 
 
@@ -271,61 +338,23 @@ def validate_family_membership(g: LabeledGraph, params: FamilyParams) -> Validat
 
     # per-layer color counts and contraction regularity
     for layer in range(1, p.levels):
-        greens: list[tuple[int, int]] = []
+        contracted = _contract_layer(g, meta, layer)
+        greens = len(contracted.edges) - len(contracted.by_gadget)
         reds = 0
-        for v in meta.level_labels(layer):
-            for u in g.neighbors(v):
-                lu = meta.level_of(u)
-                if lu == layer + 1:
-                    greens.append((v, u))
-                elif meta.is_gadget(u) and meta.gadget_layer(u) == layer:
-                    reds += 1
-        for v in meta.level_labels(layer + 1):
+        for v in (*meta.level_labels(layer), *meta.level_labels(layer + 1)):
             for u in g.neighbors(v):
                 if meta.is_gadget(u) and meta.gadget_layer(u) == layer:
                     reds += 1
-        if len(greens) != p.greens_per_layer:
+        if greens != p.greens_per_layer:
             report.add(
                 "green-count",
-                f"layer {layer}: expected {p.greens_per_layer}, got {len(greens)}",
+                f"layer {layer}: expected {p.greens_per_layer}, got {greens}",
             )
         if reds != p.reds_per_layer:
             report.add(
                 "red-count", f"layer {layer}: expected {p.reds_per_layer}, got {reds}"
             )
-
-        # contracting gadgets back into edges must give the regular bipartite
-        # layer: no duplicate pairs, every level node with the layer degree
-        contracted = list(greens)
-        glo = meta._level_top + (layer - 1) * p.gadgets_per_layer + 1
-        for gd in range(glo, glo + p.gadgets_per_layer):
-            pair = meta.gadget_level_pair(g, gd)
-            if pair is None:
-                report.add("gadget-shape", f"gadget {gd} lacks the degree-3 shape")
-                continue
-            contracted.append(pair)
-        pairs = set()
-        degs: dict[int, int] = {}
-        dup = False
-        for a, b in contracted:
-            key = edge_key(a, b)
-            if key in pairs:
-                dup = True
-            pairs.add(key)
-            degs[a] = degs.get(a, 0) + 1
-            degs[b] = degs.get(b, 0) + 1
-        if dup:
-            report.add("layer-contraction", f"layer {layer}: duplicate contracted edge")
-        bad = [
-            v
-            for v in list(meta.level_labels(layer)) + list(meta.level_labels(layer + 1))
-            if degs.get(v, 0) != p.layer_degree
-        ]
-        if bad:
-            report.add(
-                "layer-contraction",
-                f"layer {layer}: nodes {bad[:8]} off {p.layer_degree}-regularity",
-            )
+        report.violations.extend(contracted.problems.violations)
 
     # no green edge's endpoints may share a gadget neighbor
     for layer in range(1, p.levels):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvariantViolation, ParameterError, StructuralError
-from .family import FamilyMeta, validate_family_membership
+from .family import FamilyMeta, contract_layer_to_bipartite, validate_family_membership
 from .graph import (
     LabeledGraph,
     ValidationReport,
@@ -26,54 +26,6 @@ from .graph import (
     validate_consistent_labeling,
 )
 from .runtime import Instance, execute, penalty_before_step
-
-
-@dataclass
-class ContractedLayer:
-    """A layer with its gadgets contracted back into level-to-level edges."""
-
-    layer: int
-    left: set[int]
-    right: set[int]
-    edges: list[tuple[int, int]]
-    by_gadget: dict[int, tuple[int, int]]
-
-
-def contract_layer_to_bipartite(
-    g: LabeledGraph, meta: FamilyMeta, layer: int
-) -> ContractedLayer:
-    """Replace each of the layer's gadgets by an edge between its two level
-    neighbors; the result must be the layer-degree-regular bipartite graph
-    the construction started from."""
-    p = meta.params
-    if not 1 <= layer <= p.levels - 1:
-        raise ParameterError(f"layer must be in 1..{p.levels - 1}, got {layer}")
-    edges = list(meta.green_edges(g, layer))
-    by_gadget: dict[int, tuple[int, int]] = {}
-    glo = meta._level_top + (layer - 1) * p.gadgets_per_layer + 1
-    for gd in range(glo, glo + p.gadgets_per_layer):
-        pair = meta.gadget_level_pair(g, gd)
-        if pair is None:
-            raise StructuralError(f"gadget {gd} lacks its two level neighbors")
-        by_gadget[gd] = pair
-        edges.append(pair)
-    seen = set()
-    deg: dict[int, int] = {}
-    for a, b in edges:
-        key = edge_key(a, b)
-        if key in seen:
-            raise StructuralError(f"layer {layer} contraction has duplicate edge {key}")
-        seen.add(key)
-        deg[a] = deg.get(a, 0) + 1
-        deg[b] = deg.get(b, 0) + 1
-    left = set(meta.level_labels(layer))
-    right = set(meta.level_labels(layer + 1))
-    for v in left | right:
-        if deg.get(v, 0) != p.layer_degree:
-            raise StructuralError(
-                f"layer {layer} contraction is not {p.layer_degree}-regular at {v}"
-            )
-    return ContractedLayer(layer, left, right, edges, by_gadget)
 
 
 @dataclass

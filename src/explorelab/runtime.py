@@ -3,19 +3,22 @@ and distance / fuel / completion monitors.
 
 The agent model: the policy sees only the memory sequence (one 4-tuple per
 traversal) and answers with the next port to take or a halt.  The runtime
-owns the graph, performs traversals, and feeds records back.  Constraint
-violations are recorded in the run report and the run continues, so that
-monitors can observe what an incorrect policy would have done.
+owns the graph, performs traversals, and feeds records back: every traversal
+in the package is a :meth:`ReplayCursor.commit`, which :func:`execute` loops
+over with its monitors and the adversary drives on the graph it rewrites.
+Constraint violations are recorded in the run report and the run continues,
+so that monitors can observe what an incorrect policy would have done.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Container
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import BudgetError, ParameterError, PolicyError, StructuralError
+from .errors import BudgetError, InvariantViolation, ParameterError, PolicyError, StructuralError
 from .family import FamilyMeta
 from .graph import LabeledGraph, edge_key, eccentricity, is_connected
 
@@ -156,6 +159,94 @@ class ExploredDistances:
         return self.dist.get(v)
 
 
+class ReplayCursor:
+    """Stepwise execution of a policy: the one place a traversal happens.
+
+    Each :meth:`commit` checks the port, looks up the neighbor, builds the
+    memory record, grows the traversed set and the memory, notes the first
+    visit to a label in ``gadgets`` and feeds the record to the policy.  The
+    policy only ever sees memory records, and the adversary's rewrites
+    preserve labels, degrees and the ports of traversed edges, so the
+    accumulated policy state remains valid when :meth:`replace_graph` swaps
+    the graph underneath it.
+    """
+
+    def __init__(
+        self,
+        graph: LabeledGraph,
+        policy,
+        source: int = 0,
+        gadgets: Container[int] | None = None,
+    ):
+        self.graph = graph
+        self.policy = policy
+        self.state = policy.start()
+        self.memory: list[MemoryRecord] = [initial_record(graph, source)]
+        self.traversed: set[tuple[int, int]] = set()
+        self.gadgets = gadgets
+        self.first_gadget_step: int | None = None
+        self.state.observe(self.memory[0])
+
+    @property
+    def steps(self) -> int:
+        return len(self.memory) - 1
+
+    @property
+    def node(self) -> int:
+        return self.memory[-1].label
+
+    def pending_port(self) -> int | None:
+        return self.state.next_action()
+
+    def pending_edge(self) -> tuple[int, int] | None:
+        port = self.pending_port()
+        if port is None:
+            return None
+        return edge_key(self.node, self.graph.neighbor(self.node, port))
+
+    def pending_node(self) -> int | None:
+        port = self.pending_port()
+        if port is None:
+            return None
+        return self.graph.neighbor(self.node, port)
+
+    def replace_graph(self, new_graph: LabeledGraph, touched: tuple) -> None:
+        for key in touched:
+            if key in self.traversed:
+                raise InvariantViolation(
+                    f"surgery touched already-traversed edge {key}"
+                )
+        self.graph = new_graph
+
+    def commit(self, port: int | None = None) -> MemoryRecord:
+        """Traverse ``port`` (by default the policy's pending choice)."""
+        if port is None:
+            port = self.pending_port()
+            if port is None:
+                raise InvariantViolation("commit requested but the policy halted")
+        g = self.graph
+        cur = self.memory[-1].label
+        if not isinstance(port, int) or not 0 <= port < g.degree(cur):
+            raise PolicyError(
+                f"policy chose port {port!r} at node {cur} of degree {g.degree(cur)}"
+            )
+        nxt = g.neighbor(cur, port)
+        rec = MemoryRecord(nxt, g.degree(nxt), port, g.port_of(nxt, cur))
+        self.traversed.add(edge_key(cur, nxt))
+        self.memory.append(rec)
+        if self.first_gadget_step is None and self.gadgets is not None and nxt in self.gadgets:
+            self.first_gadget_step = len(self.memory) - 1
+        self.state.observe(rec)
+        return rec
+
+    def as_trace(self) -> Trace:
+        return Trace(
+            memory=self.memory,
+            traversed=self.traversed,
+            first_gadget_step=self.first_gadget_step,
+        )
+
+
 def execute(
     inst: Instance,
     policy,
@@ -178,72 +269,55 @@ def execute(
     if max_steps is None:
         max_steps = 50 * edge_total + 1000
 
-    trace = Trace(memory=[initial_record(g, inst.source)])
+    cursor = ReplayCursor(g, policy, inst.source, gadgets=gadget_set)
+    memory, traversed = cursor.memory, cursor.traversed
     report = RunReport()
-    state = policy.start()
-    state.observe(trace.memory[0])
-
-    fuel = inst.fuel_tank
-    watch_distance = "distance" in monitors
-    watch_fuel = "fuel" in monitors
-    dists = ExploredDistances(inst.source) if watch_distance else None
-    cur = inst.source
+    tank = fuel = inst.fuel_tank if "fuel" in monitors else None
+    dists = ExploredDistances(inst.source) if "distance" in monitors else None
+    cap = inst.dist_cap_floor
 
     while True:
-        port = state.next_action()
+        port = cursor.pending_port()
         if port is None:
             report.halted = True
             break
-        if not isinstance(port, int) or not 0 <= port < g.degree(cur):
-            raise PolicyError(
-                f"policy chose port {port!r} at node {cur} of degree {g.degree(cur)}"
-            )
-        if trace.steps + 1 > max_steps:
-            report.steps = trace.steps
-            report.penalty = trace.steps - edge_total
-            raise BudgetError(f"exceeded {max_steps} traversals", trace=trace)
-
-        if watch_fuel and fuel < 1:
-            report.violations.append(
-                {"kind": "fuel", "step": trace.steps + 1, "detail": f"tank {fuel}"}
-            )
-        fuel -= 1
-
-        nxt = g.neighbor(cur, port)
-        rec = MemoryRecord(nxt, g.degree(nxt), port, g.port_of(nxt, cur))
-        key = edge_key(cur, nxt)
-        new_edge = key not in trace.traversed
-        trace.traversed.add(key)
-        trace.memory.append(rec)
-        cur = nxt
-        if cur == inst.source:
-            fuel = inst.fuel_tank
-        if gadget_set is not None and trace.first_gadget_step is None and cur in gadget_set:
-            trace.first_gadget_step = trace.steps
-        if watch_distance:
-            if new_edge:
-                dists.add_edge(key[0], key[1])
+        if len(memory) > max_steps:
+            raise BudgetError(f"exceeded {max_steps} traversals", trace=cursor.as_trace())
+        if fuel is not None:
+            if fuel < 1:
+                report.violations.append(
+                    {"kind": "fuel", "step": len(memory), "detail": f"tank {fuel}"}
+                )
+            fuel -= 1
+        known = len(traversed)
+        rec = cursor.commit(port)
+        cur = rec.label
+        if fuel is not None and cur == inst.source:
+            fuel = tank
+        if dists is not None:
+            if len(traversed) > known:
+                dists.add_edge(memory[-2].label, cur)
             d = dists.get(cur)
-            if d is None or d > inst.dist_cap_floor:
+            if d is None or d > cap:
                 report.violations.append(
                     {
                         "kind": "distance",
-                        "step": trace.steps,
-                        "detail": f"known return distance {d} > {inst.dist_cap_floor}",
+                        "step": len(memory) - 1,
+                        "detail": f"known return distance {d} > {cap}",
                     }
                 )
-        state.observe(rec)
 
+    trace = cursor.as_trace()
     report.steps = trace.steps
     report.penalty = trace.steps - edge_total
     if "completion" in monitors:
-        report.complete = len(trace.traversed) == edge_total
+        report.complete = len(traversed) == edge_total
         if not report.complete:
             report.violations.append(
                 {
                     "kind": "completion",
                     "step": trace.steps,
-                    "detail": f"{edge_total - len(trace.traversed)} edges unexplored",
+                    "detail": f"{edge_total - len(traversed)} edges unexplored",
                 }
             )
     return trace, report

@@ -4,6 +4,8 @@ never call the package's BFS helpers."""
 
 from collections import deque
 
+from explorelab.runtime import MemoryRecord
+
 
 def adjacency(graph):
     return {v: list(graph.neighbors(v)) for v in graph.labels()}
@@ -48,3 +50,23 @@ def naive_return_distance(traversed, current, source):
                 dist[u] = dist[v] + 1
                 queue.append(u)
     return dist.get(source)
+
+
+def naive_run(graph, policy, source):
+    """Step ``policy`` on ``graph`` until it halts, with no monitors: the
+    memory sequence and the traversed edge set, from neighbor and port
+    lookups alone."""
+    state = policy.start()
+    memory = [MemoryRecord(source, graph.degree(source), -1, -1)]
+    traversed = set()
+    state.observe(memory[0])
+    cur = source
+    port = state.next_action()
+    while port is not None:
+        nxt = graph.neighbor(cur, port)
+        memory.append(MemoryRecord(nxt, graph.degree(nxt), port, graph.port_of(nxt, cur)))
+        traversed.add((min(cur, nxt), max(cur, nxt)))
+        state.observe(memory[-1])
+        cur = nxt
+        port = state.next_action()
+    return memory, traversed

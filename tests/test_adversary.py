@@ -17,7 +17,7 @@ from explorelab import (
     penalty_before_step,
     validate_family_membership,
 )
-from explorelab.adversary import ReplayCursor
+from explorelab.runtime import ReplayCursor
 from explorelab.graph import edge_key
 
 ALPHA = Fraction(1, 2)
@@ -68,7 +68,7 @@ def test_modification_preserves_prefix_and_membership():
     assert out is not g
     assert audit.stages
     assert validate_family_membership(out, params).ok
-    assert check_memory_prefix_equal(cautious(), g, out, ALPHA, 1)
+    assert check_memory_prefix_equal(cautious(), g, out, 1)
 
 
 def test_modification_rejects_halted_policy():
@@ -84,7 +84,7 @@ def test_modification_rejects_halted_policy():
 
 def test_prefix_equal_same_graph():
     g, _ = build_family_graph(FamilyParams(4, 8, 7))
-    assert check_memory_prefix_equal(cautious(), g, g, ALPHA, 30)
+    assert check_memory_prefix_equal(cautious(), g, g, 30)
 
 
 def test_prefix_differs_after_relabeling():
@@ -94,7 +94,7 @@ def test_prefix_differs_after_relabeling():
         key = {1: 2, 2: 1}.get(v, v)
         swapped[key] = [{1: 2, 2: 1}.get(x, x) for x in g.neighbors(v)]
     g2 = type(g)(swapped)
-    assert not check_memory_prefix_equal(cautious(), g, g2, ALPHA, 30)
+    assert not check_memory_prefix_equal(cautious(), g, g2, 30)
 
 
 # -- the full adversary -------------------------------------------------------------
@@ -255,7 +255,7 @@ def test_reroute_stage_fires_and_reroutes():
     assert "move-gadget" in ops and "switch-edges" in ops
     assert all(s.changed for s in audit.surgeries)
     assert validate_family_membership(out, params).ok
-    assert check_memory_prefix_equal(policy, g, out, ALPHA, t)
+    assert check_memory_prefix_equal(policy, g, out, t)
     # the pending port now reaches a node that still has unexplored edges
     # toward the next layer
     rerouted = out.neighbor(up, g.port_of(up, target))
@@ -330,8 +330,9 @@ def test_adversary_is_seed_deterministic():
 
 def test_cursor_replays_with_graph_swap():
     g, meta = build_family_graph(FamilyParams(10, 16, 6))
-    cursor = ReplayCursor(g, cautious(), source=0, meta=meta)
-    assert cursor.advance_to(5)
+    cursor = ReplayCursor(g, cautious(), source=0, gadgets=meta.gadget_labels)
+    for _ in range(5):
+        cursor.commit()
     assert cursor.steps == 5
     assert cursor.pending_edge() is not None
     before = list(cursor.memory)

@@ -1,6 +1,14 @@
 import json
 
-from explorelab import FamilyParams, LabeledGraph, build_family_graph
+import pytest
+
+from explorelab import (
+    FamilyParams,
+    LabeledGraph,
+    LollipopParams,
+    build_family_graph,
+    build_lollipop,
+)
 from explorelab.cli import main
 
 
@@ -62,12 +70,11 @@ def test_gen_lollipop_and_run(tmp_path, capsys):
     assert report["penalty"] >= 98
 
 
-def test_lollipop_subcommand_matches_gen(tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    main(["gen", "--lollipop", "2,2,1", "--seed", "5", "--out", str(a)])
-    main(["lollipop", "--k", "2", "--r", "2", "--alpha", "1", "--seed", "5", "--out", str(b)])
-    assert a.read_text() == b.read_text()
+def test_gen_lollipop_writes_library_graph(tmp_path):
+    out = tmp_path / "lolli.json"
+    assert main(["gen", "--lollipop", "2,2,1", "--seed", "5", "--out", str(out)]) == 0
+    graph, _ = build_lollipop(LollipopParams(2, 2, 1), 5)
+    assert out.read_text() == graph.to_json() + "\n"
 
 
 def test_gen_is_byte_deterministic(tmp_path):
@@ -210,3 +217,27 @@ def test_adversary_strict_flags_invalid_policy(tmp_path, capsys):
     assert code == 1
     assert main(["validate", "--family", "10,16,6", str(final)]) == 0
     capsys.readouterr()
+
+
+MALFORMED = {
+    "dangling": {0: [1], 1: []},
+    "asymmetric": {0: [1], 1: [0, 2], 2: [0]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+@pytest.mark.parametrize("command", ["run", "merge"])
+def test_malformed_graph_file_is_a_one_line_error(tmp_path, capsys, name, command):
+    path = tmp_path / f"{name}.json"
+    path.write_text(LabeledGraph(MALFORMED[name]).to_json())
+    if command == "run":
+        argv = ["run", "--instance", str(path), "--alpha", "1"]
+    else:
+        out = tmp_path / "merged.json"
+        argv = ["merge", "--in", str(path), "--k", "1", "--alpha", "1", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and str(path) in err
+    assert "asymmetric-edge" in err
+    assert "Traceback" not in err

@@ -16,6 +16,7 @@ from explorelab import (
     make_policy,
     merge_gadgets,
     validate_consistent_labeling,
+    validate_family_membership,
     validate_merge_behavior,
 )
 
@@ -59,6 +60,28 @@ def test_contract_layer_bad_index(fresh):
     _, g, meta = fresh
     with pytest.raises(ParameterError):
         contract_layer_to_bipartite(g, meta, 0)
+
+
+def test_contract_layer_rejects_rewired_gadget(fresh):
+    params, g, meta = fresh
+    # move one layer-1 gadget's upper end to another level-2 node
+    gadget = meta.gadget_labels[0]
+    lo, hi = meta.gadget_level_pair(g, gadget)
+    other = next(
+        v for v in meta.level_labels(2) if v != hi and gadget not in g.neighbors(v)
+    )
+    rewired = g.replace_ports(
+        {
+            gadget: [other if u == hi else u for u in g.neighbors(gadget)],
+            hi: [u for u in g.neighbors(hi) if u != gadget],
+            other: g.neighbors(other) + [gadget],
+        }
+    )
+    assert validate_consistent_labeling(rewired).ok
+    with pytest.raises(StructuralError):
+        contract_layer_to_bipartite(rewired, meta, 1)
+    contract_layer_to_bipartite(rewired, meta, 2)  # other layers still contract
+    assert "layer-contraction" in validate_family_membership(rewired, params).codes()
 
 
 def test_contract_layer_post_adversary(adversary_final):

@@ -19,10 +19,10 @@ from explorelab import (
     make_policy,
     penalty_before_step,
 )
-from explorelab.runtime import ExploredDistances, MemoryRecord
+from explorelab.runtime import ExploredDistances, MemoryRecord, ReplayCursor
 
 from conftest import ScriptPolicy, port_script
-from oracles import naive_return_distance
+from oracles import naive_return_distance, naive_run
 
 
 def test_instance_derives_limits(path3):
@@ -227,3 +227,39 @@ def test_explored_distances_incremental_updates():
     dists.add_edge(0, 3)  # shortcut must relax node 3 and its neighbors
     assert dists.get(3) == 1
     assert dists.get(2) == 2
+
+
+def _engine_cases():
+    for seed in (0, 3):
+        g, meta = build_family_graph(FamilyParams(10, 16, 6), seed=seed)
+        yield f"family-10-16-6-s{seed}", g, 0, Fraction(1, 2), set(meta.gadget_labels)
+    g, source = build_lollipop(LollipopParams(1, 2, 1))
+    yield "lollipop-1-2-1", g, source, Fraction(1), None
+
+
+ENGINE_CASES = {name: case for name, *case in _engine_cases()}
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+@pytest.mark.parametrize("policy_name", ["cautious-bfs", "dfs", "fuel-cautious"])
+def test_engine_matches_plain_stepping_oracle(case, policy_name):
+    g, source, alpha, gadgets = ENGINE_CASES[case]
+    inst = Instance(graph=g, source=source, alpha=alpha)
+
+    def policy():
+        return make_policy(policy_name, inst.alpha, inst.ecc)
+
+    memory, traversed = naive_run(g, policy(), source)
+    trace, report = execute(
+        inst, policy(), monitors=("distance", "fuel", "completion"), gadget_set=gadgets
+    )
+    assert trace.memory == memory
+    assert trace.traversed == traversed
+    assert report.steps == len(memory) - 1
+
+    cursor = ReplayCursor(g, policy(), source=source, gadgets=gadgets)
+    while cursor.pending_port() is not None:
+        cursor.commit()
+    assert cursor.memory == memory
+    assert cursor.traversed == traversed
+    assert cursor.first_gadget_step == trace.first_gadget_step
