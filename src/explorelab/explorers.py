@@ -22,9 +22,13 @@ from .runtime import ExploredDistances, MemoryRecord
 class ExploredView:
     """The subgraph an agent can reconstruct from its memory sequence: known
     degrees, known port assignments, and which nodes still own unexplored
-    ports."""
+    ports.
 
-    __slots__ = ("source", "cur", "degree", "adj", "rev", "frontier")
+    ``low[v]`` is the lowest port of ``v`` that may still be unexplored:
+    known ports only ever grow, so the pointer only moves up.
+    """
+
+    __slots__ = ("source", "cur", "degree", "adj", "rev", "frontier", "low")
 
     def __init__(self):
         self.source: int | None = None
@@ -33,6 +37,7 @@ class ExploredView:
         self.adj: dict[int, dict[int, int]] = {}
         self.rev: dict[int, dict[int, int]] = {}
         self.frontier: set[int] = set()
+        self.low: dict[int, int] = {}
 
     def _touch(self, label: int, degree: int) -> None:
         if label not in self.degree:
@@ -40,6 +45,7 @@ class ExploredView:
             self.adj[label] = {}
             self.rev[label] = {}
             self.frontier.add(label)
+            self.low[label] = 0
 
     def _refresh_frontier(self, label: int) -> None:
         if len(self.adj[label]) == self.degree[label]:
@@ -70,11 +76,12 @@ class ExploredView:
         return v in self.frontier
 
     def smallest_unexplored_port(self, v: int) -> int | None:
-        known = self.adj[v]
-        for p in range(self.degree[v]):
-            if p not in known:
-                return p
-        return None
+        known, deg = self.adj[v], self.degree[v]
+        p = self.low[v]
+        while p < deg and p in known:
+            p += 1
+        self.low[v] = p
+        return p if p < deg else None
 
     def plan_to(self, is_target) -> tuple[int, list[int]] | None:
         """Breadth-first search from the current node over explored edges,
@@ -232,11 +239,16 @@ class DfsPolicy(ExplorationPolicy):
 
 
 class _DfsRun:
+    """``low[v]`` is the lowest port of ``v`` that may be neither departed
+    through nor the first-entry port; departures only grow, so it only
+    moves up."""
+
     def __init__(self):
         self.cur: int | None = None
         self.degree: dict[int, int] = {}
         self.first_entry: dict[int, int | None] = {}
         self.departed: dict[int, set[int]] = {}
+        self.low: dict[int, int] = {}
 
     def observe(self, rec: MemoryRecord) -> None:
         if rec.out_port == -1:
@@ -248,19 +260,18 @@ class _DfsRun:
         self.cur = rec.label
         self.degree.setdefault(rec.label, rec.degree)
         self.departed.setdefault(rec.label, set())
+        self.low.setdefault(rec.label, 0)
 
     def next_action(self) -> int | None:
-        used = self.departed[self.cur]
-        entry = self.first_entry[self.cur]
-        fallback = None
-        for p in range(self.degree[self.cur]):
-            if p in used:
-                continue
-            if p == entry:
-                fallback = p
-                continue
+        cur = self.cur
+        used, entry, deg = self.departed[cur], self.first_entry[cur], self.degree[cur]
+        p = self.low[cur]
+        while p < deg and (p in used or p == entry):
+            p += 1
+        self.low[cur] = p
+        if p < deg:
             return p
-        return fallback
+        return entry if entry is not None and entry not in used else None
 
 
 class FuelCautiousPolicy(ExplorationPolicy):

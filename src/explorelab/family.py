@@ -16,6 +16,7 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ParameterError, StructuralError
 from .graph import (
@@ -45,37 +46,37 @@ class FamilyParams:
             # A shorter tail would leave the label/distance layout undefined.
             raise ParameterError(f"ecc must be >= 6, got {self.ecc}")
 
-    @property
+    @cached_property
     def layer_degree(self) -> int:
         """Regularity of each level-to-level bipartite layer."""
         return self.width // 4
 
-    @property
+    @cached_property
     def beta(self) -> int:
         """Number of edges of one layer before gadget subdivision."""
         return self.width * self.layer_degree
 
-    @property
+    @cached_property
     def gadgets_per_layer(self) -> int:
         return 7 * self.beta // 8
 
-    @property
+    @cached_property
     def greens_per_layer(self) -> int:
         return -(-self.beta // 8)  # ceil(beta / 8)
 
-    @property
+    @cached_property
     def reds_per_layer(self) -> int:
         return 2 * self.gadgets_per_layer
 
-    @property
+    @cached_property
     def gadget_count(self) -> int:
         return (self.levels - 1) * self.gadgets_per_layer
 
-    @property
+    @cached_property
     def order(self) -> int:
         return self.width * self.levels + self.gadget_count + self.ecc - 1
 
-    @property
+    @cached_property
     def edge_total(self) -> int:
         # source fan + layer edges + critical-to-gadget edges + tail chain
         layers = self.levels - 1
@@ -100,17 +101,20 @@ class FamilyMeta:
     def __init__(self, params: FamilyParams):
         self.params = params
         p = params
+        self.width = p.width
+        self.gadgets_per_layer = p.gadgets_per_layer
         self.source_label = 0
         self._level_top = p.width * p.levels
         self._gadget_top = self._level_top + p.gadget_count
         self.critical_label = self._gadget_top + 1
         self.tail_labels = [self.critical_label + d for d in range(1, p.ecc - 2)]
+        self._tail_chain = frozenset(self.tail_labels) | {self.critical_label}
 
     # -- label geometry ------------------------------------------------------
 
     def level_of(self, label: int) -> int | None:
         if 1 <= label <= self._level_top:
-            return (label - 1) // self.params.width + 1
+            return (label - 1) // self.width + 1
         return None
 
     def level_labels(self, i: int) -> range:
@@ -127,7 +131,7 @@ class FamilyMeta:
     def gadget_layer(self, label: int) -> int:
         if not self.is_gadget(label):
             raise ParameterError(f"label {label} is not a gadget")
-        return (label - self._level_top - 1) // self.params.gadgets_per_layer + 1
+        return (label - self._level_top - 1) // self.gadgets_per_layer + 1
 
     @property
     def tail_tip(self) -> int:
@@ -155,8 +159,7 @@ class FamilyMeta:
                 return ("other", None)
         if a == self.source_label or b == self.source_label:
             return ("source", None)
-        tail = set(self.tail_labels) | {self.critical_label}
-        if a in tail and b in tail:
+        if a in self._tail_chain and b in self._tail_chain:
             return ("tail", None)
         return ("other", None)
 

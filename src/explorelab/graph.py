@@ -128,10 +128,20 @@ class LabeledGraph:
     # -- derivation and serialization ---------------------------------------
 
     def replace_ports(self, changes: dict[int, list[int]]) -> "LabeledGraph":
-        """New graph equal to this one except for the given adjacency rows."""
-        ports = dict(self._ports)
-        ports.update(changes)
-        return LabeledGraph(ports)
+        """New graph equal to this one except for the given adjacency rows.
+
+        A reverse map already built here is carried over: the new graph gets
+        a shallow copy with only the changed rows rebuilt, and this graph's
+        maps are left untouched.
+        """
+        new = LabeledGraph(self._ports)
+        new._ports.update(changes)
+        if self._rports is not None:
+            rports = dict(self._rports)
+            for v, ns in changes.items():
+                rports[v] = {u: p for p, u in enumerate(ns)}
+            new._rports = rports
+        return new
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledGraph):
@@ -246,6 +256,7 @@ def validate_consistent_labeling(g: LabeledGraph) -> ValidationReport:
     the offending labels.
     """
     report = ValidationReport()
+    rev = g._reverse()
     for v, ns in ((v, g.neighbors(v)) for v in g.labels()):
         if not isinstance(v, int) or v < 0:
             report.add("negative-label", f"label {v} is not a non-negative integer")
@@ -260,11 +271,17 @@ def validate_consistent_labeling(g: LabeledGraph) -> ValidationReport:
             seen.add(u)
             if u not in g:
                 report.add("unknown-neighbor", f"node {v} lists missing label {u}")
-            elif g.neighbors(u).count(v) != 1:
+                continue
+            # A row without duplicates lists v once or not at all; only a
+            # row with duplicates needs a real count.
+            back = g.neighbors(u)
+            if len(rev[u]) == len(back):
+                times = 1 if v in rev[u] else 0
+            else:
+                times = back.count(v)
+            if times != 1:
                 report.add(
-                    "asymmetric-edge",
-                    f"node {v} lists {u} but {u} lists {v} "
-                    f"{g.neighbors(u).count(v)} times",
+                    "asymmetric-edge", f"node {v} lists {u} but {u} lists {v} {times} times"
                 )
     return report
 
@@ -310,9 +327,11 @@ def hopcroft_karp(adj: dict[int, list[int]]) -> dict[int, int]:
     pair_left: dict[int, int] = {}
     pair_right: dict[int, int] = {}
     dist: dict[int, int] = {}
+    goal = _UNSEEN  # length of the shortest augmenting paths of this phase
     lefts = list(adj.keys())
 
     def bfs() -> bool:
+        nonlocal goal
         queue: deque[int] = deque()
         for l in lefts:
             if l not in pair_left:
@@ -334,13 +353,13 @@ def hopcroft_karp(adj: dict[int, list[int]]) -> dict[int, int]:
                     if dist[nxt] == _UNSEEN:
                         dist[nxt] = dist[l] + 1
                         queue.append(nxt)
-        dist["__goal__"] = found
+        goal = found
         return found != _UNSEEN
 
     def dfs(l: int) -> bool:
         for r in adj[l]:
             if r not in pair_right:
-                if dist["__goal__"] == dist[l] + 1:
+                if goal == dist[l] + 1:
                     pair_left[l] = r
                     pair_right[r] = l
                     return True

@@ -272,7 +272,12 @@ def execute(
     cursor = ReplayCursor(g, policy, inst.source, gadgets=gadget_set)
     memory, traversed = cursor.memory, cursor.traversed
     report = RunReport()
-    tank = fuel = inst.fuel_tank if "fuel" in monitors else None
+    # Fuel is counted in integer units of 1/``unit`` (the tank's denominator),
+    # so one traversal costs ``unit`` of them.
+    tank = fuel = unit = None
+    if "fuel" in monitors:
+        tank, unit = inst.fuel_tank.as_integer_ratio()
+        fuel = tank
     dists = ExploredDistances(inst.source) if "distance" in monitors else None
     cap = inst.dist_cap_floor
 
@@ -284,11 +289,15 @@ def execute(
         if len(memory) > max_steps:
             raise BudgetError(f"exceeded {max_steps} traversals", trace=cursor.as_trace())
         if fuel is not None:
-            if fuel < 1:
+            if fuel < unit:
                 report.violations.append(
-                    {"kind": "fuel", "step": len(memory), "detail": f"tank {fuel}"}
+                    {
+                        "kind": "fuel",
+                        "step": len(memory),
+                        "detail": f"tank {Fraction(fuel, unit)}",
+                    }
                 )
-            fuel -= 1
+            fuel -= unit
         known = len(traversed)
         rec = cursor.commit(port)
         cur = rec.label

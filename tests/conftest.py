@@ -83,6 +83,19 @@ def small_graph_corpus():
     return corpus
 
 
+def engine_cases():
+    """Name -> (graph, source, alpha, gadget labels) of the runs on which the
+    stepping engine and the policies' fast paths are checked against their
+    plain counterparts."""
+    cases = {}
+    for seed in (0, 3):
+        g, meta = build_family_graph(FamilyParams(10, 16, 6), seed=seed)
+        cases[f"family-10-16-6-s{seed}"] = (g, 0, Fraction(1, 2), set(meta.gadget_labels))
+    g, source = build_lollipop(LollipopParams(1, 2, 1))
+    cases["lollipop-1-2-1"] = (g, source, Fraction(1), None)
+    return cases
+
+
 @pytest.fixture(scope="session")
 def graph_corpus():
     return small_graph_corpus()

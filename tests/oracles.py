@@ -4,6 +4,7 @@ never call the package's BFS helpers."""
 
 from collections import deque
 
+from explorelab.graph import ValidationReport
 from explorelab.runtime import MemoryRecord
 
 
@@ -70,3 +71,72 @@ def naive_run(graph, policy, source):
         cur = nxt
         port = state.next_action()
     return memory, traversed
+
+
+def naive_validate_consistent_labeling(g):
+    """The consistent-labeling check with a ``list.count`` per listed
+    neighbor: the slow counterpart of ``validate_consistent_labeling``."""
+    report = ValidationReport()
+    for v in g.labels():
+        ns = g.neighbors(v)
+        if not isinstance(v, int) or v < 0:
+            report.add("negative-label", f"label {v} is not a non-negative integer")
+        seen = set()
+        for p, u in enumerate(ns):
+            if u == v:
+                report.add("self-loop", f"node {v} lists itself at port {p}")
+                continue
+            if u in seen:
+                report.add("parallel-edge", f"node {v} lists neighbor {u} twice")
+                continue
+            seen.add(u)
+            if u not in g:
+                report.add("unknown-neighbor", f"node {v} lists missing label {u}")
+            elif g.neighbors(u).count(v) != 1:
+                report.add(
+                    "asymmetric-edge",
+                    f"node {v} lists {u} but {u} lists {v} "
+                    f"{g.neighbors(u).count(v)} times",
+                )
+    return report
+
+
+def naive_smallest_unexplored_port(view, v):
+    """Scan of ``v``'s ports for the first one the explored view does not
+    know: the slow counterpart of ``ExploredView.smallest_unexplored_port``."""
+    known = view.adj[v]
+    for p in range(view.degree[v]):
+        if p not in known:
+            return p
+    return None
+
+
+def naive_dfs_next_action(run):
+    """Scan of the current node's ports for the smallest one not yet departed
+    through, keeping the first-entry port for last: the slow counterpart of
+    the DFS policy's ``next_action``."""
+    used = run.departed[run.cur]
+    entry = run.first_entry[run.cur]
+    fallback = None
+    for p in range(run.degree[run.cur]):
+        if p in used:
+            continue
+        if p == entry:
+            fallback = p
+            continue
+        return p
+    return fallback
+
+
+def naive_fuel_violations(memory, source, tank):
+    """Fuel-monitor violations of a memory sequence with the tank kept as a
+    ``Fraction``: the slow counterpart of ``execute``'s integer tank."""
+    fuel = tank
+    out = []
+    for step in range(1, len(memory)):
+        if fuel < 1:
+            out.append({"kind": "fuel", "step": step, "detail": f"tank {fuel}"})
+        fuel -= 1
+        if memory[step].label == source:
+            fuel = tank
+    return out

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from explorelab import (
     FamilyParams,
@@ -12,7 +14,11 @@ from explorelab import (
     execute,
     make_policy,
 )
-from explorelab.explorers import POLICY_NAMES
+from explorelab.explorers import POLICY_NAMES, DfsPolicy, ExploredView
+from explorelab.runtime import MemoryRecord, ReplayCursor
+
+from conftest import engine_cases, small_graph_corpus
+from oracles import naive_dfs_next_action, naive_smallest_unexplored_port
 
 
 def run(graph, source, alpha, name, **kw):
@@ -150,3 +156,66 @@ def test_cautious_never_probes_beyond_cap():
     trace, report = execute(inst, policy, monitors=("distance", "completion"))
     assert report.complete
     assert not report.violations_of("distance")
+
+
+ENGINE_CASES = engine_cases()
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+@pytest.mark.parametrize("policy_name", ["cautious-bfs", "dfs", "fuel-cautious"])
+def test_port_pointers_match_port_scans(case, policy_name, monkeypatch):
+    # the monotone port pointers answer as the O(deg) scans do at every step:
+    # every probe the policy asks for, the current node, and at the end every
+    # known node
+    g, source, alpha, _ = ENGINE_CASES[case]
+    inst = Instance(graph=g, source=source, alpha=alpha)
+    pointer = ExploredView.smallest_unexplored_port
+    probes = []
+
+    def checked(view, v):
+        port = pointer(view, v)
+        assert port == naive_smallest_unexplored_port(view, v), (len(probes), v)
+        probes.append(v)
+        return port
+
+    monkeypatch.setattr(ExploredView, "smallest_unexplored_port", checked)
+    cursor = ReplayCursor(g, make_policy(policy_name, inst.alpha, inst.ecc), source=source)
+    state = cursor.state
+    while True:
+        if policy_name == "dfs":
+            assert state.next_action() == naive_dfs_next_action(state), cursor.steps
+        else:
+            state.view.smallest_unexplored_port(state.view.cur)
+        if cursor.pending_port() is None:
+            break
+        cursor.commit()
+    if policy_name == "dfs":
+        assert cursor.steps == 2 * g.edge_count()
+    else:
+        for v in state.view.degree:
+            state.view.smallest_unexplored_port(v)
+        assert len(probes) > cursor.steps
+
+
+WALK_GRAPHS = {name: (g, source) for name, g, source in small_graph_corpus()}
+
+
+@given(st.sampled_from(sorted(WALK_GRAPHS)), st.lists(st.integers(0, 63), max_size=80))
+@settings(max_examples=100, deadline=None)
+def test_port_pointers_match_port_scans_on_any_walk(name, choices):
+    # record streams no policy would produce (re-entering a node whose ports
+    # are all spent, say) keep the pointers equal to the scans too
+    g, cur = WALK_GRAPHS[name]
+    view, dfs = ExploredView(), DfsPolicy().start()
+    rec = MemoryRecord(cur, g.degree(cur), -1, -1)
+    for choice in [None, *choices]:
+        if choice is not None:
+            port = choice % g.degree(cur)
+            nxt = g.neighbor(cur, port)
+            rec = MemoryRecord(nxt, g.degree(nxt), port, g.port_of(nxt, cur))
+            cur = nxt
+        view.observe(rec)
+        dfs.observe(rec)
+        assert dfs.next_action() == naive_dfs_next_action(dfs)
+        for v in view.degree:
+            assert view.smallest_unexplored_port(v) == naive_smallest_unexplored_port(view, v)

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from explorelab import (
     EdgeRef,
+    FamilyParams,
     LabeledGraph,
     ParameterError,
     StructuralError,
     bfs_distance,
+    build_family_graph,
     build_regular_bipartite,
     eccentricity,
     konig_edge_coloring,
@@ -17,7 +19,7 @@ from explorelab import (
 )
 from explorelab.graph import bipartition_sides, circulant_pairs, edge_key
 
-from oracles import adjacency, naive_eccentricity
+from oracles import adjacency, naive_eccentricity, naive_validate_consistent_labeling
 
 
 def test_ports_are_list_indices(triangle):
@@ -62,6 +64,43 @@ def test_validate_flags_asymmetric_edge():
 def test_validate_flags_self_loop():
     g = LabeledGraph({0: [0]})
     assert "self-loop" in validate_consistent_labeling(g).codes()
+
+
+MALFORMED_PORTS = {
+    "one-sided": {0: [1], 1: []},
+    "dangling": {0: [1], 1: [0, 2], 2: [0]},
+    "self-loop": {0: [0, 1], 1: [0]},
+    "parallel-edge": {0: [1, 1], 1: [0, 0]},
+    "listed-twice-back-once": {0: [1, 1], 1: [0], 2: [1]},
+}
+
+
+def assert_validator_matches_oracle(g):
+    fast = validate_consistent_labeling(g).to_dict()
+    assert fast == naive_validate_consistent_labeling(g).to_dict()
+    return fast
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_PORTS))
+def test_validator_matches_count_oracle_on_malformed(name):
+    report = assert_validator_matches_oracle(LabeledGraph(MALFORMED_PORTS[name]))
+    assert not report["ok"]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_validator_matches_count_oracle_on_members(seed):
+    g, _ = build_family_graph(FamilyParams(10, 16, 6), seed=seed)
+    assert assert_validator_matches_oracle(g)["ok"]
+
+
+@given(
+    st.dictionaries(
+        st.integers(-1, 6), st.lists(st.integers(-1, 7), max_size=6), max_size=7
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_validator_matches_count_oracle_on_random_ports(ports):
+    assert_validator_matches_oracle(LabeledGraph(ports))
 
 
 # -- bfs / eccentricity -------------------------------------------------------

@@ -21,8 +21,8 @@ from explorelab import (
 )
 from explorelab.runtime import ExploredDistances, MemoryRecord, ReplayCursor
 
-from conftest import ScriptPolicy, port_script
-from oracles import naive_return_distance, naive_run
+from conftest import ScriptPolicy, engine_cases, port_script
+from oracles import naive_fuel_violations, naive_return_distance, naive_run
 
 
 def test_instance_derives_limits(path3):
@@ -88,6 +88,19 @@ def test_fuel_violation_at_step_nine():
     fuel = report.violations_of("fuel")
     assert [v["step"] for v in fuel] == [9]
     assert trace.steps == 9
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1), Fraction(1, 3), Fraction(5, 7)])
+def test_fuel_violations_match_fraction_oracle(alpha):
+    # the integer tank reports the same steps and the same "tank <Fraction>"
+    # details as Fraction arithmetic, refuels included
+    g, _ = build_lollipop(LollipopParams(scale=1, ecc=2, alpha=Fraction(1)))
+    inst = Instance(graph=g, source=0, alpha=alpha)
+    walk = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 1, 0, 1] + list(range(13, 27))
+    trace, report = execute(inst, port_script(g, walk), monitors=("fuel",))
+    want = naive_fuel_violations(trace.memory, 0, inst.fuel_tank)
+    assert report.violations_of("fuel") == want
+    assert len(want) > 10
 
 
 def test_fuel_resets_at_source():
@@ -229,15 +242,7 @@ def test_explored_distances_incremental_updates():
     assert dists.get(2) == 2
 
 
-def _engine_cases():
-    for seed in (0, 3):
-        g, meta = build_family_graph(FamilyParams(10, 16, 6), seed=seed)
-        yield f"family-10-16-6-s{seed}", g, 0, Fraction(1, 2), set(meta.gadget_labels)
-    g, source = build_lollipop(LollipopParams(1, 2, 1))
-    yield "lollipop-1-2-1", g, source, Fraction(1), None
-
-
-ENGINE_CASES = {name: case for name, *case in _engine_cases()}
+ENGINE_CASES = engine_cases()
 
 
 @pytest.mark.parametrize("case", sorted(ENGINE_CASES))

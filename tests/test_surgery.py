@@ -278,3 +278,39 @@ def test_random_surgery_chain_preserves_membership(member):
         else:
             assert res.graph is g
     assert changed > 40
+
+
+def graph_answers(g, pairs):
+    """Every port_of and edge_ports answer of ``g``, and the label pairs of
+    ``pairs`` that ``g`` joins by an edge."""
+    ports = {(v, u): g.port_of(v, u) for v in g.labels() for u in g.neighbors(v)}
+    ends = {e: g.edge_ports(*e) for e in g.edges()}
+    return ports, ends, {pair for pair in pairs if g.has_edge(*pair)}
+
+
+def test_carried_reverse_map_matches_fresh_graph():
+    # replace_ports carries the parent's reverse map forward; along a chain
+    # of surgeries the derived graph answers as a freshly built one, and the
+    # parent's answers never change
+    g, meta = build_family_graph(FamilyParams(4, 16, 6), seed=2)
+    labels = sorted(g.labels())
+    rng = random.Random(1009)
+    # has_edge is asked of every pair joined at some point of the chain and
+    # of every label with 16 fixed others
+    pairs = {(v, u) for v in labels for u in rng.sample(labels, 16)}
+    pairs |= {(v, u) for v in labels for u in g.neighbors(v)}
+    before = graph_answers(g, pairs)
+    changed = 0
+    for i in range(120):
+        res = random_surgery(g, meta, rng)
+        if not res.changed:
+            continue
+        changed += 1
+        new = res.graph
+        pairs |= {(v, u) for v in labels for u in new.neighbors(v)}
+        fresh = LabeledGraph({v: list(new.neighbors(v)) for v in labels})
+        assert new._rports is not None, f"op {i}: reverse map not carried"
+        assert graph_answers(new, pairs) == graph_answers(fresh, pairs), f"op {i}"
+        assert graph_answers(g, pairs) == before, f"op {i}: parent changed"
+        g, before = new, graph_answers(new, pairs)
+    assert changed > 30
