@@ -21,14 +21,15 @@ from .runtime import ExploredDistances, MemoryRecord
 
 class ExploredView:
     """The subgraph an agent can reconstruct from its memory sequence: known
-    degrees, known port assignments, and which nodes still own unexplored
-    ports.
+    degrees, known port assignments, which nodes still own unexplored ports,
+    and ``dist``, the exact distances from the source over the explored
+    edges (every known node has one: it was reached over an explored edge).
 
     ``low[v]`` is the lowest port of ``v`` that may still be unexplored:
     known ports only ever grow, so the pointer only moves up.
     """
 
-    __slots__ = ("source", "cur", "degree", "adj", "rev", "frontier", "low")
+    __slots__ = ("source", "cur", "degree", "adj", "rev", "frontier", "low", "dist")
 
     def __init__(self):
         self.source: int | None = None
@@ -38,6 +39,7 @@ class ExploredView:
         self.rev: dict[int, dict[int, int]] = {}
         self.frontier: set[int] = set()
         self.low: dict[int, int] = {}
+        self.dist: ExploredDistances | None = None
 
     def _touch(self, label: int, degree: int) -> None:
         if label not in self.degree:
@@ -51,18 +53,20 @@ class ExploredView:
         if len(self.adj[label]) == self.degree[label]:
             self.frontier.discard(label)
 
-    def observe(self, rec: MemoryRecord) -> tuple[bool, int | None]:
-        """Feed one record; returns (edge was new, previous node label)."""
+    def observe(self, rec: MemoryRecord) -> bool:
+        """Feed one record; returns whether its edge was new."""
         if rec.out_port == -1:
             self.source = self.cur = rec.label
+            self.dist = ExploredDistances(rec.label)
             self._touch(rec.label, rec.degree)
             self._refresh_frontier(rec.label)
-            return (False, None)
+            return False
         prev = self.cur
         new_edge = rec.out_port not in self.adj[prev]
         if new_edge:
             self.adj[prev][rec.out_port] = rec.label
             self.rev[prev][rec.label] = rec.out_port
+            self.dist.add_edge(prev, rec.label)
         self._touch(rec.label, rec.degree)
         if rec.in_port not in self.adj[rec.label]:
             self.adj[rec.label][rec.in_port] = prev
@@ -70,7 +74,7 @@ class ExploredView:
         self._refresh_frontier(prev)
         self._refresh_frontier(rec.label)
         self.cur = rec.label
-        return (new_edge, prev)
+        return new_edge
 
     def has_unexplored(self, v: int) -> bool:
         return v in self.frontier
@@ -83,12 +87,28 @@ class ExploredView:
         self.low[v] = p
         return p if p < deg else None
 
-    def plan_to(self, is_target) -> tuple[int, list[int]] | None:
-        """Breadth-first search from the current node over explored edges,
-        expanding port-ascending; returns the closest node satisfying the
-        predicate (smallest label on ties) and the port path to it."""
-        cur = self.cur
-        if is_target(cur):
+    def plan_to(self, within: int | None) -> tuple[int, list[int]] | None:
+        """Target node and port path of the walk from the current node.
+
+        With a bound: breadth-first search over explored edges, expanding
+        port-ascending, for the closest node with an unexplored port whose
+        source distance is at most ``within`` (smallest label on ties); None
+        when there is none.  With None: the path to the source, descending
+        ``dist`` by the smallest port one step closer at each node.  That is
+        the path the search would find, since a port-ascending BFS returns
+        the lexicographically smallest port sequence among shortest paths.
+        """
+        cur, dist = self.cur, self.dist.dist
+        if within is None:
+            ports = []
+            while cur != self.source:
+                row, closer = self.adj[cur], dist[cur] - 1
+                port = min(p for p, y in row.items() if dist[y] == closer)
+                ports.append(port)
+                cur = row[port]
+            return (cur, ports)
+        frontier = self.frontier
+        if cur in frontier and dist[cur] <= within:
             return (cur, [])
         parent: dict[int, int | None] = {cur: None}
         level = [cur]
@@ -102,7 +122,7 @@ class ExploredView:
                     if y not in parent:
                         parent[y] = x
                         nxt.append(y)
-                        if is_target(y):
+                        if y in frontier and dist[y] <= within:
                             found.append(y)
             if found:
                 node = min(found)
@@ -139,23 +159,31 @@ class _PlannedRun:
         self.stale = False
 
     def observe(self, rec: MemoryRecord) -> None:
-        new_edge, prev = self.view.observe(rec)
+        new_edge = self.view.observe(rec)
         if rec.out_port != -1:
             if self.plan and self.pos < len(self.plan):
                 self.pos += 1
             if new_edge:
-                self._edge_added(prev, rec.label)
                 self.stale = True
         if self.plan is not None and (self.stale or self.pos >= len(self.plan)):
             self.stale = False
             self.pos = 0
             self._replan()
 
-    def _edge_added(self, a: int, b: int) -> None:
-        pass
-
     def _replan(self) -> None:
         raise NotImplementedError
+
+    def _plan_probe(self, within: int) -> None:
+        """Plan the walk to the closest frontier node within ``within`` of
+        the source and the probe of its smallest unexplored port; halt when
+        there is none."""
+        hit = self.view.plan_to(within)
+        if hit is None:
+            self.plan = None
+            return
+        target, ports = hit
+        ports.append(self.view.smallest_unexplored_port(target))
+        self.plan = ports
 
     def next_action(self) -> int | None:
         if self.plan is None or self.pos >= len(self.plan):
@@ -175,8 +203,8 @@ def _require_slack(alpha: Fraction, ecc: int) -> Fraction:
 class CautiousBfsPolicy(ExplorationPolicy):
     """Distance-safe explorer: repeatedly walks to the closest known node
     that still owns an unexplored port and whose known distance from the
-    source is below the return cap, then probes that node's smallest
-    unexplored port.
+    source is below the return cap (``plan_to(cap_floor - 1)``), then probes
+    that node's smallest unexplored port.
 
     Every node of the graph has true distance at most ecc from the source,
     and ecc stays below the cap, so the frontier keeps expanding until every
@@ -199,30 +227,9 @@ class _CautiousRun(_PlannedRun):
     def __init__(self, cap_floor: int):
         super().__init__()
         self.cap_floor = cap_floor
-        self.dist_src: ExploredDistances | None = None
-
-    def observe(self, rec: MemoryRecord) -> None:
-        if rec.out_port == -1:
-            self.dist_src = ExploredDistances(rec.label)
-        super().observe(rec)
-
-    def _edge_added(self, a: int, b: int) -> None:
-        self.dist_src.add_edge(a, b)
-
-    def _eligible(self, v: int) -> bool:
-        if not self.view.has_unexplored(v):
-            return False
-        d = self.dist_src.get(v)
-        return d is not None and d <= self.cap_floor - 1
 
     def _replan(self) -> None:
-        hit = self.view.plan_to(self._eligible)
-        if hit is None:
-            self.plan = None
-            return
-        target, ports = hit
-        ports.append(self.view.smallest_unexplored_port(target))
-        self.plan = ports
+        self._plan_probe(self.cap_floor - 1)
 
 
 class DfsPolicy(ExplorationPolicy):
@@ -277,11 +284,12 @@ class _DfsRun:
 class FuelCautiousPolicy(ExplorationPolicy):
     """Tank-safe explorer: from the source, walks to the closest known node
     with an unexplored port whose round trip fits the tank, probes one port,
-    and walks straight home to refuel; halts when no such node remains.
+    and walks straight home to refuel along the explored distances
+    (``plan_to(None)``); halts when no such node remains.
 
     A node at known distance d costs at most 2d + 2 to visit, probe, and
-    return from, so requiring 2d + 2 <= floor(tank) keeps every excursion
-    within one tank.
+    return from, so requiring 2d + 2 <= floor(tank), that is
+    ``plan_to((tank_floor - 2) // 2)``, keeps every excursion within one tank.
     """
 
     name = "fuel-cautious"
@@ -299,35 +307,13 @@ class _FuelRun(_PlannedRun):
     def __init__(self, tank_floor: int):
         super().__init__()
         self.tank_floor = tank_floor
-        self.dist_src: ExploredDistances | None = None
-
-    def observe(self, rec: MemoryRecord) -> None:
-        if rec.out_port == -1:
-            self.dist_src = ExploredDistances(rec.label)
-        super().observe(rec)
-
-    def _edge_added(self, a: int, b: int) -> None:
-        self.dist_src.add_edge(a, b)
-
-    def _affordable(self, v: int) -> bool:
-        if not self.view.has_unexplored(v):
-            return False
-        d = self.dist_src.get(v)
-        return d is not None and 2 * d + 2 <= self.tank_floor
 
     def _replan(self) -> None:
-        view = self.view
-        if view.cur == view.source:
-            hit = view.plan_to(self._affordable)
-            if hit is None:
-                self.plan = None
-                return
-            target, ports = hit
-            ports.append(view.smallest_unexplored_port(target))
-            self.plan = ports
+        if self.view.cur == self.view.source:
+            # for an integer d, 2d + 2 <= tank_floor iff d <= (tank_floor - 2) // 2
+            self._plan_probe((self.tank_floor - 2) // 2)
         else:
-            _, ports = view.plan_to(lambda v: v == view.source)
-            self.plan = ports
+            self.plan = self.view.plan_to(None)[1]
 
 
 POLICY_NAMES = ("cautious-bfs", "dfs", "fuel-cautious")

@@ -356,21 +356,34 @@ def hopcroft_karp(adj: dict[int, list[int]]) -> dict[int, int]:
         goal = found
         return found != _UNSEEN
 
-    def dfs(l: int) -> bool:
-        for r in adj[l]:
-            if r not in pair_right:
-                if goal == dist[l] + 1:
-                    pair_left[l] = r
-                    pair_right[r] = l
-                    return True
+    def dfs(root: int) -> None:
+        # Depth-first search for an augmenting path from ``root`` along the
+        # BFS layers, with an explicit stack of (left, remaining rights) and
+        # the right taken at each frame: the visiting order of the recursive
+        # form, without its depth limit.  A dead end is cut from the layers.
+        stack = [(root, iter(adj[root]))]
+        taken: list[int] = []
+        while stack:
+            l, rights = stack[-1]
+            for r in rights:
+                if r not in pair_right:
+                    if goal == dist[l] + 1:
+                        taken.append(r)
+                        for (a, _), b in zip(reversed(stack), reversed(taken)):
+                            pair_left[a] = b
+                            pair_right[b] = a
+                        return
+                else:
+                    nxt = pair_right[r]
+                    if dist[nxt] == dist[l] + 1:
+                        taken.append(r)
+                        stack.append((nxt, iter(adj[nxt])))
+                        break
             else:
-                nxt = pair_right[r]
-                if dist[nxt] == dist[l] + 1 and dfs(nxt):
-                    pair_left[l] = r
-                    pair_right[r] = l
-                    return True
-        dist[l] = _UNSEEN
-        return False
+                dist[l] = _UNSEEN
+                stack.pop()
+                if taken:
+                    taken.pop()
 
     while bfs():
         for l in lefts:

@@ -159,12 +159,17 @@ class ExploredDistances:
         return self.dist.get(v)
 
 
+_UNASKED = object()
+
+
 class ReplayCursor:
     """Stepwise execution of a policy: the one place a traversal happens.
 
     Each :meth:`commit` checks the port, looks up the neighbor, builds the
     memory record, grows the traversed set and the memory, notes the first
     visit to a label in ``gadgets`` and feeds the record to the policy.  The
+    policy is asked for its next port once per step: the answer is kept
+    until the next :meth:`commit`, the only place the policy is fed.  The
     policy only ever sees memory records, and the adversary's rewrites
     preserve labels, degrees and the ports of traversed edges, so the
     accumulated policy state remains valid when :meth:`replace_graph` swaps
@@ -186,6 +191,7 @@ class ReplayCursor:
         self.gadgets = gadgets
         self.first_gadget_step: int | None = None
         self.state.observe(self.memory[0])
+        self._pending = _UNASKED
 
     @property
     def steps(self) -> int:
@@ -196,7 +202,10 @@ class ReplayCursor:
         return self.memory[-1].label
 
     def pending_port(self) -> int | None:
-        return self.state.next_action()
+        port = self._pending
+        if port is _UNASKED:
+            port = self._pending = self.state.next_action()
+        return port
 
     def pending_edge(self) -> tuple[int, int] | None:
         port = self.pending_port()
@@ -237,6 +246,7 @@ class ReplayCursor:
         if self.first_gadget_step is None and self.gadgets is not None and nxt in self.gadgets:
             self.first_gadget_step = len(self.memory) - 1
         self.state.observe(rec)
+        self._pending = _UNASKED
         return rec
 
     def as_trace(self) -> Trace:

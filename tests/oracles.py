@@ -111,6 +111,45 @@ def naive_smallest_unexplored_port(view, v):
     return None
 
 
+def naive_plan_to(view, is_target):
+    """Breadth-first search from the view's current node over its explored
+    edges, expanding port-ascending, for the closest node satisfying the
+    predicate (smallest label on ties), with the port path to it: the slow
+    counterpart of ``ExploredView.plan_to``."""
+    cur = view.cur
+    if is_target(cur):
+        return (cur, [])
+    parent = {cur: None}
+    level = [cur]
+    while level:
+        nxt, found = [], []
+        for x in level:
+            row = view.adj[x]
+            for p in sorted(row):
+                y = row[p]
+                if y not in parent:
+                    parent[y] = x
+                    nxt.append(y)
+                    if is_target(y):
+                        found.append(y)
+        if found:
+            node = min(found)
+            chain = [node]
+            while parent[chain[-1]] is not None:
+                chain.append(parent[chain[-1]])
+            chain.reverse()
+            return (node, [view.rev[a][b] for a, b in zip(chain, chain[1:])])
+        level = nxt
+    return None
+
+
+def naive_view_distances(view):
+    """Distances from the view's source over its explored edges, by a plain
+    BFS: the slow counterpart of the view's ``dist``."""
+    adj = {v: list(row.values()) for v, row in view.adj.items()}
+    return naive_distances(adj, view.source)
+
+
 def naive_dfs_next_action(run):
     """Scan of the current node's ports for the smallest one not yet departed
     through, keeping the first-entry port for last: the slow counterpart of
@@ -140,3 +179,54 @@ def naive_fuel_violations(memory, source, tank):
         if memory[step].label == source:
             fuel = tank
     return out
+
+
+def naive_hopcroft_karp(adj):
+    """Hopcroft-Karp with a recursive depth-first search: the recursive
+    counterpart of ``graph.hopcroft_karp`` (same visiting order, so the same
+    matching), for graphs shallow enough for the recursion limit."""
+    pair_left, pair_right, dist = {}, {}, {}
+    unseen = -1
+    goal = unseen
+
+    def bfs():
+        nonlocal goal
+        queue = deque()
+        for l in adj:
+            if l not in pair_left:
+                dist[l] = 0
+                queue.append(l)
+            else:
+                dist[l] = unseen
+        found = unseen
+        while queue:
+            l = queue.popleft()
+            if found != unseen and dist[l] >= found:
+                continue
+            for r in adj[l]:
+                if r not in pair_right:
+                    if found == unseen:
+                        found = dist[l] + 1
+                elif dist[pair_right[r]] == unseen:
+                    dist[pair_right[r]] = dist[l] + 1
+                    queue.append(pair_right[r])
+        goal = found
+        return found != unseen
+
+    def dfs(l):
+        for r in adj[l]:
+            if r not in pair_right:
+                if goal == dist[l] + 1:
+                    pair_left[l], pair_right[r] = r, l
+                    return True
+            elif dist[pair_right[r]] == dist[l] + 1 and dfs(pair_right[r]):
+                pair_left[l], pair_right[r] = r, l
+                return True
+        dist[l] = unseen
+        return False
+
+    while bfs():
+        for l in adj:
+            if l not in pair_left:
+                dfs(l)
+    return pair_left

@@ -338,3 +338,44 @@ def test_cursor_replays_with_graph_swap():
     before = list(cursor.memory)
     cursor.replace_graph(g, ())
     assert cursor.memory == before
+
+
+class CountingPolicy:
+    """Wraps a policy and counts, over every run state it starts, the records
+    fed and the next-action questions asked.  Test helper."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.observed = 0
+        self.asked = 0
+
+    def start(self):
+        return _CountingRun(self, self.inner.start())
+
+
+class _CountingRun:
+    def __init__(self, counts, state):
+        self.counts = counts
+        self.state = state
+
+    def observe(self, rec):
+        self.counts.observed += 1
+        self.state.observe(rec)
+
+    def next_action(self):
+        self.counts.asked += 1
+        return self.state.next_action()
+
+
+def test_policy_asked_once_per_step():
+    # the cursor keeps the policy's answer until the next record, so neither
+    # the per-step rewrite nor the prefix replays ask twice for one step
+    g, _ = build_family_graph(FamilyParams(10, 16, 6))
+    policy = CountingPolicy(cautious())
+    _, audit = graph_modification(g, ALPHA, policy, 1)
+    assert audit.stages
+    assert 0 < policy.asked <= policy.observed
+    policy = CountingPolicy(cautious())
+    run = adversary_behavior(6, ALPHA, policy, 16, policy_name="cautious-bfs", seed=0)
+    assert run.prefix_checks > 0
+    assert run.step_count < policy.asked <= policy.observed

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from explorelab import (
     FamilyParams,
     Instance,
+    LabeledGraph,
     LollipopParams,
     ParameterError,
     build_family_graph,
@@ -18,7 +19,12 @@ from explorelab.explorers import POLICY_NAMES, DfsPolicy, ExploredView
 from explorelab.runtime import MemoryRecord, ReplayCursor
 
 from conftest import engine_cases, small_graph_corpus
-from oracles import naive_dfs_next_action, naive_smallest_unexplored_port
+from oracles import (
+    naive_dfs_next_action,
+    naive_plan_to,
+    naive_smallest_unexplored_port,
+    naive_view_distances,
+)
 
 
 def run(graph, source, alpha, name, **kw):
@@ -197,7 +203,48 @@ def test_port_pointers_match_port_scans(case, policy_name, monkeypatch):
         assert len(probes) > cursor.steps
 
 
+PLAN_CASES = dict(ENGINE_CASES)
+PLAN_CASES["lollipop-3-2-1"] = (*build_lollipop(LollipopParams(3, 2, 1)), Fraction(1), None)
+
+
+def oracle_target(view, within):
+    """The planner's old predicate for ``plan_to(within)``: the source, or a
+    node with an unexplored port within ``within`` of the source, with
+    distances from a plain BFS."""
+    if within is None:
+        return lambda v: v == view.source
+    dist = naive_view_distances(view)
+    return lambda v: len(view.adj[v]) < view.degree[v] and dist[v] <= within
+
+
+@pytest.mark.parametrize("case", sorted(PLAN_CASES))
+@pytest.mark.parametrize("policy_name", ["cautious-bfs", "fuel-cautious"])
+def test_plans_match_bfs_oracle(case, policy_name, monkeypatch):
+    # every replan's target and port path equal those of the old breadth-first
+    # search under the old predicates
+    g, source, alpha, _ = PLAN_CASES[case]
+    inst = Instance(graph=g, source=source, alpha=alpha)
+    plan = ExploredView.plan_to
+    replans = []
+
+    def checked(view, within):
+        got = plan(view, within)
+        assert got == naive_plan_to(view, oracle_target(view, within)), (len(replans), within)
+        replans.append(within)
+        return got
+
+    monkeypatch.setattr(ExploredView, "plan_to", checked)
+    _, report = execute(inst, make_policy(policy_name, inst.alpha, inst.ecc), monitors=("completion",))
+    assert report.complete
+    homeward = replans.count(None)
+    assert homeward > 0 if policy_name == "fuel-cautious" else homeward == 0
+    assert len(replans) - homeward > 0
+
+
 WALK_GRAPHS = {name: (g, source) for name, g, source in small_graph_corpus()}
+# a square whose far corner reaches both of its two closer neighbours, with
+# ports against label order: the walk home has a choice to get right
+WALK_GRAPHS["square"] = (LabeledGraph({0: [2, 1], 1: [3, 0], 2: [0, 3], 3: [2, 1]}), 0)
 
 
 @given(st.sampled_from(sorted(WALK_GRAPHS)), st.lists(st.integers(0, 63), max_size=80))
@@ -219,3 +266,6 @@ def test_port_pointers_match_port_scans_on_any_walk(name, choices):
         assert dfs.next_action() == naive_dfs_next_action(dfs)
         for v in view.degree:
             assert view.smallest_unexplored_port(v) == naive_smallest_unexplored_port(view, v)
+        assert view.dist.dist == naive_view_distances(view)
+        for within in (None, 0, 1, 2, 3):
+            assert view.plan_to(within) == naive_plan_to(view, oracle_target(view, within))

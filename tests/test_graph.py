@@ -17,9 +17,14 @@ from explorelab import (
     konig_edge_coloring,
     validate_consistent_labeling,
 )
-from explorelab.graph import bipartition_sides, circulant_pairs, edge_key
+from explorelab.graph import bipartition_sides, circulant_pairs, edge_key, hopcroft_karp
 
-from oracles import adjacency, naive_eccentricity, naive_validate_consistent_labeling
+from oracles import (
+    adjacency,
+    naive_eccentricity,
+    naive_hopcroft_karp,
+    naive_validate_consistent_labeling,
+)
 
 
 def test_ports_are_list_indices(triangle):
@@ -204,6 +209,26 @@ def test_circulant_properties(n, k):
     assert all(g.degree(v) == k for v in g.labels())
     left = set(range(n))
     assert all((a in left) != (b in left) for a, b in g.edges())
+
+
+def test_matching_on_long_augmenting_chain():
+    # left i sees rights n+i-1 and n+i (left 0 only n); the greedy first phase
+    # matches i to n+i-1, leaving one augmenting path through all n lefts
+    n = 3000
+    adj = {i: [n + i - 1, n + i] if i else [n] for i in range(n - 1, -1, -1)}
+    matching = hopcroft_karp(adj)
+    assert len(matching) == n
+    assert len(set(matching.values())) == n
+    assert all(r in adj[l] for l, r in matching.items())
+
+
+@given(st.integers(1, 12), st.integers(1, 12), st.data())
+@settings(max_examples=150, deadline=None)
+def test_matching_matches_recursive_oracle(lefts, rights, data):
+    # the iterative search visits as the recursive one does: same pairs, same order
+    row = st.lists(st.integers(lefts, lefts + rights - 1), unique=True, max_size=rights)
+    adj = {l: data.draw(row) for l in data.draw(st.permutations(range(lefts)))}
+    assert list(hopcroft_karp(adj).items()) == list(naive_hopcroft_karp(adj).items())
 
 
 # -- edge coloring -------------------------------------------------------------
