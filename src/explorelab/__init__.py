@@ -3,7 +3,6 @@
 from .adversary import (
     AdversaryRun,
     adversary_behavior,
-    check_memory_prefix_equal,
     graph_modification,
 )
 from .errors import (
@@ -31,13 +30,9 @@ from .family import (
     validate_family_membership,
 )
 from .graph import (
-    EdgeRef,
     LabeledGraph,
     ValidationReport,
-    bfs_distance,
-    build_regular_bipartite,
     eccentricity,
-    konig_edge_coloring,
     validate_consistent_labeling,
 )
 from .merge import merge_gadgets, validate_merge_behavior
@@ -47,7 +42,6 @@ from .runtime import (
     ReplayCursor,
     Trace,
     execute,
-    known_return_distance,
     layer_traversal_stats,
     penalty_before_step,
 )
@@ -58,7 +52,6 @@ __all__ = [
     "BudgetError",
     "CautiousBfsPolicy",
     "DfsPolicy",
-    "EdgeRef",
     "ExploredView",
     "FamilyMeta",
     "FamilyParams",
@@ -76,18 +69,13 @@ __all__ = [
     "Trace",
     "ValidationReport",
     "adversary_behavior",
-    "bfs_distance",
     "build_family_graph",
     "build_lollipop",
-    "build_regular_bipartite",
     "check_eccentricity_properties",
-    "check_memory_prefix_equal",
     "contract_layer_to_bipartite",
     "eccentricity",
     "execute",
     "graph_modification",
-    "known_return_distance",
-    "konig_edge_coloring",
     "layer_traversal_stats",
     "make_policy",
     "merge_gadgets",

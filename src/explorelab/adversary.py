@@ -121,23 +121,22 @@ class _Adversary:
                 self.red_explored = True
         return was_seen
 
-    def rewrite(self, step: int, validate: bool = True) -> StepAudit:
+    def rewrite(self, step: int) -> StepAudit:
         """Rewrite the graph ahead of traversal ``step``; after a change,
-        check family membership (when ``validate``) and, by a fresh replay,
-        the memory prefix.  Either failure raises."""
+        check family membership and, by a fresh replay, the memory prefix.
+        Either failure raises."""
         cursor = self.cursor
         before = cursor.graph
         audit = StepAudit(step=step)
         _modify_step(self, audit)
         audit.changed = cursor.graph is not before
         if audit.changed:
-            if validate:
-                report = validate_family_membership(cursor.graph, self.meta.params)
-                self.membership_checks += 1
-                if not report.ok:
-                    raise InvariantViolation(
-                        f"family membership broken at step {step}: {report.codes()}"
-                    )
+            report = validate_family_membership(cursor.graph, self.meta.params)
+            self.membership_checks += 1
+            if not report.ok:
+                raise InvariantViolation(
+                    f"family membership broken at step {step}: {report.codes()}"
+                )
             audit.prefix_ok = _replay_agrees(cursor.policy, cursor.graph, cursor.memory, step - 1)
             self.prefix_checks += 1
             if not audit.prefix_ok:
@@ -313,14 +312,6 @@ def graph_modification(
     return adv.cursor.graph, audit
 
 
-def _replay(policy, graph: LabeledGraph):
-    """The policy's memory records on ``graph`` from label 0, lazily."""
-    cursor = ReplayCursor(graph, policy, source=0)
-    yield cursor.memory[0]
-    while cursor.pending_port() is not None:
-        yield cursor.commit()
-
-
 def _replay_agrees(policy, graph: LabeledGraph, records, t: int) -> bool:
     """Fresh replay of ``policy`` on ``graph`` from the first record's label,
     compared with ``records`` through index ``t`` and stopped at the first
@@ -336,12 +327,6 @@ def _replay_agrees(policy, graph: LabeledGraph, records, t: int) -> bool:
     return True
 
 
-def check_memory_prefix_equal(policy, g1: LabeledGraph, g2: LabeledGraph, t: int) -> bool:
-    """True iff the agent's memory sequences on the two graphs agree through
-    index t.  An early halt on either side counts as disagreement."""
-    return _replay_agrees(policy, g2, _replay(policy, g1), t)
-
-
 def adversary_behavior(
     ecc: int,
     alpha: Fraction,
@@ -351,15 +336,13 @@ def adversary_behavior(
     policy_name: str = "?",
     seed: int = 0,
     max_steps: int | None = None,
-    validate_each: bool = True,
 ) -> AdversaryRun:
     """Run the full adversary: build a fresh family member, rewrite it ahead
     of every traversal of the policy, and return it once the policy halts.
 
-    ``validate_each`` re-runs the family-membership validator after every
-    graph change (raising on any violation); prefix preservation is verified
-    after every change as well.  Gadget-avoidance and descent-dichotomy flags
-    are recorded per step but never raise: they are only promised for
+    Family membership and prefix preservation are verified after every graph
+    change (raising on any violation).  Gadget-avoidance and descent-dichotomy
+    flags are recorded per step but never raise: they are only promised for
     policies that actually solve the distance-constrained problem.
     """
     alpha = Fraction(alpha)
@@ -400,7 +383,7 @@ def adversary_behavior(
             )
         )
 
-        audit = adv.rewrite(x, validate_each)
+        audit = adv.rewrite(x)
         was_seen = adv.commit()
         reached = cursor.node
 

@@ -44,7 +44,11 @@ def _load_graph(path: str, *, check: bool = False) -> LabeledGraph:
     """Read a graph file; with ``check``, reject one that is not
     consistently labeled."""
     with open(path) as fh:
-        graph = LabeledGraph.from_json(fh.read())
+        text = fh.read()
+    try:
+        graph = LabeledGraph.from_json(text)
+    except ValueError as exc:
+        raise ParameterError(f"{path}: {exc}") from exc
     if check:
         report = validate_consistent_labeling(graph)
         if not report.ok:
@@ -163,7 +167,6 @@ def cmd_experiment(args) -> int:
         alpha=args.alpha if args.alpha is not None else base.alpha,
         policy=args.policy or base.policy,
         seed=args.seed,
-        strict=args.strict,
         timing=args.timing,
     )
     rows, report = run_experiment(cfg)
@@ -177,7 +180,7 @@ def cmd_experiment(args) -> int:
         sys.stdout.write(rows_to_csv(rows).decode())
     for failure in report["failures"]:
         print(f"FAIL {failure}", file=sys.stderr)
-    if cfg.strict and report["failures"]:
+    if args.strict and report["failures"]:
         return 1
     return 0
 

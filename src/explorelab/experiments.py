@@ -50,7 +50,6 @@ class ExperimentConfig:
     alpha: Fraction
     policy: str = "cautious-bfs"
     seed: int = 0
-    strict: bool = True
     timing: bool = False
 
     def __post_init__(self):

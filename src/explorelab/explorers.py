@@ -76,9 +76,6 @@ class ExploredView:
         self.cur = rec.label
         return new_edge
 
-    def has_unexplored(self, v: int) -> bool:
-        return v in self.frontier
-
     def smallest_unexplored_port(self, v: int) -> int | None:
         known, deg = self.adj[v], self.degree[v]
         p = self.low[v]
@@ -133,13 +130,6 @@ class ExploredView:
                 return (node, [self.rev[a][b] for a, b in zip(chain, chain[1:])])
             level = nxt
         return None
-
-
-class ExplorationPolicy:
-    name = "abstract"
-
-    def start(self):
-        raise NotImplementedError
 
 
 class _PlannedRun:
@@ -200,7 +190,7 @@ def _require_slack(alpha: Fraction, ecc: int) -> Fraction:
     return alpha
 
 
-class CautiousBfsPolicy(ExplorationPolicy):
+class CautiousBfsPolicy:
     """Distance-safe explorer: repeatedly walks to the closest known node
     that still owns an unexplored port and whose known distance from the
     source is below the return cap (``plan_to(cap_floor - 1)``), then probes
@@ -232,7 +222,7 @@ class _CautiousRun(_PlannedRun):
         self._plan_probe(self.cap_floor - 1)
 
 
-class DfsPolicy(ExplorationPolicy):
+class DfsPolicy:
     """Depth-first baseline: depart through the smallest port not yet used
     for departure, keeping the first-entry port for last; halts back at the
     source once every port is spent.  Traverses each edge once per direction,
@@ -281,7 +271,7 @@ class _DfsRun:
         return entry if entry is not None and entry not in used else None
 
 
-class FuelCautiousPolicy(ExplorationPolicy):
+class FuelCautiousPolicy:
     """Tank-safe explorer: from the source, walks to the closest known node
     with an unexplored port whose round trip fits the tank, probes one port,
     and walks straight home to refuel along the explored distances
@@ -319,7 +309,7 @@ class _FuelRun(_PlannedRun):
 POLICY_NAMES = ("cautious-bfs", "dfs", "fuel-cautious")
 
 
-def make_policy(name: str, alpha: Fraction, ecc: int) -> ExplorationPolicy:
+def make_policy(name: str, alpha: Fraction, ecc: int):
     """Look up a policy by registry name, instantiated for (alpha, ecc)."""
     if name == "cautious-bfs":
         return CautiousBfsPolicy(alpha, ecc)

@@ -334,8 +334,6 @@ def validate_family_membership(g: LabeledGraph, params: FamilyParams) -> Validat
             f"missing={sorted(expected - actual)[:8]} extra={sorted(actual - expected)[:8]}",
         )
         return report  # remaining checks assume the exact label set
-    if len(g) != p.order:
-        report.add("order", f"expected {p.order}, got {len(g)}")
     if g.edge_count() != p.edge_total:
         report.add("edge-count", f"expected {p.edge_total}, got {g.edge_count()}")
 
@@ -387,7 +385,8 @@ def validate_family_membership(g: LabeledGraph, params: FamilyParams) -> Validat
         if g.degree(t) != want:
             report.add("tail", f"tail node {t} has degree {g.degree(t)} != {want}")
 
-    if not is_connected(g):
+    # a search would follow a listed neighbor that has no row
+    if "unknown-neighbor" not in report.codes() and not is_connected(g):
         report.add("disconnected", "graph is not connected")
     return report
 

@@ -163,42 +163,31 @@ class LabeledGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "LabeledGraph":
+        """Parse :meth:`to_json` output.  Labels and ports must be JSON
+        integers (not floats, strings or booleans) and each row a list;
+        anything else raises :class:`ParameterError`."""
         data = json.loads(text)
         try:
-            ports = {int(n["label"]): [int(x) for x in n["ports"]] for n in data["nodes"]}
+            ports = {}
+            for n in data["nodes"]:
+                label, row = n["label"], n["ports"]
+                if type(label) is not int or type(row) is not list or any(
+                    type(x) is not int for x in row
+                ):
+                    raise TypeError(f"node {label!r} needs an integer label and integer ports")
+                ports[label] = row
         except (KeyError, TypeError) as exc:
             raise ParameterError(f"malformed graph JSON: {exc}") from exc
         return cls(ports)
 
 
-@dataclass(frozen=True)
-class EdgeRef:
-    """An edge identified by its endpoints together with its two ports."""
-
-    endpoints: tuple[int, int]
-    port_at: dict[int, int]
-
-    @classmethod
-    def of(cls, g: LabeledGraph, u: int, v: int) -> "EdgeRef":
-        if u == v:
-            raise ParameterError(f"edge endpoints must differ, got {u}")
-        if not g.has_edge(u, v):
-            raise ParameterError(f"no edge {{{u},{v}}} in graph")
-        pa, pb = g.edge_ports(u, v)
-        return cls(endpoints=edge_key(u, v), port_at={u: pa, v: pb})
-
-
 # -- search ----------------------------------------------------------------
-
-
-def _check_label(g: LabeledGraph, label: int) -> None:
-    if label not in g:
-        raise ParameterError(f"label {label} not in graph")
 
 
 def bfs_distances(g: LabeledGraph, a: int) -> dict[int, int]:
     """Shortest-path edge counts from ``a`` to every reachable node."""
-    _check_label(g, a)
+    if a not in g:
+        raise ParameterError(f"label {a} not in graph")
     dist = {a: 0}
     queue = deque([a])
     while queue:
@@ -209,26 +198,6 @@ def bfs_distances(g: LabeledGraph, a: int) -> dict[int, int]:
                 dist[u] = dv + 1
                 queue.append(u)
     return dist
-
-
-def bfs_distance(g: LabeledGraph, a: int, b: int) -> int | None:
-    """Length of a shortest path from a to b, or None when unreachable."""
-    _check_label(g, a)
-    _check_label(g, b)
-    if a == b:
-        return 0
-    dist = {a: 0}
-    queue = deque([a])
-    while queue:
-        v = queue.popleft()
-        dv = dist[v]
-        for u in g.neighbors(v):
-            if u not in dist:
-                if u == b:
-                    return dv + 1
-                dist[u] = dv + 1
-                queue.append(u)
-    return None
 
 
 def is_connected(g: LabeledGraph) -> bool:
@@ -296,21 +265,6 @@ def circulant_pairs(n: int, k: int) -> list[tuple[int, int]]:
     if k <= 0 or k > n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     return [(i, (i + x) % n) for i in range(n) for x in range(k)]
-
-
-def build_regular_bipartite(n: int, k: int) -> LabeledGraph:
-    """The circulant k-regular bipartite graph embedded as a LabeledGraph.
-
-    Side one gets labels 0..n-1, side two labels n..2n-1; ports at every node
-    are sorted by neighbor label.
-    """
-    ports: dict[int, list[int]] = {v: [] for v in range(2 * n)}
-    for i, j in circulant_pairs(n, k):
-        ports[i].append(n + j)
-        ports[n + j].append(i)
-    for v in ports:
-        ports[v].sort()
-    return LabeledGraph(ports)
 
 
 # -- maximum matching and edge coloring --------------------------------------
@@ -436,35 +390,3 @@ def color_regular_bipartite_edges(
                 raise InvariantViolation("edges left over after k matchings")
     return coloring
 
-
-def bipartition_sides(g: LabeledGraph) -> tuple[set[int], set[int]]:
-    """A 2-coloring of ``g`` (per connected component); StructuralError if
-    none exists."""
-    side: dict[int, int] = {}
-    for start in sorted(g.labels()):
-        if start in side:
-            continue
-        side[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in g.neighbors(v):
-                if u not in side:
-                    side[u] = 1 - side[v]
-                    queue.append(u)
-                elif side[u] == side[v]:
-                    raise StructuralError("graph is not bipartite")
-    return (
-        {v for v, s in side.items() if s == 0},
-        {v for v, s in side.items() if s == 1},
-    )
-
-
-def konig_edge_coloring(
-    g: LabeledGraph, left: set[int] | None = None
-) -> dict[tuple[int, int], int]:
-    """Proper edge coloring of a k-regular bipartite LabeledGraph with exactly
-    k colors (1..k); each color class is a perfect matching."""
-    if left is None:
-        left, _ = bipartition_sides(g)
-    return color_regular_bipartite_edges(list(g.edges()), left)

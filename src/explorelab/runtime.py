@@ -342,30 +342,6 @@ def execute(
     return trace, report
 
 
-def known_return_distance(trace: Trace, graph: LabeledGraph, source: int) -> int | None:
-    """BFS distance from the trace's current node to the source within the
-    subgraph induced by the traversed edges (the independent oracle for the
-    distance monitor)."""
-    if not trace.memory:
-        raise ParameterError("trace is empty")
-    adj: dict[int, list[int]] = {source: []}
-    for a, b in trace.traversed:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    cur = trace.current
-    if cur not in adj:
-        return None if cur != source else 0
-    dist = {cur: 0}
-    queue = deque([cur])
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist.get(source)
-
-
 def layer_traversal_stats(trace: Trace, meta: FamilyMeta) -> dict[int, tuple[int, int]]:
     """Per-layer (descending, ascending) green-edge traversal counts, taken
     up to the first gadget visit (whole trace when no gadget was visited)."""

@@ -13,6 +13,7 @@ from explorelab import (
     build_family_graph,
     build_lollipop,
 )
+from explorelab.runtime import ExploredDistances
 
 
 class ScriptPolicy:
@@ -38,6 +39,20 @@ class _ScriptRun:
 
     def next_action(self):
         return self.ports[self.idx] if self.idx < len(self.ports) else None
+
+
+def explored_return_distances(trace, source):
+    """Per traversal i of ``trace``: i, the edges traversed through i, and
+    the known return distance of the node reached, from an
+    :class:`ExploredDistances` fed each new edge as the run makes it."""
+    dists = ExploredDistances(source)
+    seen = set()
+    for i in range(1, trace.steps + 1):
+        edge = trace.edge_at(i)
+        if edge not in seen:
+            seen.add(edge)
+            dists.add_edge(*edge)
+        yield i, seen, dists.get(trace.memory[i].label)
 
 
 def port_script(graph, labels):

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The adversary runs for
-k in {1, 2, 3} dominate the runtime (a few minutes); they are shared
-session-wide by every criterion that needs them.
+k in {1, 2, 3} dominate the runtime (about 9 s on 2 vCPUs); they are
+shared session-wide by every criterion that needs them.
 """
 
 import random
@@ -22,15 +22,13 @@ from explorelab import (
     check_eccentricity_properties,
     eccentricity,
     execute,
-    known_return_distance,
     make_policy,
     merge_gadgets,
     penalty_before_step,
     validate_family_membership,
     validate_merge_behavior,
 )
-from explorelab.runtime import Trace
-
+from conftest import explored_return_distances
 from oracles import adjacency, naive_eccentricity, naive_return_distance
 from test_surgery import random_surgery
 
@@ -256,12 +254,7 @@ def test_criterion_9_oracle_equivalence(graph_corpus):
             assert eccentricity(g, v) == naive_eccentricity(adj, v), (name, v)
         inst = Instance(graph=g, source=source, alpha=Fraction(1))
         trace, _ = execute(inst, make_policy("cautious-bfs", Fraction(1), inst.ecc))
-        for i in range(1, trace.steps + 1):
-            prefix = Trace(
-                memory=trace.memory[: i + 1],
-                traversed={trace.edge_at(j) for j in range(1, i + 1)},
-            )
-            assert known_return_distance(prefix, g, source) == naive_return_distance(
-                prefix.traversed, prefix.current, source
-            ), (name, i)
+        for i, seen, d in explored_return_distances(trace, source):
+            want = naive_return_distance(seen, trace.memory[i].label, source)
+            assert d == want, (name, i)
     note(9, True, f"exact agreement on all {len(graph_corpus)} corpus graphs")

@@ -9,7 +9,6 @@ from explorelab import (
     ParameterError,
     adversary_behavior,
     build_family_graph,
-    check_memory_prefix_equal,
     execute,
     graph_modification,
     layer_traversal_stats,
@@ -17,14 +16,25 @@ from explorelab import (
     penalty_before_step,
     validate_family_membership,
 )
+from explorelab.adversary import _replay_agrees
 from explorelab.runtime import ReplayCursor
 from explorelab.graph import edge_key
+
+from oracles import naive_run
 
 ALPHA = Fraction(1, 2)
 
 
 def cautious():
     return make_policy("cautious-bfs", ALPHA, 6)
+
+
+def assert_memory_prefix_equal(policy, g1, g2, t):
+    """Both runs last at least t traversals and agree through index t."""
+    m1, _ = naive_run(g1, policy, 0)
+    m2, _ = naive_run(g2, policy, 0)
+    assert len(m1) > t and len(m2) > t
+    assert m1[: t + 1] == m2[: t + 1]
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +78,7 @@ def test_modification_preserves_prefix_and_membership():
     assert out is not g
     assert audit.stages
     assert validate_family_membership(out, params).ok
-    assert check_memory_prefix_equal(cautious(), g, out, 1)
+    assert_memory_prefix_equal(cautious(), g, out, 1)
 
 
 def test_modification_rejects_halted_policy():
@@ -79,12 +89,13 @@ def test_modification_rejects_halted_policy():
         graph_modification(g, ALPHA, cautious(), trace.steps)
 
 
-# -- check_memory_prefix_equal ------------------------------------------------------
+# -- the prefix gate: a fresh replay against recorded memory ------------------------
 
 
 def test_prefix_equal_same_graph():
     g, _ = build_family_graph(FamilyParams(4, 8, 7))
-    assert check_memory_prefix_equal(cautious(), g, g, 30)
+    memory, _ = naive_run(g, cautious(), 0)
+    assert _replay_agrees(cautious(), g, memory, 30)
 
 
 def test_prefix_differs_after_relabeling():
@@ -94,7 +105,8 @@ def test_prefix_differs_after_relabeling():
         key = {1: 2, 2: 1}.get(v, v)
         swapped[key] = [{1: 2, 2: 1}.get(x, x) for x in g.neighbors(v)]
     g2 = type(g)(swapped)
-    assert not check_memory_prefix_equal(cautious(), g, g2, 30)
+    memory, _ = naive_run(g, cautious(), 0)
+    assert not _replay_agrees(cautious(), g2, memory, 30)
 
 
 # -- the full adversary -------------------------------------------------------------
@@ -255,7 +267,7 @@ def test_reroute_stage_fires_and_reroutes():
     assert "move-gadget" in ops and "switch-edges" in ops
     assert all(s.changed for s in audit.surgeries)
     assert validate_family_membership(out, params).ok
-    assert check_memory_prefix_equal(policy, g, out, t)
+    assert_memory_prefix_equal(policy, g, out, t)
     # the pending port now reaches a node that still has unexplored edges
     # toward the next layer
     rerouted = out.neighbor(up, g.port_of(up, target))

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from explorelab import (
     FamilyParams,
@@ -40,6 +45,18 @@ def test_validate_rejects_corruption(tmp_path, capsys):
     assert report["ok"] is False
     assert report["violations"]
     del v
+
+
+def test_validate_reports_unknown_neighbor(tmp_path, capsys):
+    # every label kept, one port of node 1 names a label with no row
+    g, _ = build_family_graph(FamilyParams(3, 8, 6))
+    row = list(g.neighbors(1))
+    row[0] = 9999
+    out = tmp_path / "g.json"
+    out.write_text(g.replace_ports({1: row}).to_json())
+    assert main(["validate", "--family", "3,8,6", str(out)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert "unknown-neighbor" in {v["code"] for v in report["violations"]}
 
 
 def test_gen_lollipop_and_run(tmp_path, capsys):
@@ -219,17 +236,24 @@ def test_adversary_strict_flags_invalid_policy(tmp_path, capsys):
     capsys.readouterr()
 
 
+# graph file text -> what its one-line error names
 MALFORMED = {
-    "dangling": {0: [1], 1: []},
-    "asymmetric": {0: [1], 1: [0, 2], 2: [0]},
+    "dangling": (LabeledGraph({0: [1], 1: []}).to_json(), "asymmetric-edge"),
+    "asymmetric": (LabeledGraph({0: [1], 1: [0, 2], 2: [0]}).to_json(), "asymmetric-edge"),
+    # label 1.7 must not load as label 1
+    "float-label": (
+        '{"nodes":[{"label":0,"ports":[1]},{"label":1.7,"ports":[0]}]}',
+        "malformed graph JSON",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 @pytest.mark.parametrize("command", ["run", "merge"])
 def test_malformed_graph_file_is_a_one_line_error(tmp_path, capsys, name, command):
+    text, named = MALFORMED[name]
     path = tmp_path / f"{name}.json"
-    path.write_text(LabeledGraph(MALFORMED[name]).to_json())
+    path.write_text(text)
     if command == "run":
         argv = ["run", "--instance", str(path), "--alpha", "1"]
     else:
@@ -239,5 +263,46 @@ def test_malformed_graph_file_is_a_one_line_error(tmp_path, capsys, name, comman
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: ") and str(path) in err
-    assert "asymmetric-edge" in err
+    assert named in err
     assert "Traceback" not in err
+
+
+SMALL_INTS = st.integers(-1, 4)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | SMALL_INTS | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def graph_files(draw):
+    """The JSON object of a graph file: the rows of a simple graph on labels
+    -1..4, often consistently labeled, with at most one label or row
+    replaced by an arbitrary JSON value."""
+    rows = {}
+    for a, b in draw(st.sets(st.tuples(SMALL_INTS, SMALL_INTS), max_size=7)):
+        if a != b and b not in rows.get(a, ()):
+            rows.setdefault(a, []).append(b)
+            rows.setdefault(b, []).append(a)
+    nodes = [{"label": v, "ports": row} for v, row in rows.items()]
+    if nodes and draw(st.booleans()):
+        draw(st.sampled_from(nodes))[draw(st.sampled_from(["label", "ports"]))] = draw(JSON_VALUES)
+    return {"nodes": nodes}
+
+
+@given(JSON_VALUES | graph_files())
+@settings(max_examples=200, deadline=None)
+def test_run_on_any_json_graph_file_exits_cleanly(value):
+    # a graph file holding any JSON value runs (exit 0) or is refused in one
+    # line (exit 2); main never lets an exception out
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/g.json"
+        with open(path, "w") as fh:
+            json.dump(value, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--instance", path, "--alpha", "1"])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -1,23 +1,26 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from explorelab import (
-    EdgeRef,
     FamilyParams,
     LabeledGraph,
     ParameterError,
     StructuralError,
-    bfs_distance,
     build_family_graph,
-    build_regular_bipartite,
     eccentricity,
-    konig_edge_coloring,
     validate_consistent_labeling,
 )
-from explorelab.graph import bipartition_sides, circulant_pairs, edge_key, hopcroft_karp
+from explorelab.graph import (
+    bfs_distances,
+    circulant_pairs,
+    color_regular_bipartite_edges,
+    edge_key,
+    hopcroft_karp,
+)
 
 from oracles import (
     adjacency,
@@ -32,14 +35,6 @@ def test_ports_are_list_indices(triangle):
     assert triangle.neighbor(0, 1) == 2
     assert triangle.port_of(2, 0) == 0
     assert triangle.edge_ports(0, 2) == (1, 0)
-
-
-def test_edge_ref(triangle):
-    ref = EdgeRef.of(triangle, 2, 0)
-    assert ref.endpoints == (0, 2)
-    assert ref.port_at == {2: 0, 0: 1}
-    with pytest.raises(ParameterError):
-        EdgeRef.of(triangle, 0, 0)
 
 
 def test_json_round_trip_is_byte_stable(path3):
@@ -112,15 +107,14 @@ def test_validator_matches_count_oracle_on_random_ports(ports):
 
 
 def test_bfs_distance_examples(path3):
-    assert bfs_distance(path3, 0, 2) == 2
-    assert bfs_distance(path3, 0, 0) == 0
+    assert bfs_distances(path3, 0) == {0: 0, 1: 1, 2: 2}
     with pytest.raises(ParameterError):
-        bfs_distance(path3, 0, 99)
+        bfs_distances(path3, 99)
 
 
 def test_bfs_unreachable():
     g = LabeledGraph({0: [1], 1: [0], 2: [3], 3: [2]})
-    assert bfs_distance(g, 0, 3) is None
+    assert 3 not in bfs_distances(g, 0)
     with pytest.raises(StructuralError):
         eccentricity(g, 0)
 
@@ -156,9 +150,9 @@ def test_bfs_symmetry_and_triangle_inequality(g, data):
     a = data.draw(st.sampled_from(labels))
     b = data.draw(st.sampled_from(labels))
     c = data.draw(st.sampled_from(labels))
-    ab = bfs_distance(g, a, b)
-    assert ab == bfs_distance(g, b, a)
-    assert ab <= bfs_distance(g, a, c) + bfs_distance(g, c, b)
+    from_a, from_c = bfs_distances(g, a), bfs_distances(g, c)
+    assert from_a[b] == bfs_distances(g, b)[a]
+    assert from_a[b] <= from_a[c] + from_c[b]
 
 
 @given(connected_graphs())
@@ -172,30 +166,37 @@ def test_eccentricity_matches_oracle(g):
 # -- regular bipartite construction -------------------------------------------
 
 
+def circulant_edges(n, k):
+    """The circulant pairs as edges between lefts 0..n-1 and rights n..2n-1."""
+    return [(i, n + j) for i, j in circulant_pairs(n, k)]
+
+
+def degrees(edges):
+    return Counter(v for e in edges for v in e)
+
+
 def test_circulant_two_disjoint_edges():
-    g = build_regular_bipartite(2, 1)
-    assert sorted(g.edges()) == [(0, 2), (1, 3)]
+    assert circulant_pairs(2, 1) == [(0, 0), (1, 1)]
 
 
 def test_circulant_complete_bipartite():
-    g = build_regular_bipartite(3, 3)
-    assert g.edge_count() == 9
-    assert all(g.degree(v) == 3 for v in g.labels())
+    pairs = circulant_pairs(3, 3)
+    assert sorted(pairs) == [(i, j) for i in range(3) for j in range(3)]
 
 
 def test_circulant_4_2():
-    g = build_regular_bipartite(4, 2)
-    assert g.edge_count() == 8
+    pairs = circulant_pairs(4, 2)
+    assert len(pairs) == 8
     for i in range(4):
-        assert set(g.neighbors(i)) == {4 + i, 4 + (i + 1) % 4}
-    assert {g.degree(v) for v in g.labels()} == {2}
+        assert {j for a, j in pairs if a == i} == {i, (i + 1) % 4}
+    assert set(degrees(circulant_edges(4, 2)).values()) == {2}
 
 
 def test_circulant_rejects_bad_degree():
     with pytest.raises(ParameterError):
-        build_regular_bipartite(3, 4)
+        circulant_pairs(3, 4)
     with pytest.raises(ParameterError):
-        build_regular_bipartite(3, 0)
+        circulant_pairs(3, 0)
 
 
 @given(st.integers(1, 10), st.integers(1, 10))
@@ -203,12 +204,10 @@ def test_circulant_rejects_bad_degree():
 def test_circulant_properties(n, k):
     if k > n:
         n, k = k, n
-    g = build_regular_bipartite(n, k)
-    assert validate_consistent_labeling(g).ok
-    assert g.edge_count() == n * k
-    assert all(g.degree(v) == k for v in g.labels())
-    left = set(range(n))
-    assert all((a in left) != (b in left) for a, b in g.edges())
+    pairs = circulant_pairs(n, k)
+    assert len(set(pairs)) == len(pairs) == n * k
+    assert all(0 <= i < n and 0 <= j < n for i, j in pairs)
+    assert degrees(circulant_edges(n, k)) == {v: k for v in range(2 * n)}
 
 
 def test_matching_on_long_augmenting_chain():
@@ -235,14 +234,12 @@ def test_matching_matches_recursive_oracle(lefts, rights, data):
 
 
 def test_coloring_perfect_matching_single_color():
-    g = build_regular_bipartite(4, 1)
-    coloring = konig_edge_coloring(g)
+    coloring = color_regular_bipartite_edges(circulant_edges(4, 1), set(range(4)))
     assert set(coloring.values()) == {1}
 
 
 def test_coloring_complete_bipartite_three_matchings():
-    g = build_regular_bipartite(3, 3)
-    coloring = konig_edge_coloring(g)
+    coloring = color_regular_bipartite_edges(circulant_edges(3, 3), set(range(3)))
     assert set(coloring.values()) == {1, 2, 3}
     for color in (1, 2, 3):
         cls = [e for e, c in coloring.items() if c == color]
@@ -251,37 +248,27 @@ def test_coloring_complete_bipartite_three_matchings():
         assert len(set(ends)) == 6
 
 
-def _assert_proper(g, coloring):
-    for v in g.labels():
-        seen = set()
-        for u in g.neighbors(v):
-            c = coloring[edge_key(v, u)]
-            assert c not in seen
-            seen.add(c)
+def _assert_proper(edges, coloring):
+    assert set(coloring) == {edge_key(*e) for e in edges}
+    for v in degrees(edges):
+        at_v = [coloring[edge_key(*e)] for e in edges if v in e]
+        assert len(set(at_v)) == len(at_v)
 
 
 def test_coloring_circulant_4_2_proper():
-    g = build_regular_bipartite(4, 2)
-    coloring = konig_edge_coloring(g)
+    edges = circulant_edges(4, 2)
+    coloring = color_regular_bipartite_edges(edges, set(range(4)))
     assert set(coloring.values()) == {1, 2}
-    _assert_proper(g, coloring)
+    _assert_proper(edges, coloring)
 
 
-def _perturb(g, n, rng):
+def _perturb(edges, rng):
     """Swap the far endpoints of two random edges, keeping regularity."""
     for _ in range(30):
-        a, c = rng.sample(range(n), 2)
-        b = rng.choice(g.neighbors(a))
-        d = rng.choice(g.neighbors(c))
-        if b != d and not g.has_edge(a, d) and not g.has_edge(c, b):
-            rows = {
-                a: [d if x == b else x for x in g.neighbors(a)],
-                c: [b if x == d else x for x in g.neighbors(c)],
-                b: [c if x == a else x for x in g.neighbors(b)],
-                d: [a if x == c else x for x in g.neighbors(d)],
-            }
-            return g.replace_ports(rows)
-    return g
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if b != d and (a, d) not in edges and (c, b) not in edges:
+            return [e for e in edges if e not in ((a, b), (c, d))] + [(a, d), (c, b)]
+    return edges
 
 
 @given(st.integers(2, 8), st.integers(1, 8), st.randoms(use_true_random=False))
@@ -289,26 +276,26 @@ def _perturb(g, n, rng):
 def test_coloring_random_perturbed_regular_bipartite(n, k, rng):
     if k > n:
         n, k = k, n
-    g = build_regular_bipartite(n, k)
+    edges = circulant_edges(n, k)
     for _ in range(3):
-        g = _perturb(g, n, rng)
-    coloring = konig_edge_coloring(g)
+        edges = _perturb(edges, rng)
+    coloring = color_regular_bipartite_edges(edges, set(range(n)))
     assert set(coloring.values()) == set(range(1, k + 1))
-    _assert_proper(g, coloring)
+    _assert_proper(edges, coloring)
     for color in range(1, k + 1):
         assert sum(1 for c in coloring.values() if c == color) == n
 
 
 def test_coloring_rejects_irregular():
-    g = LabeledGraph({0: [2], 1: [2, 3], 2: [0, 1], 3: [1]})
     with pytest.raises(StructuralError):
-        konig_edge_coloring(g)
+        color_regular_bipartite_edges([(0, 2), (1, 2), (1, 3)], {0, 1})
 
 
 def test_coloring_rejects_odd_cycle():
-    g = LabeledGraph({0: [1, 2], 1: [0, 2], 2: [0, 1]})
-    with pytest.raises(StructuralError):
-        bipartition_sides(g)
+    # whatever the left side, some edge of a triangle stays on one side
+    for left in ({0}, {0, 1}):
+        with pytest.raises(StructuralError):
+            color_regular_bipartite_edges([(0, 1), (0, 2), (1, 2)], left)
 
 
 def test_circulant_pairs_rule():

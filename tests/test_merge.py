@@ -9,7 +9,6 @@ from explorelab import (
     ParameterError,
     StructuralError,
     adversary_behavior,
-    bfs_distance,
     build_family_graph,
     contract_layer_to_bipartite,
     eccentricity,
@@ -19,6 +18,7 @@ from explorelab import (
     validate_family_membership,
     validate_merge_behavior,
 )
+from explorelab.graph import bfs_distances
 
 ALPHA = Fraction(1, 2)
 
@@ -141,8 +141,8 @@ def test_merge_distance_contraction(fresh):
     labels = sorted(g.labels())
     for _ in range(40):
         u, v = rng.sample(labels, 2)
-        d_old = bfs_distance(g, u, v)
-        d_new = bfs_distance(merged, plan.map_label(u), plan.map_label(v))
+        d_old = bfs_distances(g, u)[v]
+        d_new = bfs_distances(merged, plan.map_label(u))[plan.map_label(v)]
         assert d_new <= d_old
 
 

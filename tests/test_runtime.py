@@ -14,14 +14,13 @@ from explorelab import (
     build_family_graph,
     build_lollipop,
     execute,
-    known_return_distance,
     layer_traversal_stats,
     make_policy,
     penalty_before_step,
 )
 from explorelab.runtime import ExploredDistances, MemoryRecord, ReplayCursor
 
-from conftest import ScriptPolicy, engine_cases, port_script
+from conftest import ScriptPolicy, engine_cases, explored_return_distances, port_script
 from oracles import naive_fuel_violations, naive_return_distance, naive_run
 
 
@@ -131,10 +130,10 @@ def test_distance_monitor_matches_oracle_per_step():
 
 def test_known_return_distance_examples(path3):
     inst = Instance(graph=path3, source=1, alpha=Fraction(1))
-    trace, _ = execute(inst, ScriptPolicy([0]))
-    assert known_return_distance(trace, path3, 1) == 1
-    empty = Trace(memory=[MemoryRecord(1, 2, -1, -1)])
-    assert known_return_distance(empty, path3, 1) == 0
+    trace, _ = execute(inst, ScriptPolicy([0, 0, 1]))
+    assert [d for _, _, d in explored_return_distances(trace, 1)] == [1, 0, 1]
+    empty = ExploredDistances(1)
+    assert (empty.get(1), empty.get(0)) == (0, None)
 
 
 def test_known_return_distance_tracks_oracle_midrun():
@@ -142,15 +141,9 @@ def test_known_return_distance_tracks_oracle_midrun():
     inst = Instance(graph=g, source=0, alpha=Fraction(1, 2))
     policy = make_policy("cautious-bfs", inst.alpha, inst.ecc)
     trace, _ = execute(inst, policy)
-    seen = set()
-    for i in range(1, trace.steps + 1, 97):
-        prefix = Trace(
-            memory=trace.memory[: i + 1],
-            traversed={trace.edge_at(j) for j in range(1, i + 1)},
-        )
-        assert known_return_distance(prefix, g, 0) == naive_return_distance(
-            prefix.traversed, prefix.current, 0
-        )
+    for i, seen, d in explored_return_distances(trace, 0):
+        if i % 97 == 1:
+            assert d == naive_return_distance(seen, trace.memory[i].label, 0)
 
 
 def test_penalty_before_step():
@@ -221,13 +214,9 @@ def test_traversed_set_growth_and_return_bound():
     inst = Instance(graph=g, source=0, alpha=Fraction(1))
     trace, _ = execute(inst, make_policy("dfs", inst.alpha, inst.ecc))
     sizes = []
-    for i in range(1, trace.steps + 1):
-        prefix = Trace(
-            memory=trace.memory[: i + 1],
-            traversed={trace.edge_at(j) for j in range(1, i + 1)},
-        )
-        sizes.append(len(prefix.traversed))
-        assert known_return_distance(prefix, g, 0) <= i
+    for i, seen, d in explored_return_distances(trace, 0):
+        sizes.append(len(seen))
+        assert d <= i
     assert sizes == sorted(sizes)
 
 
