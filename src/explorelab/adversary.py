@@ -4,12 +4,16 @@ deterministic exploration policy.
 The rewriting never touches an edge the agent has traversed, so the agent's
 memory prefix is preserved across every rewrite; the engine verifies this
 per surgery (touched edges against the traversed set) and, after every step
-that changed the graph, by a full fresh replay.  Structural monitors
-(family membership, prefix preservation) raise on failure since they hold
-unconditionally; behavioral monitors (the agent being kept out of gadgets,
-and each descent ending in a deeper frontier node or a repeated edge) are
-recorded as flags because they are only guaranteed for policies that
-actually solve the distance-constrained problem.
+that changed the graph, by a full fresh replay.  Family membership is
+checked after every step that changed the graph, incrementally: a ledger of
+the last member's per-row sums is updated from the rows that differ from
+it, and any doubt falls back to the full validator.  The final graph gets
+the full validator.  Structural monitors (family membership, prefix
+preservation) raise on failure since they hold unconditionally; behavioral
+monitors (the agent being kept out of gadgets, and each descent ending in a
+deeper frontier node or a repeated edge) are recorded as flags because they
+are only guaranteed for policies that actually solve the distance-constrained
+problem.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .family import (
     FamilyMeta,
     FamilyParams,
     _contract_layer,
+    _FamilyLedger,
     build_family_graph,
     family_levels,
     validate_family_membership,
@@ -96,13 +101,15 @@ class AdversaryRun:
 class _Adversary:
     """A cursor on the graph under rewrite, with the family bookkeeping that
     guards the rewrites (green edges explored per layer, whether any red
-    edge was explored) and the count of checks run after rewrites."""
+    edge was explored), the ledger that checks membership after each
+    rewrite, and the count of checks run after rewrites."""
 
     def __init__(self, graph: LabeledGraph, policy, meta: FamilyMeta):
         self.cursor = ReplayCursor(graph, policy, source=0, gadgets=meta.gadget_labels)
         self.meta = meta
         self.explored_green = {i: 0 for i in range(1, meta.params.levels)}
         self.red_explored = False
+        self.ledger = _FamilyLedger(meta.params)
         self.prefix_checks = 0
         self.membership_checks = 0
 
@@ -131,7 +138,9 @@ class _Adversary:
         _modify_step(self, audit)
         audit.changed = cursor.graph is not before
         if audit.changed:
-            report = validate_family_membership(cursor.graph, self.meta.params)
+            report = validate_family_membership(
+                cursor.graph, self.meta.params, ledger=self.ledger
+            )
             self.membership_checks += 1
             if not report.ok:
                 raise InvariantViolation(
@@ -341,9 +350,11 @@ def adversary_behavior(
     of every traversal of the policy, and return it once the policy halts.
 
     Family membership and prefix preservation are verified after every graph
-    change (raising on any violation).  Gadget-avoidance and descent-dichotomy
-    flags are recorded per step but never raise: they are only promised for
-    policies that actually solve the distance-constrained problem.
+    change, raising on any violation: membership incrementally, from the rows
+    the change rewrote, and in full on the final graph; the prefix by a fresh
+    replay.  Gadget-avoidance and descent-dichotomy flags are recorded per
+    step but never raise: they are only promised for policies that actually
+    solve the distance-constrained problem.
     """
     alpha = Fraction(alpha)
     if ecc < 6:

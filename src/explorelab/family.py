@@ -181,9 +181,12 @@ class FamilyMeta:
         when the gadget does not have the expected degree-3 shape."""
         if not self.is_gadget(gadget) or gadget not in g:
             return None
+        return self._row_level_pair(gadget, g.neighbors(gadget))
+
+    def _row_level_pair(self, gadget: int, row: list[int]) -> tuple[int, int] | None:
         layer = self.gadget_layer(gadget)
         lo = hi = None
-        for u in g.neighbors(gadget):
+        for u in row:
             lu = self.level_of(u)
             if lu == layer:
                 lo = u
@@ -191,7 +194,7 @@ class FamilyMeta:
                 hi = u
             elif u != self.critical_label:
                 return None
-        if lo is None or hi is None or g.degree(gadget) != 3:
+        if lo is None or hi is None or len(row) != 3:
             return None
         return (lo, hi)
 
@@ -319,10 +322,20 @@ def contract_layer_to_bipartite(
 # -- membership validation ---------------------------------------------------
 
 
-def validate_family_membership(g: LabeledGraph, params: FamilyParams) -> ValidationReport:
+def validate_family_membership(
+    g: LabeledGraph, params: FamilyParams, *, ledger: _FamilyLedger | None = None
+) -> ValidationReport:
     """Enumerate every violated family property of ``g``; empty report means
-    the graph is a member for the given parameters."""
+    the graph is a member for the given parameters.
+
+    With a ``ledger`` for the same parameters (the adversary keeps one
+    across its rewrites), a graph the ledger admits gets the empty report
+    without the full pass; any other graph gets the full pass, and becomes
+    the ledger's base if it passes.
+    """
     p = params
+    if ledger is not None and ledger.admits(g):
+        return ValidationReport()
     meta = FamilyMeta(p)
     report = validate_consistent_labeling(g)
 
@@ -388,7 +401,142 @@ def validate_family_membership(g: LabeledGraph, params: FamilyParams) -> Validat
     # a search would follow a listed neighbor that has no row
     if "unknown-neighbor" not in report.codes() and not is_connected(g):
         report.add("disconnected", "graph is not connected")
+    if ledger is not None and report.ok:
+        ledger.rebuild(g)
     return report
+
+
+class _FamilyLedger:
+    """The family structure of the last graph that passed a membership
+    check, as sums of per-row contributions, so that the next check costs
+    O(changed rows x degree) instead of O(|E|).
+
+    A row contributes contracted edges (a level row its green edges up to
+    the next level, a gadget row its level pair) and its degree.  ``sums``
+    holds, keyed by tagged tuples:
+
+    - ``("up", v)`` and ``("down", v)``: the contracted edges from v to the
+      next and to the previous level, ``layer_degree`` each in a member;
+    - ``("edge", lo, hi)``: how often the contraction holds that edge, at
+      most once in a member;
+    - ``("degree",)``: the total degree, twice the edge count.
+
+    The rows of the source, the critical node, the tail and each gadget
+    must also have the shape their role asks for.
+
+    :meth:`admits` finds the dirty rows from the graph diff: the rows that
+    are not the very list the last member held, so a surgery cannot hide a
+    row from the check, whatever it reports as touched.  It then re-checks
+    the labeling for the pairs at a dirty row, in its old or its new row,
+    swaps each dirty row's old contribution for its new one, and requires
+    every changed sum to be on target and each dirty row to have its shape.
+    Every other row, pair and sum is the last member's.  Any doubt (a key
+    added or removed, a failed check) answers False and leaves the ledger as
+    it was; the caller then runs the full validator, whose report is the
+    only one this package gives.
+
+    The rest of the full validator's checks follow once all of these hold.
+    The graph is then symmetric, so its edges are undirected, and every
+    gadget's row is its level pair and the critical node, which lists
+    every gadget.
+
+    - *Green count.*  Layer i's level-i nodes have ``width * layer_degree
+      = beta`` contracted edges, one per well-shaped gadget and one per
+      green edge, so there are ``beta - gadgets_per_layer =
+      greens_per_layer`` green edges.
+    - *Red count.*  Each of layer i's gadgets has exactly two level
+      neighbours, at levels i and i+1, so layer i has ``reds_per_layer``
+      red edges.
+    - *No green edge's endpoints share a gadget.*  A gadget next to a
+      level-i and a level-(i+1) node is well shaped only in layer i, with
+      exactly that pair, so the contraction would hold the green edge
+      twice.
+    - *Connectivity.*  Level-1 nodes are the source's neighbours.  Every
+      level-(i+1) node has ``layer_degree >= 1`` contracted edges down to
+      level i, each a green edge or a gadget joined to both of its level
+      nodes.  Every gadget touches a level node and the critical node; the
+      critical node lists the first tail node; and the tail chain has every
+      link.
+    """
+
+    def __init__(self, params: FamilyParams):
+        self.meta = FamilyMeta(params)
+        self.rows: dict[int, list[int]] | None = None
+        self.sums: Counter = Counter()
+        self._critical_row = set(self.meta.gadget_labels) | {self.meta.tail_labels[0]}
+
+    def rebuild(self, g: LabeledGraph) -> None:
+        """Take ``g``, which the full validator has just passed, as the base."""
+        self.rows = g._ports
+        self.sums = Counter()
+        for v, row in self.rows.items():
+            self._add_row(v, row, 1, self.sums)
+
+    def admits(self, g: LabeledGraph) -> bool:
+        """Whether ``g`` is a member, found from the rows that differ from
+        the base's; on True, ``g`` becomes the base."""
+        old, new = self.rows, g._ports
+        if old is None or len(new) != len(old):
+            return False
+        dirty = [v for v, row in new.items() if old.get(v) is not row]
+        if not all(v in old for v in dirty):
+            return False
+        for v in dirty:
+            row = new[v]
+            listed = set(row)
+            if len(listed) != len(row) or v in listed:
+                return False  # parallel edge or self-loop
+            if not all(g.has_edge(u, v) for u in row):
+                return False  # unknown neighbour or one-way edge
+            if any(u not in listed and g.has_edge(u, v) for u in old[v]):
+                return False  # a dropped neighbour still lists v
+        delta: Counter = Counter()
+        for v in dirty:
+            self._add_row(v, old[v], -1, delta)
+            if not self._add_row(v, new[v], 1, delta):
+                return False
+        sums = self.sums
+        if not all(self._on_target(key, sums[key] + d) for key, d in delta.items() if d):
+            return False
+        for key, d in delta.items():
+            sums[key] += d
+        self.rows = new
+        return True
+
+    def _on_target(self, key: tuple, total: int) -> bool:
+        p = self.meta.params
+        if key[0] == "edge":
+            return total <= 1
+        if key[0] == "degree":
+            return total == 2 * p.edge_total
+        return total == p.layer_degree
+
+    def _add_row(self, v: int, row: list[int], sign: int, sums: Counter) -> bool:
+        """Add ``sign`` times row ``v``'s contribution to ``sums``; returns
+        whether a source, critical, tail or gadget row has its shape."""
+        meta = self.meta
+        sums["degree",] += sign * len(row)
+        j = meta.level_of(v)
+        if j is not None:
+            pairs = [(v, u) for u in row if meta.level_of(u) == j + 1]
+        elif meta.is_gadget(v):
+            pair = meta._row_level_pair(v, row)
+            if pair is None:
+                return False
+            pairs = [pair]
+        elif v == meta.source_label:
+            return sorted(row) == list(meta.level_labels(1))
+        elif v == meta.critical_label:
+            return len(row) == len(self._critical_row) and set(row) == self._critical_row
+        elif v == meta.tail_tip:
+            return len(row) == 1
+        else:  # a tail node before the tip
+            return len(row) == 2 and v + 1 in row
+        for lo, hi in pairs:
+            sums["edge", lo, hi] += sign
+            sums["up", lo] += sign
+            sums["down", hi] += sign
+        return True
 
 
 def check_eccentricity_properties(

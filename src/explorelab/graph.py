@@ -164,8 +164,8 @@ class LabeledGraph:
     @classmethod
     def from_json(cls, text: str) -> "LabeledGraph":
         """Parse :meth:`to_json` output.  Labels and ports must be JSON
-        integers (not floats, strings or booleans) and each row a list;
-        anything else raises :class:`ParameterError`."""
+        integers (not floats, strings or booleans), each row a list, and
+        each label listed once; anything else raises :class:`ParameterError`."""
         data = json.loads(text)
         try:
             ports = {}
@@ -175,6 +175,8 @@ class LabeledGraph:
                     type(x) is not int for x in row
                 ):
                     raise TypeError(f"node {label!r} needs an integer label and integer ports")
+                if label in ports:
+                    raise ParameterError(f"malformed graph JSON: label {label} is listed twice")
                 ports[label] = row
         except (KeyError, TypeError) as exc:
             raise ParameterError(f"malformed graph JSON: {exc}") from exc

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The adversary runs for
-k in {1, 2, 3} dominate the runtime (about 9 s on 2 vCPUs); they are
-shared session-wide by every criterion that needs them.
+k in {1, 2, 3} (about 0.5 s on 2 vCPUs) are shared session-wide by every
+criterion that needs them.
 """
 
 import random

@@ -245,6 +245,12 @@ MALFORMED = {
         '{"nodes":[{"label":0,"ports":[1]},{"label":1.7,"ports":[0]}]}',
         "malformed graph JSON",
     ),
+    # the last row for label 1 alone would make a consistent graph
+    "duplicate-label": (
+        '{"nodes":[{"label":0,"ports":[1]},{"label":1,"ports":[0]},'
+        '{"label":1,"ports":[0,2]},{"label":1,"ports":[0]}]}',
+        "malformed graph JSON",
+    ),
 }
 
 
@@ -265,6 +271,15 @@ def test_malformed_graph_file_is_a_one_line_error(tmp_path, capsys, name, comman
     assert err.startswith("error: ") and str(path) in err
     assert named in err
     assert "Traceback" not in err
+
+
+def test_validate_rejects_a_label_listed_twice(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(MALFORMED["duplicate-label"][0])
+    assert main(["validate", "--family", "3,8,6", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {path}: malformed graph JSON")
 
 
 SMALL_INTS = st.integers(-1, 4)
