@@ -83,15 +83,23 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     graph = _load_graph(args.instance, check=True)
-    inst = Instance(graph=graph, source=args.source, alpha=args.alpha)
-    policy = make_policy(args.policy, inst.alpha, inst.ecc)
-    monitors = tuple(m for m in args.monitors.split(",") if m) if args.monitors else ()
     meta = None
     gadget_set = None
     if args.family:
+        # the gadget set and layer statistics hold only for a member
         l, w, r = (int(x) for x in args.family.split(","))
-        meta = FamilyMeta(FamilyParams(l, w, r))
+        params = FamilyParams(l, w, r)
+        membership = validate_family_membership(graph, params)
+        if not membership.ok:
+            raise ParameterError(
+                f"{args.instance} is not a member of family {l},{w},{r}: "
+                f"{sorted(membership.codes())}"
+            )
+        meta = FamilyMeta(params)
         gadget_set = set(meta.gadget_labels)
+    inst = Instance(graph=graph, source=args.source, alpha=args.alpha)
+    policy = make_policy(args.policy, inst.alpha, inst.ecc)
+    monitors = tuple(m for m in args.monitors.split(",") if m) if args.monitors else ()
     trace, report = execute(inst, policy, monitors=monitors, gadget_set=gadget_set)
     out = report.to_dict()
     out["first_gadget_step"] = trace.first_gadget_step

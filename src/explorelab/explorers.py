@@ -23,7 +23,8 @@ class ExploredView:
     """The subgraph an agent can reconstruct from its memory sequence: known
     degrees, known port assignments, which nodes still own unexplored ports,
     and ``dist``, the exact distances from the source over the explored
-    edges (every known node has one: it was reached over an explored edge).
+    edges (every known node has one: it was reached over an explored edge)
+    with the nodes grouped by distance in ``dist.levels``.
 
     ``low[v]`` is the lowest port of ``v`` that may still be unexplored:
     known ports only ever grow, so the pointer only moves up.
@@ -41,39 +42,36 @@ class ExploredView:
         self.low: dict[int, int] = {}
         self.dist: ExploredDistances | None = None
 
-    def _touch(self, label: int, degree: int) -> None:
-        if label not in self.degree:
-            self.degree[label] = degree
-            self.adj[label] = {}
-            self.rev[label] = {}
-            self.frontier.add(label)
-            self.low[label] = 0
-
-    def _refresh_frontier(self, label: int) -> None:
-        if len(self.adj[label]) == self.degree[label]:
-            self.frontier.discard(label)
-
     def observe(self, rec: MemoryRecord) -> bool:
         """Feed one record; returns whether its edge was new."""
+        label = rec.label
+        row = self.adj.get(label)
+        if row is None:
+            row = self.adj[label] = {}
+            self.degree[label] = rec.degree
+            self.rev[label] = {}
+            self.low[label] = 0
+            if rec.degree:
+                self.frontier.add(label)
         if rec.out_port == -1:
-            self.source = self.cur = rec.label
-            self.dist = ExploredDistances(rec.label)
-            self._touch(rec.label, rec.degree)
-            self._refresh_frontier(rec.label)
+            self.source = self.cur = label
+            self.dist = ExploredDistances(label)
             return False
         prev = self.cur
-        new_edge = rec.out_port not in self.adj[prev]
+        prev_row = self.adj[prev]
+        new_edge = rec.out_port not in prev_row
         if new_edge:
-            self.adj[prev][rec.out_port] = rec.label
-            self.rev[prev][rec.label] = rec.out_port
-            self.dist.add_edge(prev, rec.label)
-        self._touch(rec.label, rec.degree)
-        if rec.in_port not in self.adj[rec.label]:
-            self.adj[rec.label][rec.in_port] = prev
-            self.rev[rec.label][prev] = rec.in_port
-        self._refresh_frontier(prev)
-        self._refresh_frontier(rec.label)
-        self.cur = rec.label
+            prev_row[rec.out_port] = label
+            self.rev[prev][label] = rec.out_port
+            self.dist.add_edge(prev, label)
+            if len(prev_row) == self.degree[prev]:
+                self.frontier.discard(prev)
+        if rec.in_port not in row:
+            row[rec.in_port] = prev
+            self.rev[label][prev] = rec.in_port
+            if len(row) == self.degree[label]:
+                self.frontier.discard(label)
+        self.cur = label
         return new_edge
 
     def smallest_unexplored_port(self, v: int) -> int | None:
@@ -84,29 +82,73 @@ class ExploredView:
         self.low[v] = p
         return p if p < deg else None
 
+    def _smallest_port_into(self, x: int, nodes: set[int]) -> int:
+        """The smallest explored port of ``x`` leading into ``nodes`` (the
+        intersection iterates the shorter of ``x``'s row and ``nodes``)."""
+        back = self.rev[x]
+        return min(back[y] for y in back.keys() & nodes)
+
     def plan_to(self, within: int | None) -> tuple[int, list[int]] | None:
         """Target node and port path of the walk from the current node.
 
-        With a bound: breadth-first search over explored edges, expanding
-        port-ascending, for the closest node with an unexplored port whose
-        source distance is at most ``within`` (smallest label on ties); None
-        when there is none.  With None: the path to the source, descending
-        ``dist`` by the smallest port one step closer at each node.  That is
-        the path the search would find, since a port-ascending BFS returns
-        the lexicographically smallest port sequence among shortest paths.
+        With a bound: the closest node with an unexplored port whose source
+        distance is at most ``within`` (smallest label on ties), reached by
+        the port path a breadth-first search over explored edges, expanding
+        port-ascending, would find; None when there is none.  With None: the
+        path to the source.
+
+        A port-ascending BFS lists each level in the lexicographic order of
+        its nodes' smallest shortest-path port sequences (by induction: a
+        node is first reached from the earliest node of the level before,
+        through its smallest port), so it returns the lexicographically
+        smallest port sequence among shortest paths to the target.  Two of
+        the three cases read that sequence off ``dist.levels`` instead:
+
+        - From the source, the BFS levels are the distance levels, so the
+          target is the smallest label of ``frontier & levels[d]`` for the
+          smallest such ``d <= within`` that is not empty.  A backward pass
+          collects, level by level from the target down, the nodes with an
+          explored edge to the set collected one level up: the nodes of
+          shortest paths to the target.  A forward pass from the source then
+          takes the smallest port into the next level's set at each step.
+        - Home (``within=None``): every node one level closer lies on a
+          shortest path to the source, so each step takes the smallest port
+          into ``levels[dist[cur] - 1]``.
+
+        From any other node with a bound the BFS runs as described.
         """
-        cur, dist = self.cur, self.dist.dist
+        cur, dists = self.cur, self.dist
+        dist, levels = dists.dist, dists.levels
         if within is None:
             ports = []
             while cur != self.source:
-                row, closer = self.adj[cur], dist[cur] - 1
-                port = min(p for p, y in row.items() if dist[y] == closer)
+                port = self._smallest_port_into(cur, levels[dist[cur] - 1])
                 ports.append(port)
-                cur = row[port]
+                cur = self.adj[cur][port]
             return (cur, ports)
         frontier = self.frontier
         if cur in frontier and dist[cur] <= within:
             return (cur, [])
+        if cur == self.source:
+            for d in range(1, min(within, len(levels) - 1) + 1):
+                hits = frontier & levels[d]
+                if hits:
+                    break
+            else:
+                return None
+            target = min(hits)
+            on_paths = [{target}]
+            for i in range(d - 1, 0, -1):
+                below, lower = levels[i], set()
+                for y in on_paths[-1]:
+                    lower |= self.rev[y].keys() & below
+                on_paths.append(lower)
+            ports = []
+            for nodes in reversed(on_paths):
+                port = self._smallest_port_into(cur, nodes)
+                ports.append(port)
+                cur = self.adj[cur][port]
+            return (target, ports)
         parent: dict[int, int | None] = {cur: None}
         level = [cur]
         while level:

@@ -125,35 +125,66 @@ class RunReport:
 class ExploredDistances:
     """Exact shortest-path distances from a fixed root over a growing edge
     set.  Adding an edge triggers a decrease-only relaxation, so lookups
-    stay O(1) between additions."""
+    stay O(1) between additions.
 
-    __slots__ = ("root", "dist", "adj")
+    ``levels[d]`` is the set of nodes at distance ``d``: every node with a
+    distance sits in exactly one level, and the list ends at the largest
+    distance.  A node whose distance drops moves to its new level.  Nodes
+    joined by added edges but not yet to the root have no distance and sit
+    in no level.
+    """
+
+    __slots__ = ("root", "dist", "adj", "levels")
 
     def __init__(self, root: int):
         self.root = root
         self.dist: dict[int, int] = {root: 0}
         self.adj: dict[int, list[int]] = {root: []}
+        self.levels: list[set[int]] = [{root}]
 
     def add_edge(self, a: int, b: int) -> None:
-        self.adj.setdefault(a, []).append(b)
-        self.adj.setdefault(b, []).append(a)
-        da = self.dist.get(a)
-        db = self.dist.get(b)
-        queue = deque()
-        if da is not None and (db is None or db > da + 1):
-            self.dist[b] = da + 1
-            queue.append(b)
-        elif db is not None and (da is None or da > db + 1):
-            self.dist[a] = db + 1
-            queue.append(a)
+        dist, adj, levels = self.dist, self.adj, self.levels
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+        da = dist.get(a)
+        db = dist.get(b)
+        if da is None:
+            if db is None:
+                return
+            a, b, da, db = b, a, db, da
+        elif db is not None:
+            if abs(da - db) <= 1:
+                return
+            if db < da:
+                a, b, da, db = b, a, db, da
+        # now da + 1 < db, or b has no distance yet
+        d = da + 1
+        dist[b] = d
+        if db is not None:
+            levels[db].discard(b)
+        if d == len(levels):
+            levels.append({b})
+        else:
+            levels[d].add(b)
+        if db is None and len(adj[b]) == 1:
+            return  # a new leaf: nothing lies beyond it
+        queue = deque([b])
         while queue:
             v = queue.popleft()
-            dv = self.dist[v]
-            for u in self.adj[v]:
-                du = self.dist.get(u)
-                if du is None or du > dv + 1:
-                    self.dist[u] = dv + 1
+            d = dist[v] + 1
+            for u in adj[v]:
+                du = dist.get(u)
+                if du is None or du > d:
+                    dist[u] = d
+                    if du is not None:
+                        levels[du].discard(u)
+                    if d == len(levels):
+                        levels.append({u})
+                    else:
+                        levels[d].add(u)
                     queue.append(u)
+        while not levels[-1]:
+            levels.pop()
 
     def get(self, v: int) -> int | None:
         return self.dist.get(v)
@@ -235,12 +266,13 @@ class ReplayCursor:
                 raise InvariantViolation("commit requested but the policy halted")
         g = self.graph
         cur = self.memory[-1].label
-        if not isinstance(port, int) or not 0 <= port < g.degree(cur):
+        row = g._ports[cur]
+        if not isinstance(port, int) or not 0 <= port < len(row):
             raise PolicyError(
-                f"policy chose port {port!r} at node {cur} of degree {g.degree(cur)}"
+                f"policy chose port {port!r} at node {cur} of degree {len(row)}"
             )
-        nxt = g.neighbor(cur, port)
-        rec = MemoryRecord(nxt, g.degree(nxt), port, g.port_of(nxt, cur))
+        nxt = row[port]
+        rec = MemoryRecord(nxt, len(g._ports[nxt]), port, g.port_of(nxt, cur))
         self.traversed.add(edge_key(cur, nxt))
         self.memory.append(rec)
         if self.first_gadget_step is None and self.gadgets is not None and nxt in self.gadgets:

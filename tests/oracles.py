@@ -143,6 +143,15 @@ def naive_plan_to(view, is_target):
     return None
 
 
+def naive_levels(dist):
+    """The nodes of a distance map grouped by distance: entry ``d`` holds
+    the nodes at distance ``d``, up to the largest one."""
+    levels = [set() for _ in range(max(dist.values()) + 1)]
+    for v, d in dist.items():
+        levels[d].add(v)
+    return levels
+
+
 def naive_view_distances(view):
     """Distances from the view's source over its explored edges, by a plain
     BFS: the slow counterpart of the view's ``dist``."""

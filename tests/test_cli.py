@@ -182,6 +182,22 @@ def test_run_reports_layer_stats(tmp_path, capsys):
     assert "penalty_before_gadget" in report
 
 
+@pytest.mark.parametrize(
+    "made, claimed",
+    [(["--family", "2,16,6"], "3,16,6"), (["--lollipop", "1,2,1"], "2,16,6")],
+    ids=["other-family", "lollipop"],
+)
+def test_run_refuses_a_family_the_graph_is_not_a_member_of(tmp_path, capsys, made, claimed):
+    # gadget statistics from a layout the graph does not have would be wrong
+    path = tmp_path / "g.json"
+    assert main(["gen", *made, "--out", str(path)]) == 0
+    assert main(["run", "--instance", str(path), "--alpha", "1", "--family", claimed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {path} is not a member of family {claimed}: [")
+
+
 def test_experiment_fuel_csv(tmp_path):
     csv_path = tmp_path / "fuel.csv"
     code = main(

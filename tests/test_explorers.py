@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from explorelab import (
@@ -21,6 +21,7 @@ from explorelab.runtime import MemoryRecord, ReplayCursor
 from conftest import engine_cases, small_graph_corpus
 from oracles import (
     naive_dfs_next_action,
+    naive_levels,
     naive_plan_to,
     naive_smallest_unexplored_port,
     naive_view_distances,
@@ -245,9 +246,17 @@ WALK_GRAPHS = {name: (g, source) for name, g, source in small_graph_corpus()}
 # a square whose far corner reaches both of its two closer neighbours, with
 # ports against label order: the walk home has a choice to get right
 WALK_GRAPHS["square"] = (LabeledGraph({0: [2, 1], 1: [3, 0], 2: [0, 3], 3: [2, 1]}), 0)
+# two branches from the source: port 0 leads to 1, which is on no shortest
+# path to 3, the one node two levels out left with an unexplored port; the
+# walk in the example below explores 0-1-4 and 0-2-3 and stops at the source
+WALK_GRAPHS["branches"] = (
+    LabeledGraph({0: [1, 2], 1: [0, 4], 2: [0, 3], 3: [2, 5], 4: [1], 5: [3]}),
+    0,
+)
 
 
 @given(st.sampled_from(sorted(WALK_GRAPHS)), st.lists(st.integers(0, 63), max_size=80))
+@example("branches", [0, 1, 0, 0, 1, 1, 0, 0])
 @settings(max_examples=100, deadline=None)
 def test_port_pointers_match_port_scans_on_any_walk(name, choices):
     # record streams no policy would produce (re-entering a node whose ports
@@ -267,5 +276,6 @@ def test_port_pointers_match_port_scans_on_any_walk(name, choices):
         for v in view.degree:
             assert view.smallest_unexplored_port(v) == naive_smallest_unexplored_port(view, v)
         assert view.dist.dist == naive_view_distances(view)
+        assert view.dist.levels == naive_levels(view.dist.dist)
         for within in (None, 0, 1, 2, 3):
             assert view.plan_to(within) == naive_plan_to(view, oracle_target(view, within))

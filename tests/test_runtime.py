@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from explorelab import (
     BudgetError,
@@ -21,7 +23,13 @@ from explorelab import (
 from explorelab.runtime import ExploredDistances, MemoryRecord, ReplayCursor
 
 from conftest import ScriptPolicy, engine_cases, explored_return_distances, port_script
-from oracles import naive_fuel_violations, naive_return_distance, naive_run
+from oracles import (
+    naive_distances,
+    naive_fuel_violations,
+    naive_levels,
+    naive_return_distance,
+    naive_run,
+)
 
 
 def test_instance_derives_limits(path3):
@@ -222,13 +230,33 @@ def test_traversed_set_growth_and_return_bound():
 
 def test_explored_distances_incremental_updates():
     dists = ExploredDistances(0)
-    dists.add_edge(0, 1)
-    dists.add_edge(1, 2)
-    dists.add_edge(2, 3)
+    for a, b in [(0, 1), (1, 2), (2, 3)]:
+        dists.add_edge(a, b)
+        assert dists.levels == naive_levels(dists.dist)
     assert [dists.get(v) for v in range(4)] == [0, 1, 2, 3]
     dists.add_edge(0, 3)  # shortcut must relax node 3 and its neighbors
     assert dists.get(3) == 1
     assert dists.get(2) == 2
+    assert dists.levels == [{0}, {1, 3}, {2}]
+
+
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30))
+@example([(1, 2), (2, 3), (0, 3), (0, 1)])
+@settings(max_examples=200, deadline=None)
+def test_explored_distances_match_bfs_on_any_edge_sequence(pairs):
+    # edges may join two nodes with no distance yet, and a later edge may
+    # join them to the root, or shortcut a long path to it
+    dists = ExploredDistances(0)
+    edges = {0: []}
+    for a, b in pairs:
+        if a == b or b in edges.get(a, ()):
+            continue
+        dists.add_edge(a, b)
+        edges.setdefault(a, []).append(b)
+        edges.setdefault(b, []).append(a)
+        expected = naive_distances(edges, 0)
+        assert dists.dist == expected
+        assert dists.levels == naive_levels(expected)
 
 
 ENGINE_CASES = engine_cases()
