@@ -14,6 +14,11 @@ monitors (the agent being kept out of gadgets, and each descent ending in a
 deeper frontier node or a repeated edge) are recorded as flags because they
 are only guaranteed for policies that actually solve the distance-constrained
 problem.
+
+The rewriting stops for good at the first red (gadget) edge the agent
+explores, and so do the behavioral monitors.  A run therefore has two
+phases: rewrites and monitors before every step up to that edge, then a
+plain replay of the policy's ports on the final graph until it halts.
 """
 
 from __future__ import annotations
@@ -355,6 +360,21 @@ def adversary_behavior(
     replay.  Gadget-avoidance and descent-dichotomy flags are recorded per
     step but never raise: they are only promised for policies that actually
     solve the distance-constrained problem.
+
+    The run has two phases.  The *rewrite phase* runs the rewrite and the
+    behavioral monitors before every step, until the agent has explored a
+    red (gadget) edge or the policy halts.  The *replay phase* then only
+    commits the policy's ports until it halts, under the same step budget
+    and step numbering.  This gives the same run as rewriting before every
+    step, because
+    - ``red_explored`` is never reset;
+    - once it is set, the first guard of ``_modify_step`` returns, so no
+      surgery, stage, flag, audit entry, membership check or prefix check
+      can follow;
+    - both monitor hypotheses (``avoid_hyp``, ``descent_hyp``) require
+      ``not red_explored``, so no flag can follow either;
+    - ``explored_green`` is read only by those hypotheses, so the replay
+      phase need not keep it up to date.
     """
     alpha = Fraction(alpha)
     if ecc < 6:
@@ -371,8 +391,11 @@ def adversary_behavior(
     audits: list[StepAudit] = []
     flags: list[tuple[int, str]] = []
     half = params.greens_per_layer // 2
-    x = 1
-    while True:
+    x = 0  # the number of steps taken
+    halted = False
+    # rewrite phase: every step runs the rewrite and the behavioral monitors
+    while not halted and not adv.red_explored:
+        x += 1
         if x > max_steps:
             raise BudgetError(f"adversary exceeded {max_steps} steps", trace=cursor.as_trace())
         u = cursor.node
@@ -412,10 +435,15 @@ def adversary_behavior(
             flags.append((x, f))
         if audit.stages or audit.flags:
             audits.append(audit)
+        halted = cursor.pending_port() is None
 
-        if cursor.pending_port() is None:
-            break
+    # replay phase: no rewrite or monitor can fire any more (see docstring)
+    while not halted:
         x += 1
+        if x > max_steps:
+            raise BudgetError(f"adversary exceeded {max_steps} steps", trace=cursor.as_trace())
+        cursor.commit()
+        halted = cursor.pending_port() is None
 
     final_report = validate_family_membership(cursor.graph, params)
     if not final_report.ok:

@@ -33,6 +33,31 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text}") from exc
 
 
+# comma-list option -> (its expected form, the converter of each part, or
+# None for any number of integers)
+COMMA_LISTS = {
+    "--family": ("levels,width,ecc (three integers)", (int, int, int)),
+    "--lollipop": ("k,ecc,alpha (two integers and a rational)", (int, int, Fraction)),
+    "--k": ("a comma list of integers", None),
+}
+
+
+def _comma_list(option: str, text: str) -> tuple:
+    """Split a comma-list option and convert its parts; a wrong count or a
+    part that does not convert is a one-line error naming the option and
+    its expected form."""
+    form, kinds = COMMA_LISTS[option]
+    parts = text.split(",")
+    if kinds is None:
+        kinds = (int,) * len(parts)
+    if len(parts) == len(kinds):
+        try:
+            return tuple(kind(part) for kind, part in zip(kinds, parts))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParameterError(f"{option} expects {form}, got {text!r}")
+
+
 def _write(path: str, text: str) -> None:
     with open(path, "w") as fh:
         fh.write(text)
@@ -63,18 +88,18 @@ def cmd_gen(args) -> int:
         print("gen: pass exactly one of --family or --lollipop", file=sys.stderr)
         return 2
     if args.family:
-        l, w, r = (int(x) for x in args.family.split(","))
+        l, w, r = _comma_list("--family", args.family)
         graph, _ = build_family_graph(FamilyParams(l, w, r), args.seed)
     else:
-        k, r, alpha = args.lollipop.split(",")
-        params = LollipopParams(scale=int(k), ecc=int(r), alpha=Fraction(alpha))
+        k, r, alpha = _comma_list("--lollipop", args.lollipop)
+        params = LollipopParams(scale=k, ecc=r, alpha=alpha)
         graph, _ = build_lollipop(params, args.seed)
     _write(args.out, graph.to_json())
     return 0
 
 
 def cmd_validate(args) -> int:
-    l, w, r = (int(x) for x in args.family.split(","))
+    l, w, r = _comma_list("--family", args.family)
     graph = _load_graph(args.graph)
     report = validate_family_membership(graph, FamilyParams(l, w, r))
     print(json.dumps(report.to_dict(), indent=2))
@@ -87,7 +112,7 @@ def cmd_run(args) -> int:
     gadget_set = None
     if args.family:
         # the gadget set and layer statistics hold only for a member
-        l, w, r = (int(x) for x in args.family.split(","))
+        l, w, r = _comma_list("--family", args.family)
         params = FamilyParams(l, w, r)
         membership = validate_family_membership(graph, params)
         if not membership.ok:
@@ -170,7 +195,7 @@ def cmd_experiment(args) -> int:
     base = default_config(args.variant)
     cfg = ExperimentConfig(
         variant=args.variant,
-        k_values=tuple(int(x) for x in args.k.split(",")) if args.k else base.k_values,
+        k_values=_comma_list("--k", args.k) if args.k else base.k_values,
         ecc=args.r if args.r is not None else base.ecc,
         alpha=args.alpha if args.alpha is not None else base.alpha,
         policy=args.policy or base.policy,

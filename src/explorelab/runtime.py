@@ -265,18 +265,26 @@ class ReplayCursor:
             if port is None:
                 raise InvariantViolation("commit requested but the policy halted")
         g = self.graph
-        cur = self.memory[-1].label
-        row = g._ports[cur]
+        memory = self.memory
+        cur = memory[-1].label
+        ports = g._ports
+        row = ports[cur]
         if not isinstance(port, int) or not 0 <= port < len(row):
             raise PolicyError(
                 f"policy chose port {port!r} at node {cur} of degree {len(row)}"
             )
         nxt = row[port]
-        rec = MemoryRecord(nxt, len(g._ports[nxt]), port, g.port_of(nxt, cur))
-        self.traversed.add(edge_key(cur, nxt))
-        self.memory.append(rec)
+        # this is the hot path: the reverse map is read without a method
+        # call, tuple.__new__ skips the NamedTuple's Python-level __new__,
+        # and the edge key is edge_key(cur, nxt) inlined
+        rev = g._rports
+        if rev is None:
+            rev = g._reverse()
+        rec = tuple.__new__(MemoryRecord, (nxt, len(ports[nxt]), port, rev[nxt][cur]))
+        self.traversed.add((cur, nxt) if cur <= nxt else (nxt, cur))
+        memory.append(rec)
         if self.first_gadget_step is None and self.gadgets is not None and nxt in self.gadgets:
-            self.first_gadget_step = len(self.memory) - 1
+            self.first_gadget_step = len(memory) - 1
         self.state.observe(rec)
         self._pending = _UNASKED
         return rec

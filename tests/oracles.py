@@ -3,7 +3,16 @@ routines.  These deliberately re-derive everything from raw adjacency and
 never call the package's BFS helpers."""
 
 from collections import deque
+from fractions import Fraction
 
+from explorelab.adversary import AdversaryRun, _Adversary, _unexplored_layer_edge_at
+from explorelab.errors import BudgetError, InvariantViolation
+from explorelab.family import (
+    FamilyParams,
+    build_family_graph,
+    family_levels,
+    validate_family_membership,
+)
 from explorelab.graph import ValidationReport
 from explorelab.runtime import MemoryRecord
 
@@ -239,3 +248,71 @@ def naive_hopcroft_karp(adj):
             if l not in pair_left:
                 dfs(l)
     return pair_left
+
+
+def naive_adversary_behavior(ecc, alpha, policy, width, *, policy_name="?", seed=0, max_steps=None):
+    """The adversary as one loop that runs the rewrite and the behavioral
+    monitors before every step, to the policy's halt: the single-phase
+    counterpart of ``adversary_behavior``."""
+    alpha = Fraction(alpha)
+    params = FamilyParams(family_levels(ecc, alpha), width, ecc)
+    graph, meta = build_family_graph(params, seed)
+    adv = _Adversary(graph, policy, meta)
+    cursor = adv.cursor
+    if max_steps is None:
+        max_steps = 50 * graph.edge_count() + 1000
+    audits, flags = [], []
+    half = params.greens_per_layer // 2
+    x = 1
+    while True:
+        if x > max_steps:
+            raise BudgetError(f"adversary exceeded {max_steps} steps", trace=cursor.as_trace())
+        u = cursor.node
+        i = meta.level_of(u)
+        greens_left_everywhere = all(
+            adv.explored_green[j] < params.greens_per_layer for j in range(1, params.levels)
+        )
+        avoid_hyp = i is not None and not adv.red_explored and greens_left_everywhere
+        descent_hyp = (
+            i is not None
+            and i <= params.levels - 1
+            and not adv.red_explored
+            and _unexplored_layer_edge_at(cursor, meta, u, i)
+            and all(adv.explored_green[j] <= half for j in range(1, params.levels))
+        )
+        audit = adv.rewrite(x)
+        was_seen = adv.commit()
+        reached = cursor.node
+        if avoid_hyp and meta.is_gadget(reached):
+            audit.flags.append("early-gadget")
+        if descent_hyp and not was_seen:
+            deeper = (
+                i < params.levels - 1
+                and meta.level_of(reached) == i + 1
+                and _unexplored_layer_edge_at(cursor, meta, reached, i + 1)
+            )
+            if not deeper:
+                audit.flags.append("dichotomy")
+        for f in audit.flags:
+            flags.append((x, f))
+        if audit.stages or audit.flags:
+            audits.append(audit)
+        if cursor.pending_port() is None:
+            break
+        x += 1
+    if not validate_family_membership(cursor.graph, params).ok:
+        raise InvariantViolation("final graph left the family")
+    return AdversaryRun(
+        ecc=ecc,
+        alpha=alpha,
+        policy_name=policy_name,
+        width=width,
+        seed=seed,
+        final_graph=cursor.graph,
+        step_count=x,
+        audit=audits,
+        trace=cursor.as_trace(),
+        flags=flags,
+        prefix_checks=adv.prefix_checks,
+        membership_checks=adv.membership_checks,
+    )

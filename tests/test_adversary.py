@@ -1,8 +1,10 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from explorelab import (
+    BudgetError,
     FamilyMeta,
     FamilyParams,
     Instance,
@@ -20,7 +22,7 @@ from explorelab.adversary import _replay_agrees
 from explorelab.runtime import ReplayCursor
 from explorelab.graph import edge_key
 
-from oracles import naive_run
+from oracles import naive_adversary_behavior, naive_run
 
 ALPHA = Fraction(1, 2)
 
@@ -338,6 +340,59 @@ def test_adversary_is_seed_deterministic():
         6, ALPHA, cautious(), 16, policy_name="cautious-bfs", seed=6
     )
     assert other.final_graph.to_json() != runs[0].final_graph.to_json()
+
+
+# -- the two phases against the single loop that rewrites before every step -------
+
+
+def run_fields(run):
+    """Every field of an AdversaryRun, in comparable form."""
+    out = {}
+    for f in dataclasses.fields(run):
+        value = getattr(run, f.name)
+        if f.name == "final_graph":
+            value = value.to_json()
+        elif f.name == "audit":
+            value = [a.to_dict() for a in value]
+        elif f.name == "trace":
+            value = (value.memory, value.traversed, value.first_gadget_step)
+        out[f.name] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "policy_name,k,seed",
+    [("cautious-bfs", 1, 0), ("cautious-bfs", 1, 1), ("cautious-bfs", 2, 0),
+     ("cautious-bfs", 2, 1), ("dfs", 1, 0)],
+)
+def test_two_phase_run_matches_rewriting_every_step(policy_name, k, seed):
+    def run(behavior):
+        policy = make_policy(policy_name, ALPHA, 6)
+        return behavior(6, ALPHA, policy, 16 * k, policy_name=policy_name, seed=seed)
+
+    got = run(adversary_behavior)
+    assert run_fields(got) == run_fields(run(naive_adversary_behavior))
+    # the replay phase is not empty: the policy goes on past the first gadget
+    assert got.trace.first_gadget_step < got.step_count
+    if policy_name == "dfs":
+        assert got.flags
+
+
+@pytest.mark.parametrize("past_gadget", [-1, 0, 10])
+def test_budget_error_matches_rewriting_every_step(past_gadget):
+    # a budget that ends just before, at and after the first gadget visit:
+    # the last two run out in the replay phase
+    full = naive_adversary_behavior(6, ALPHA, cautious(), 16, seed=0)
+    budget = full.trace.first_gadget_step + past_gadget
+    assert budget < full.step_count
+    errors = []
+    for behavior in (adversary_behavior, naive_adversary_behavior):
+        with pytest.raises(BudgetError) as err:
+            behavior(6, ALPHA, cautious(), 16, seed=0, max_steps=budget)
+        errors.append(err.value)
+    assert str(errors[0]) == str(errors[1]) == f"adversary exceeded {budget} steps"
+    assert errors[0].trace.steps == errors[1].trace.steps == budget
+    assert errors[0].trace.memory == errors[1].trace.memory
 
 
 def test_cursor_replays_with_graph_swap():

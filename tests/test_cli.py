@@ -337,3 +337,35 @@ def test_run_on_any_json_graph_file_exits_cleanly(value):
     assert code in (0, 2)
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# argv with {graph} and {out} placeholders -> the option and text it names
+MALFORMED_COMMA_LISTS = {
+    "validate-family": (["validate", "--family", "10,16", "{graph}"], "--family", "10,16"),
+    "run-family": (
+        ["run", "--instance", "{graph}", "--alpha", "0.5", "--family", "10,16"],
+        "--family",
+        "10,16",
+    ),
+    "gen-family": (["gen", "--family", "10,x,6", "--out", "{out}"], "--family", "10,x,6"),
+    "gen-lollipop": (["gen", "--lollipop", "1,2", "--out", "{out}"], "--lollipop", "1,2"),
+    "experiment-k": (["experiment", "--variant", "fuel", "--k", "1,x"], "--k", "1,x"),
+}
+COMMA_LIST_FORMS = {
+    "--family": "levels,width,ecc (three integers)",
+    "--lollipop": "k,ecc,alpha (two integers and a rational)",
+    "--k": "a comma list of integers",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_COMMA_LISTS))
+def test_malformed_comma_list_is_a_one_line_error(tmp_path, capsys, name):
+    argv, option, text = MALFORMED_COMMA_LISTS[name]
+    graph = tmp_path / "g.json"
+    graph.write_text(build_family_graph(FamilyParams(10, 16, 6))[0].to_json())
+    out = tmp_path / "out.json"
+    argv = [a.format(graph=graph, out=out) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {option} expects {COMMA_LIST_FORMS[option]}, got {text!r}\n"
+    assert not out.exists()

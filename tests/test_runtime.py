@@ -285,3 +285,37 @@ def test_engine_matches_plain_stepping_oracle(case, policy_name):
     assert cursor.memory == memory
     assert cursor.traversed == traversed
     assert cursor.first_gadget_step == trace.first_gadget_step
+
+
+@pytest.mark.parametrize("reverse_built", [False, True])
+def test_commit_reads_entry_ports_of_a_swapped_in_graph(reverse_built):
+    # the cursor takes entry ports from the graph's reverse map: one carried
+    # over and patched by replace_ports, or one not built yet
+    base, _ = build_family_graph(FamilyParams(10, 16, 6))
+    policy = make_policy("cautious-bfs", Fraction(1, 2), 6)
+    cursor = ReplayCursor(base, policy, source=0)
+    for _ in range(5):
+        cursor.commit()
+    # reverse the ports of a node the walk reaches only later; the commits
+    # have built base's reverse map, a fresh copy has none
+    seen = {rec.label for rec in cursor.memory}
+    unswapped, _ = naive_run(base, policy, 0)
+    v = next(r.label for r in unswapped if r.label not in seen and base.degree(r.label) > 1)
+    old = base if reverse_built else LabeledGraph.from_json(base.to_json())
+    swapped = old.replace_ports({v: base.neighbors(v)[::-1]})
+    assert (swapped._rports is not None) == reverse_built
+    cursor.replace_graph(swapped, ())
+    while cursor.pending_port() is not None:
+        cursor.commit()
+    memory, traversed = naive_run(swapped, policy, 0)
+    assert memory != unswapped
+    assert cursor.memory == memory
+    assert cursor.traversed == traversed
+
+
+@pytest.mark.parametrize("port", ["1", -1, 2])
+def test_bad_port_message(path3, port):
+    cursor = ReplayCursor(path3, ScriptPolicy([]), source=1)
+    with pytest.raises(PolicyError) as err:
+        cursor.commit(port)
+    assert str(err.value) == f"policy chose port {port!r} at node 1 of degree 2"
