@@ -15,10 +15,11 @@ deeper frontier node or a repeated edge) are recorded as flags because they
 are only guaranteed for policies that actually solve the distance-constrained
 problem.
 
-The rewriting stops for good at the first red (gadget) edge the agent
-explores, and so do the behavioral monitors.  A run therefore has two
-phases: rewrites and monitors before every step up to that edge, then a
-plain replay of the policy's ports on the final graph until it halts.
+The rewriting stops for good at the agent's first visit to a gadget (the
+cursor's ``first_gadget_step``), and so do the behavioral monitors.  A run
+therefore has two phases: rewrites and monitors before every step up to
+that visit, then a plain replay of the policy's ports on the final graph
+until it halts.
 """
 
 from __future__ import annotations
@@ -87,7 +88,6 @@ class StepAudit:
 class AdversaryRun:
     ecc: int
     alpha: Fraction
-    policy_name: str
     width: int
     seed: int
     final_graph: LabeledGraph
@@ -104,16 +104,14 @@ class AdversaryRun:
 
 
 class _Adversary:
-    """A cursor on the graph under rewrite, with the family bookkeeping that
-    guards the rewrites (green edges explored per layer, whether any red
-    edge was explored), the ledger that checks membership after each
-    rewrite, and the count of checks run after rewrites."""
+    """A cursor on the graph under rewrite, with the green edges explored
+    per layer that the monitors read, the ledger that checks membership
+    after each rewrite, and the count of checks run after rewrites."""
 
     def __init__(self, graph: LabeledGraph, policy, meta: FamilyMeta):
         self.cursor = ReplayCursor(graph, policy, source=0, gadgets=meta.gadget_labels)
         self.meta = meta
         self.explored_green = {i: 0 for i in range(1, meta.params.levels)}
-        self.red_explored = False
         self.ledger = _FamilyLedger(meta.params)
         self.prefix_checks = 0
         self.membership_checks = 0
@@ -121,16 +119,14 @@ class _Adversary:
     def commit(self) -> bool:
         """Take the pending traversal; returns whether its edge was already
         explored."""
-        cursor, meta = self.cursor, self.meta
+        cursor = self.cursor
         e = cursor.pending_edge()
         was_seen = e in cursor.traversed
         cursor.commit()
         if not was_seen:
-            kind, layer = meta.edge_kind(*e)
+            kind, layer = self.meta.edge_kind(*e)
             if kind == "green":
                 self.explored_green[layer] += 1
-            if meta.is_gadget(e[0]) or meta.is_gadget(e[1]):
-                self.red_explored = True
         return was_seen
 
     def rewrite(self, step: int) -> StepAudit:
@@ -161,16 +157,18 @@ class _Adversary:
 # -- the per-step modification ---------------------------------------------------
 
 
-def _unexplored_layer_edge_at(
+def _unexplored_layer_neighbors(
     cursor: ReplayCursor, meta: FamilyMeta, v: int, layer: int
-) -> bool:
-    g = cursor.graph
-    for u in g.neighbors(v):
+) -> list[int]:
+    """The neighbours of ``v`` across unexplored green or red edges of
+    ``layer``."""
+    traversed = cursor.traversed
+    out = []
+    for u in cursor.graph.neighbors(v):
         kind, klayer = meta.edge_kind(v, u)
-        if klayer == layer and kind in ("green", "red"):
-            if edge_key(v, u) not in cursor.traversed:
-                return True
-    return False
+        if klayer == layer and kind in ("green", "red") and edge_key(v, u) not in traversed:
+            out.append(u)
+    return out
 
 
 def _unexplored_greens(cursor: ReplayCursor, meta: FamilyMeta, layer: int) -> list[tuple[int, int]]:
@@ -207,20 +205,14 @@ def _modify_step(adv: _Adversary, audit: StepAudit) -> None:
     levels = meta.params.levels
     i = meta.level_of(u)
 
-    if adv.red_explored or e in cursor.traversed or i is None or i >= levels:
+    if cursor.first_gadget_step is not None or e in cursor.traversed or i is None or i >= levels:
         return
 
     # repoint the pending port onto the descending layer when it aims elsewhere
     kind, klayer = meta.edge_kind(*e)
     in_layer = kind in ("green", "red") and klayer == i
     if not in_layer:
-        candidates = [
-            x
-            for x in g.neighbors(u)
-            if edge_key(u, x) not in cursor.traversed
-            and meta.edge_kind(u, x)[1] == i
-            and meta.edge_kind(u, x)[0] in ("green", "red")
-        ]
+        candidates = _unexplored_layer_neighbors(cursor, meta, u, i)
         if candidates:
             target = min(candidates)
             pending = cursor.pending_port()
@@ -250,7 +242,7 @@ def _modify_step(adv: _Adversary, audit: StepAudit) -> None:
     if (
         i < levels - 1
         and meta.level_of(reached) == i + 1
-        and not _unexplored_layer_edge_at(cursor, meta, reached, i + 1)
+        and not _unexplored_layer_neighbors(cursor, meta, reached, i + 1)
     ):
         audit.stages.append(STAGE_REROUTE)
         blocked = {u, reached}
@@ -267,7 +259,7 @@ def _modify_step(adv: _Adversary, audit: StepAudit) -> None:
             v
             for v in meta.level_labels(i + 1)
             if not any(y in blocked for y in g.neighbors(v))
-            and _unexplored_layer_edge_at(cursor, meta, v, i + 1)
+            and _unexplored_layer_neighbors(cursor, meta, v, i + 1)
         }
         greens = [x for x in _unexplored_greens(cursor, meta, i) if x != e]
         chosen = None
@@ -304,8 +296,6 @@ def graph_modification(
     alpha: Fraction,
     policy,
     t: int,
-    *,
-    meta: FamilyMeta | None = None,
 ) -> tuple[LabeledGraph, StepAudit]:
     """Replay ``policy`` for ``t`` steps on ``graph`` and rewrite the graph so
     that, when possible, the next traversal descends; the first ``t`` records
@@ -314,9 +304,8 @@ def graph_modification(
     Standalone form of the engine's per-step rewrite: family parameters are
     derived from the graph itself (source eccentricity, level width).
     """
-    if meta is None:
-        ecc = eccentricity(graph, 0)
-        meta = FamilyMeta(FamilyParams(family_levels(ecc, alpha), graph.degree(0), ecc))
+    ecc = eccentricity(graph, 0)
+    meta = FamilyMeta(FamilyParams(family_levels(ecc, alpha), graph.degree(0), ecc))
     adv = _Adversary(graph, policy, meta)
     for _ in range(t):
         if adv.cursor.pending_port() is None:
@@ -347,7 +336,6 @@ def adversary_behavior(
     policy,
     width: int,
     *,
-    policy_name: str = "?",
     seed: int = 0,
     max_steps: int | None = None,
 ) -> AdversaryRun:
@@ -362,19 +350,25 @@ def adversary_behavior(
     solve the distance-constrained problem.
 
     The run has two phases.  The *rewrite phase* runs the rewrite and the
-    behavioral monitors before every step, until the agent has explored a
-    red (gadget) edge or the policy halts.  The *replay phase* then only
-    commits the policy's ports until it halts, under the same step budget
-    and step numbering.  This gives the same run as rewriting before every
-    step, because
-    - ``red_explored`` is never reset;
+    behavioral monitors before every step, until the agent first visits a
+    gadget (the cursor's ``first_gadget_step`` is set) or the policy halts.
+    The *replay phase* then only commits the policy's ports until it halts,
+    under the same step budget and step numbering.  This gives the same run
+    as rewriting before every step, because
+    - ``first_gadget_step`` is never reset;
     - once it is set, the first guard of ``_modify_step`` returns, so no
       surgery, stage, flag, audit entry, membership check or prefix check
       can follow;
-    - both monitor hypotheses (``avoid_hyp``, ``descent_hyp``) require
-      ``not red_explored``, so no flag can follow either;
+    - both monitor hypotheses (``avoid_hyp``, ``descent_hyp``) hold only
+      before it is set, so no flag can follow either;
     - ``explored_green`` is read only by those hypotheses, so the replay
       phase need not keep it up to date.
+
+    The source is not a gadget, and a gadget's neighbours are level nodes
+    and the critical node only, so the agent's first traversal of a
+    gadget-incident edge is its first arrival at a gadget, across an edge
+    it has not explored: the first red edge explored and the first gadget
+    visit are the same step.
     """
     alpha = Fraction(alpha)
     if ecc < 6:
@@ -394,7 +388,7 @@ def adversary_behavior(
     x = 0  # the number of steps taken
     halted = False
     # rewrite phase: every step runs the rewrite and the behavioral monitors
-    while not halted and not adv.red_explored:
+    while not halted and cursor.first_gadget_step is None:
         x += 1
         if x > max_steps:
             raise BudgetError(f"adversary exceeded {max_steps} steps", trace=cursor.as_trace())
@@ -404,14 +398,11 @@ def adversary_behavior(
             adv.explored_green[j] < params.greens_per_layer
             for j in range(1, params.levels)
         )
-        avoid_hyp = (
-            i is not None and not adv.red_explored and greens_left_everywhere
-        )
+        avoid_hyp = i is not None and greens_left_everywhere
         descent_hyp = (
             i is not None
             and i <= params.levels - 1
-            and not adv.red_explored
-            and _unexplored_layer_edge_at(cursor, meta, u, i)
+            and _unexplored_layer_neighbors(cursor, meta, u, i)
             and all(
                 adv.explored_green[j] <= half for j in range(1, params.levels)
             )
@@ -427,7 +418,7 @@ def adversary_behavior(
             deeper = (
                 i < params.levels - 1
                 and meta.level_of(reached) == i + 1
-                and _unexplored_layer_edge_at(cursor, meta, reached, i + 1)
+                and _unexplored_layer_neighbors(cursor, meta, reached, i + 1)
             )
             if not deeper:
                 audit.flags.append("dichotomy")
@@ -451,7 +442,6 @@ def adversary_behavior(
     return AdversaryRun(
         ecc=ecc,
         alpha=alpha,
-        policy_name=policy_name,
         width=width,
         seed=seed,
         final_graph=cursor.graph,

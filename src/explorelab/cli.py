@@ -149,14 +149,7 @@ def cmd_run(args) -> int:
 
 def cmd_adversary(args) -> int:
     policy = make_policy(args.policy, args.alpha, args.r)
-    run = adversary_behavior(
-        args.r,
-        args.alpha,
-        policy,
-        16 * args.k,
-        policy_name=args.policy,
-        seed=args.seed,
-    )
+    run = adversary_behavior(args.r, args.alpha, policy, 16 * args.k, seed=args.seed)
     _write(args.out, run.final_graph.to_json())
     if args.audit:
         audit = {

@@ -111,9 +111,7 @@ def run_distance_experiment(cfg: ExperimentConfig) -> tuple[list[ExperimentRow],
     for k in cfg.k_values:
         t0 = time.perf_counter()
         policy = make_policy(cfg.policy, cfg.alpha, cfg.ecc)
-        run = adversary_behavior(
-            cfg.ecc, cfg.alpha, policy, 16 * k, policy_name=cfg.policy, seed=cfg.seed
-        )
+        run = adversary_behavior(cfg.ecc, cfg.alpha, policy, 16 * k, seed=cfg.seed)
         meta = FamilyMeta(run.params)
         inst = Instance(graph=run.final_graph, source=0, alpha=cfg.alpha)
         trace, report = execute(

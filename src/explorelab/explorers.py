@@ -188,17 +188,12 @@ class _PlannedRun:
         self.view = ExploredView()
         self.plan: list[int] | None = []
         self.pos = 0
-        self.stale = False
 
     def observe(self, rec: MemoryRecord) -> None:
         new_edge = self.view.observe(rec)
-        if rec.out_port != -1:
-            if self.plan and self.pos < len(self.plan):
-                self.pos += 1
-            if new_edge:
-                self.stale = True
-        if self.plan is not None and (self.stale or self.pos >= len(self.plan)):
-            self.stale = False
+        if rec.out_port != -1 and self.plan and self.pos < len(self.plan):
+            self.pos += 1
+        if self.plan is not None and (new_edge or self.pos >= len(self.plan)):
             self.pos = 0
             self._replan()
 

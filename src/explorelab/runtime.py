@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import BudgetError, InvariantViolation, ParameterError, PolicyError, StructuralError
+from .errors import BudgetError, InvariantViolation, ParameterError, PolicyError
 from .family import FamilyMeta
-from .graph import LabeledGraph, edge_key, eccentricity, is_connected
+from .graph import LabeledGraph, edge_key, eccentricity
 
 MONITOR_KINDS = ("distance", "fuel", "completion")
 
@@ -57,8 +57,6 @@ class Instance:
             raise ParameterError(f"alpha must be positive, got {self.alpha}")
         if self.source not in self.graph:
             raise ParameterError(f"source {self.source} not in graph")
-        if not is_connected(self.graph):
-            raise StructuralError("instance graph must be connected")
         object.__setattr__(self, "ecc", eccentricity(self.graph, self.source))
 
     @property
@@ -258,12 +256,13 @@ class ReplayCursor:
                 )
         self.graph = new_graph
 
-    def commit(self, port: int | None = None) -> MemoryRecord:
-        """Traverse ``port`` (by default the policy's pending choice)."""
-        if port is None:
+    def commit(self) -> MemoryRecord:
+        """Traverse the policy's pending choice."""
+        port = self._pending
+        if port is _UNASKED:
             port = self.pending_port()
-            if port is None:
-                raise InvariantViolation("commit requested but the policy halted")
+        if port is None:
+            raise InvariantViolation("commit requested but the policy halted")
         g = self.graph
         memory = self.memory
         cur = memory[-1].label
@@ -349,7 +348,7 @@ def execute(
                 )
             fuel -= unit
         known = len(traversed)
-        rec = cursor.commit(port)
+        rec = cursor.commit()
         cur = rec.label
         if fuel is not None and cur == inst.source:
             fuel = tank

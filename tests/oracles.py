@@ -5,7 +5,7 @@ never call the package's BFS helpers."""
 from collections import deque
 from fractions import Fraction
 
-from explorelab.adversary import AdversaryRun, _Adversary, _unexplored_layer_edge_at
+from explorelab.adversary import AdversaryRun, _Adversary, _unexplored_layer_neighbors
 from explorelab.errors import BudgetError, InvariantViolation
 from explorelab.family import (
     FamilyParams,
@@ -250,7 +250,7 @@ def naive_hopcroft_karp(adj):
     return pair_left
 
 
-def naive_adversary_behavior(ecc, alpha, policy, width, *, policy_name="?", seed=0, max_steps=None):
+def naive_adversary_behavior(ecc, alpha, policy, width, *, seed=0, max_steps=None):
     """The adversary as one loop that runs the rewrite and the behavioral
     monitors before every step, to the policy's halt: the single-phase
     counterpart of ``adversary_behavior``."""
@@ -272,12 +272,12 @@ def naive_adversary_behavior(ecc, alpha, policy, width, *, policy_name="?", seed
         greens_left_everywhere = all(
             adv.explored_green[j] < params.greens_per_layer for j in range(1, params.levels)
         )
-        avoid_hyp = i is not None and not adv.red_explored and greens_left_everywhere
+        avoid_hyp = i is not None and cursor.first_gadget_step is None and greens_left_everywhere
         descent_hyp = (
             i is not None
             and i <= params.levels - 1
-            and not adv.red_explored
-            and _unexplored_layer_edge_at(cursor, meta, u, i)
+            and cursor.first_gadget_step is None
+            and _unexplored_layer_neighbors(cursor, meta, u, i)
             and all(adv.explored_green[j] <= half for j in range(1, params.levels))
         )
         audit = adv.rewrite(x)
@@ -289,7 +289,7 @@ def naive_adversary_behavior(ecc, alpha, policy, width, *, policy_name="?", seed
             deeper = (
                 i < params.levels - 1
                 and meta.level_of(reached) == i + 1
-                and _unexplored_layer_edge_at(cursor, meta, reached, i + 1)
+                and _unexplored_layer_neighbors(cursor, meta, reached, i + 1)
             )
             if not deeper:
                 audit.flags.append("dichotomy")
@@ -305,7 +305,6 @@ def naive_adversary_behavior(ecc, alpha, policy, width, *, policy_name="?", seed
     return AdversaryRun(
         ecc=ecc,
         alpha=alpha,
-        policy_name=policy_name,
         width=width,
         seed=seed,
         final_graph=cursor.graph,

@@ -46,9 +46,7 @@ def adversary_runs():
     runs = {}
     for k in (1, 2, 3):
         policy = make_policy("cautious-bfs", ALPHA, ECC)
-        runs[k] = adversary_behavior(
-            ECC, ALPHA, policy, 16 * k, policy_name="cautious-bfs", seed=0
-        )
+        runs[k] = adversary_behavior(ECC, ALPHA, policy, 16 * k, seed=0)
     return runs
 
 

@@ -41,9 +41,7 @@ def assert_memory_prefix_equal(policy, g1, g2, t):
 
 @pytest.fixture(scope="module")
 def k1_run():
-    return adversary_behavior(
-        6, ALPHA, cautious(), 16, policy_name="cautious-bfs", seed=0
-    )
+    return adversary_behavior(6, ALPHA, cautious(), 16, seed=0)
 
 
 # -- graph_modification (standalone surface) --------------------------------------
@@ -70,6 +68,24 @@ def test_modification_noop_on_recrossed_edge():
     assert t is not None
     out, _ = graph_modification(g, ALPHA, cautious(), t)
     assert out is g
+
+
+def test_modification_noop_after_first_gadget_visit():
+    # on the unmodified member cautious-bfs reaches a gadget at step 2; at
+    # step 4 it stands at a level-1 node with an unexplored pending edge that
+    # leaves the descending layer, so only the first-gadget guard stops the
+    # divert-port stage
+    g, meta = build_family_graph(FamilyParams(10, 16, 6))
+    t = 4
+    cursor = ReplayCursor(g, cautious(), source=0, gadgets=meta.gadget_labels)
+    for _ in range(t):
+        cursor.commit()
+    assert cursor.first_gadget_step is not None and cursor.first_gadget_step < t
+    assert meta.level_of(cursor.node) == 1
+    assert cursor.pending_edge() not in cursor.traversed
+    out, audit = graph_modification(g, ALPHA, cautious(), t)
+    assert out is g
+    assert not audit.stages and not audit.surgeries
 
 
 def test_modification_preserves_prefix_and_membership():
@@ -281,7 +297,7 @@ def test_adversary_against_dfs_flags_or_pays():
     # an incorrect policy either trips the distance monitor on the final
     # graph or still pays the gadget penalty; both are consistent outcomes
     policy = make_policy("dfs", ALPHA, 6)
-    run = adversary_behavior(6, ALPHA, policy, 16, policy_name="dfs", seed=0)
+    run = adversary_behavior(6, ALPHA, policy, 16, seed=0)
     assert validate_family_membership(run.final_graph, run.params).ok
     inst = Instance(graph=run.final_graph, source=0, alpha=ALPHA)
     meta = FamilyMeta(run.params)
@@ -301,9 +317,7 @@ def test_adversary_against_dfs_flags_or_pays():
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_adversary_other_seeds(seed):
-    run = adversary_behavior(
-        6, ALPHA, cautious(), 16, policy_name="cautious-bfs", seed=seed
-    )
+    run = adversary_behavior(6, ALPHA, cautious(), 16, seed=seed)
     assert run.flags == []
     assert validate_family_membership(run.final_graph, run.params).ok
     lam = run.trace.first_gadget_step
@@ -313,9 +327,7 @@ def test_adversary_other_seeds(seed):
 
 def test_adversary_k2_alternate_seed_still_pays():
     # the bound is seed-independent; guard against a lucky default seed
-    run = adversary_behavior(
-        6, ALPHA, cautious(), 32, policy_name="cautious-bfs", seed=1
-    )
+    run = adversary_behavior(6, ALPHA, cautious(), 32, seed=1)
     assert run.flags == []
     inst = Instance(graph=run.final_graph, source=0, alpha=ALPHA)
     trace, report = execute(
@@ -330,15 +342,13 @@ def test_adversary_k2_alternate_seed_still_pays():
 
 def test_adversary_is_seed_deterministic():
     runs = [
-        adversary_behavior(6, ALPHA, cautious(), 16, policy_name="cautious-bfs", seed=5)
+        adversary_behavior(6, ALPHA, cautious(), 16, seed=5)
         for _ in range(2)
     ]
     assert runs[0].final_graph.to_json() == runs[1].final_graph.to_json()
     assert runs[0].step_count == runs[1].step_count
     assert runs[0].trace.memory == runs[1].trace.memory
-    other = adversary_behavior(
-        6, ALPHA, cautious(), 16, policy_name="cautious-bfs", seed=6
-    )
+    other = adversary_behavior(6, ALPHA, cautious(), 16, seed=6)
     assert other.final_graph.to_json() != runs[0].final_graph.to_json()
 
 
@@ -368,7 +378,7 @@ def run_fields(run):
 def test_two_phase_run_matches_rewriting_every_step(policy_name, k, seed):
     def run(behavior):
         policy = make_policy(policy_name, ALPHA, 6)
-        return behavior(6, ALPHA, policy, 16 * k, policy_name=policy_name, seed=seed)
+        return behavior(6, ALPHA, policy, 16 * k, seed=seed)
 
     got = run(adversary_behavior)
     assert run_fields(got) == run_fields(run(naive_adversary_behavior))
@@ -443,6 +453,6 @@ def test_policy_asked_once_per_step():
     assert audit.stages
     assert 0 < policy.asked <= policy.observed
     policy = CountingPolicy(cautious())
-    run = adversary_behavior(6, ALPHA, policy, 16, policy_name="cautious-bfs", seed=0)
+    run = adversary_behavior(6, ALPHA, policy, 16, seed=0)
     assert run.prefix_checks > 0
     assert run.step_count < policy.asked <= policy.observed

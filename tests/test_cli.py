@@ -87,6 +87,14 @@ def test_gen_lollipop_and_run(tmp_path, capsys):
     assert report["penalty"] >= 98
 
 
+def test_run_on_disconnected_graph_exits_cleanly(tmp_path, capsys):
+    path = tmp_path / "two.json"
+    path.write_text(LabeledGraph({0: [1], 1: [0], 2: [3], 3: [2]}).to_json())
+    assert main(["run", "--instance", str(path), "--alpha", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: eccentricity undefined: graph is not connected\n"
+
+
 def test_gen_lollipop_writes_library_graph(tmp_path):
     out = tmp_path / "lolli.json"
     assert main(["gen", "--lollipop", "2,2,1", "--seed", "5", "--out", str(out)]) == 0

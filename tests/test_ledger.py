@@ -51,7 +51,7 @@ def test_ledger_matches_full_validator_on_adversary_runs(monkeypatch, k, seed):
 
     monkeypatch.setattr(adversary, "validate_family_membership", both)
     policy = make_policy("cautious-bfs", ALPHA, 6)
-    run = adversary_behavior(6, ALPHA, policy, 16 * k, policy_name="cautious-bfs", seed=seed)
+    run = adversary_behavior(6, ALPHA, policy, 16 * k, seed=seed)
     assert len(verdicts) == run.membership_checks - 1 > 10
     assert all(admitted == ok for admitted, ok in verdicts)
 
@@ -306,5 +306,5 @@ def test_surgery_with_a_lying_touched_list_is_caught(monkeypatch):
     monkeypatch.setattr(adversary, "move_gadget", lying_move_gadget)
     policy = make_policy("cautious-bfs", ALPHA, 6)
     with pytest.raises(InvariantViolation) as err:
-        adversary_behavior(6, ALPHA, policy, 16, policy_name="cautious-bfs", seed=0)
+        adversary_behavior(6, ALPHA, policy, 16, seed=0)
     assert str(err.value) == "family membership broken at step 4: {'asymmetric-edge'}"

@@ -33,7 +33,7 @@ def fresh():
 @pytest.fixture(scope="module")
 def adversary_final():
     policy = make_policy("cautious-bfs", ALPHA, 6)
-    run = adversary_behavior(6, ALPHA, policy, 16, policy_name="cautious-bfs", seed=0)
+    run = adversary_behavior(6, ALPHA, policy, 16, seed=0)
     return run
 
 

@@ -8,10 +8,12 @@ from explorelab import (
     BudgetError,
     FamilyParams,
     Instance,
+    InvariantViolation,
     LabeledGraph,
     LollipopParams,
     ParameterError,
     PolicyError,
+    StructuralError,
     Trace,
     build_family_graph,
     build_lollipop,
@@ -44,6 +46,13 @@ def test_instance_derives_limits(path3):
 def test_instance_rejects_bad_source(path3):
     with pytest.raises(ParameterError):
         Instance(graph=path3, source=9, alpha=Fraction(1))
+
+
+def test_instance_rejects_disconnected_graph():
+    g = LabeledGraph({0: [1], 1: [0], 2: [3], 3: [2]})
+    with pytest.raises(StructuralError) as err:
+        Instance(graph=g, source=0, alpha=Fraction(1))
+    assert str(err.value) == "eccentricity undefined: graph is not connected"
 
 
 def test_single_edge_script(single_edge):
@@ -315,7 +324,15 @@ def test_commit_reads_entry_ports_of_a_swapped_in_graph(reverse_built):
 
 @pytest.mark.parametrize("port", ["1", -1, 2])
 def test_bad_port_message(path3, port):
-    cursor = ReplayCursor(path3, ScriptPolicy([]), source=1)
+    cursor = ReplayCursor(path3, ScriptPolicy([port]), source=1)
     with pytest.raises(PolicyError) as err:
-        cursor.commit(port)
+        cursor.commit()
     assert str(err.value) == f"policy chose port {port!r} at node 1 of degree 2"
+
+
+def test_commit_after_halt_raises(path3):
+    cursor = ReplayCursor(path3, ScriptPolicy([]), source=1)
+    assert cursor.pending_port() is None
+    with pytest.raises(InvariantViolation) as err:
+        cursor.commit()
+    assert str(err.value) == "commit requested but the policy halted"
