@@ -168,9 +168,14 @@ def cmd_adversary(args) -> int:
 
 def cmd_merge(args) -> int:
     graph = _load_graph(args.infile, check=True)
-    ecc = eccentricity(graph, 0)
-    meta = FamilyMeta(FamilyParams(family_levels(ecc, args.alpha), 16 * args.k, ecc))
-    merged, plan = merge_gadgets(graph, meta, args.k)
+    # the source is adjacent to exactly level 1, so its degree is the width
+    ecc, width = eccentricity(graph, 0), graph.degree(0)
+    if width < 16 or width % 16:
+        raise ParameterError(
+            f"{args.infile}: graph width {width} is not a positive multiple of 16"
+        )
+    meta = FamilyMeta(FamilyParams(family_levels(ecc, args.alpha), width, ecc))
+    merged, plan = merge_gadgets(graph, meta, width // 16)
     _write(args.out, merged.to_json())
     if args.plan:
         _write(args.plan, json.dumps(plan.to_dict(), indent=2))
@@ -206,7 +211,7 @@ def cmd_experiment(args) -> int:
         sys.stdout.write(rows_to_csv(rows).decode())
     for failure in report["failures"]:
         print(f"FAIL {failure}", file=sys.stderr)
-    if args.strict and report["failures"]:
+    if report["failures"] and not args.observe:
         return 1
     return 0
 
@@ -254,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("merge", help="merge the gadgets of a family member")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--k", type=int, required=True)
     p.add_argument("--alpha", type=_fraction, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--plan")
@@ -272,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv")
     p.add_argument("--json", dest="json")
-    p.add_argument("--strict", action="store_true", default=True)
-    p.add_argument("--observe", dest="strict", action="store_false")
+    p.add_argument("--observe", action="store_true")
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_experiment)
 

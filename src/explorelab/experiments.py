@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .adversary import adversary_behavior
-from .errors import ParameterError
+from .errors import InvariantViolation, ParameterError
 from .explorers import make_policy
 from .family import FamilyMeta, LollipopParams, build_lollipop
 from .merge import merge_gadgets, validate_merge_behavior
@@ -120,6 +120,8 @@ def run_distance_experiment(cfg: ExperimentConfig) -> tuple[list[ExperimentRow],
             monitors=("distance", "completion"),
             gadget_set=set(meta.gadget_labels),
         )
+        if trace.memory != run.trace.memory:
+            raise InvariantViolation(f"k={k}: the final replay departs from the adversary's run")
         pen_gadget = (
             penalty_before_step(trace, trace.first_gadget_step)
             if trace.first_gadget_step is not None

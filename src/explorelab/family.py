@@ -269,9 +269,7 @@ class ContractedLayer:
     every way the result falls short of the layer-degree-regular bipartite
     graph the construction started from."""
 
-    layer: int
     left: set[int]
-    right: set[int]
     edges: list[tuple[int, int]]
     by_gadget: dict[int, tuple[int, int]]
     problems: ValidationReport
@@ -300,7 +298,7 @@ def _contract_layer(g: LabeledGraph, meta: FamilyMeta, layer: int) -> Contracted
             "layer-contraction",
             f"layer {layer}: nodes {bad[:8]} off {p.layer_degree}-regularity",
         )
-    return ContractedLayer(layer, set(left), set(right), edges, by_gadget, problems)
+    return ContractedLayer(set(left), edges, by_gadget, problems)
 
 
 def contract_layer_to_bipartite(

@@ -22,7 +22,6 @@ from .graph import (
     color_regular_bipartite_edges,
     eccentricity,
     edge_key,
-    is_connected,
     validate_consistent_labeling,
 )
 from .runtime import Instance, execute, penalty_before_step
@@ -114,42 +113,41 @@ def merge_gadgets(
         }
         pairs.update(contracted.by_gadget)
 
-    even_layers = [i for i in range(1, p.levels) if i % 2 == 0]
-    odd_layers = [i for i in range(1, p.levels) if i % 2 == 1]
-    recolored = _balanced_recolor(raw, even_layers, colors)
-    recolored.update(_balanced_recolor(raw, odd_layers, colors))
-
-    even_classes: dict[int, list[int]] = {c: [] for c in range(1, colors + 1)}
-    odd_classes: dict[int, list[int]] = {c: [] for c in range(1, colors + 1)}
-    for layer in even_layers:
-        for gd, c in recolored[layer].items():
-            even_classes[c].append(gd)
-    for layer in odd_layers:
-        for gd, c in recolored[layer].items():
-            odd_classes[c].append(gd)
-    for classes in (even_classes, odd_classes):
+    # one pass per layer parity, even first: each recolors its layers and
+    # merges each color class into one vertex labeled after the input's labels
+    crit = meta.critical_label
+    recolored: dict[int, dict[int, int]] = {}
+    class_maps: list[dict[int, list[int]]] = []
+    merged_maps: list[dict[int, int]] = []
+    gadget_map: dict[int, int] = {}
+    keep_at_critical: set[int] = set()
+    merged_rows: dict[int, list[int]] = {}
+    for parity in (0, 1):
+        layers = [i for i in range(1, p.levels) if i % 2 == parity]
+        recolored.update(_balanced_recolor(raw, layers, colors))
+        classes: dict[int, list[int]] = {c: [] for c in range(1, colors + 1)}
+        for layer in layers:
+            for gd, c in recolored[layer].items():
+                classes[c].append(gd)
+        merged = {c: len(g) + parity * colors + c - 1 for c in classes}
         for c, members in classes.items():
             members.sort()
             if not members:
                 raise InvariantViolation(f"merged class {c} is empty")
+            level_neighbors = [v for gd in members for v in pairs[gd]]
+            if len(set(level_neighbors)) != len(level_neighbors):
+                raise InvariantViolation(
+                    f"class {c} constituents share a level neighbor"
+                )
+            merged_rows[merged[c]] = sorted(level_neighbors) + [crit]
+            for gd in members:
+                gadget_map[gd] = merged[c]
+            # the single critical edge each merged vertex keeps comes from
+            # its smallest-labeled constituent gadget
+            keep_at_critical.add(members[0])
+        class_maps.append(classes)
+        merged_maps.append(merged)
 
-    base = len(g)
-    merged_even = {c: base + c - 1 for c in range(1, colors + 1)}
-    merged_odd = {c: base + colors + c - 1 for c in range(1, colors + 1)}
-    gadget_map: dict[int, int] = {}
-    for c, members in even_classes.items():
-        for gd in members:
-            gadget_map[gd] = merged_even[c]
-    for c, members in odd_classes.items():
-        for gd in members:
-            gadget_map[gd] = merged_odd[c]
-
-    # the single critical edge each merged vertex keeps comes from its
-    # smallest-labeled constituent gadget
-    keep_at_critical = {min(members) for members in even_classes.values()}
-    keep_at_critical |= {min(members) for members in odd_classes.values()}
-
-    crit = meta.critical_label
     ports: dict[int, list[int]] = {}
     for v in g.labels():
         if meta.is_gadget(v):
@@ -165,25 +163,15 @@ def merge_gadgets(
             ports[v] = row
         else:
             ports[v] = [gadget_map.get(u, u) for u in g.neighbors(v)]
-
-    for classes, merged in ((even_classes, merged_even), (odd_classes, merged_odd)):
-        for c, members in classes.items():
-            level_neighbors: list[int] = []
-            for gd in members:
-                level_neighbors.extend(pairs[gd])
-            if len(set(level_neighbors)) != len(level_neighbors):
-                raise InvariantViolation(
-                    f"class {c} constituents share a level neighbor"
-                )
-            ports[merged[c]] = sorted(level_neighbors) + [crit]
+    ports.update(merged_rows)
 
     merged_graph = LabeledGraph(ports)
     plan = MergePlan(
         colorings=recolored,
-        even_classes=even_classes,
-        odd_classes=odd_classes,
-        merged_even=merged_even,
-        merged_odd=merged_odd,
+        even_classes=class_maps[0],
+        odd_classes=class_maps[1],
+        merged_even=merged_maps[0],
+        merged_odd=merged_maps[1],
         gadget_map=gadget_map,
         pairs=pairs,
     )
@@ -191,8 +179,6 @@ def merge_gadgets(
     check = validate_consistent_labeling(merged_graph)
     if not check.ok:
         raise StructuralError(f"merged graph is not simple: {check.codes()}")
-    if not is_connected(merged_graph):
-        raise StructuralError("merged graph is disconnected")
     if eccentricity(merged_graph, meta.source_label) != p.ecc:
         raise StructuralError("merged graph changed the source eccentricity")
     expected_order = 8 * k * (2 * (p.levels - 1) + 3) + p.ecc - 1

@@ -104,7 +104,6 @@ class RunReport:
     steps: int = 0
     penalty: int = 0
     complete: bool | None = None
-    halted: bool = False
     violations: list[dict] = field(default_factory=list)
 
     def violations_of(self, kind: str) -> list[dict]:
@@ -115,7 +114,6 @@ class RunReport:
             "steps": self.steps,
             "penalty": self.penalty,
             "complete": self.complete,
-            "halted": self.halted,
             "violations": self.violations,
         }
 
@@ -333,7 +331,6 @@ def execute(
     while True:
         port = cursor.pending_port()
         if port is None:
-            report.halted = True
             break
         if len(memory) > max_steps:
             raise BudgetError(f"exceeded {max_steps} traversals", trace=cursor.as_trace())

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from explorelab import (
+    FamilyMeta,
     FamilyParams,
     LabeledGraph,
     LollipopParams,
     build_family_graph,
     build_lollipop,
+    merge_gadgets,
 )
 from explorelab.cli import main
 
@@ -147,8 +149,6 @@ def test_adversary_merge_pipeline(tmp_path, capsys):
             "merge",
             "--in",
             str(final),
-            "--k",
-            "1",
             "--alpha",
             "0.5",
             "--out",
@@ -158,8 +158,11 @@ def test_adversary_merge_pipeline(tmp_path, capsys):
         ]
     )
     assert code == 0
-    g = LabeledGraph.from_json(merged.read_text())
-    assert len(g) == 173
+    # the merge reads k = 1 off the graph's width
+    graph = LabeledGraph.from_json(final.read_text())
+    expected, _ = merge_gadgets(graph, FamilyMeta(FamilyParams(10, 16, 6)), 1)
+    assert merged.read_text() == expected.to_json() + "\n"
+    assert len(expected) == 173
     plan_doc = json.loads(plan.read_text())
     assert set(plan_doc["merged_even"]) == {"1", "2", "3", "4"}
 
@@ -215,6 +218,19 @@ def test_experiment_fuel_csv(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("k,|V|,|V'|")
     assert lines[1].split(",")[1] == "28"
+
+
+@pytest.mark.parametrize("observe, code", [(False, 1), (True, 0)])
+def test_experiment_is_strict_unless_observing(tmp_path, capsys, observe, code):
+    # dfs ignores the return cap, so its distance row fails its checks
+    argv = ["experiment", "--variant", "distance", "--policy", "dfs", "--k", "1"]
+    argv += ["--csv", str(tmp_path / "d.csv")]
+    if observe:
+        argv.append("--observe")
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL k=1: ")
+    assert all(line.startswith("FAIL ") for line in err.splitlines())
 
 
 def test_cli_error_paths(tmp_path, capsys):
@@ -288,13 +304,23 @@ def test_malformed_graph_file_is_a_one_line_error(tmp_path, capsys, name, comman
         argv = ["run", "--instance", str(path), "--alpha", "1"]
     else:
         out = tmp_path / "merged.json"
-        argv = ["merge", "--in", str(path), "--k", "1", "--alpha", "1", "--out", str(out)]
+        argv = ["merge", "--in", str(path), "--alpha", "1", "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: ") and str(path) in err
     assert named in err
     assert "Traceback" not in err
+
+
+def test_merge_refuses_a_width_that_is_not_a_multiple_of_16(tmp_path, capsys):
+    path = tmp_path / "w20.json"
+    assert main(["gen", "--family", "10,20,6", "--out", str(path)]) == 0
+    out = tmp_path / "merged.json"
+    assert main(["merge", "--in", str(path), "--alpha", "0.5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: graph width 20 is not a positive multiple of 16\n"
+    assert not out.exists()
 
 
 def test_validate_rejects_a_label_listed_twice(tmp_path, capsys):

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
-from explorelab import ParameterError
+from explorelab import InvariantViolation, ParameterError, experiments
 from explorelab.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -12,6 +13,7 @@ from explorelab.experiments import (
     report_emit,
     rows_to_csv,
     rows_to_json,
+    run_distance_experiment,
     run_fuel_experiment,
 )
 
@@ -48,6 +50,21 @@ def test_fuel_experiment_detects_wrong_policy():
     cfg = ExperimentConfig("fuel", (1,), 2, Fraction(1), "cautious-bfs")
     _, report = run_fuel_experiment(cfg)
     assert report["failures"]
+
+
+def test_distance_row_gates_the_final_replay(monkeypatch):
+    # an adversary run whose memory lost its last record no longer matches
+    # the replay on its final graph, and the row refuses it
+    adversary = experiments.adversary_behavior
+
+    def truncated(*args, **kwargs):
+        run = adversary(*args, **kwargs)
+        trace = dataclasses.replace(run.trace, memory=run.trace.memory[:-1])
+        return dataclasses.replace(run, trace=trace)
+
+    monkeypatch.setattr(experiments, "adversary_behavior", truncated)
+    with pytest.raises(InvariantViolation, match="^k=1: "):
+        run_distance_experiment(ExperimentConfig("distance", (1,), 6, Fraction(1, 2)))
 
 
 def _rows():
