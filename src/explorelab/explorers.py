@@ -14,6 +14,7 @@ runs are bit-reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .errors import ParameterError
 from .runtime import ExploredDistances, MemoryRecord
@@ -28,9 +29,20 @@ class ExploredView:
 
     ``low[v]`` is the lowest port of ``v`` that may still be unexplored:
     known ports only ever grow, so the pointer only moves up.
+
+    Two private structures serve plans from the source (see
+    :meth:`plan_to`): ``_heap``, a lazy-deletion heap of ``(distance,
+    label)`` over the frontier, built by the first such plan and kept up
+    from each new edge until a bounded plan starts elsewhere; and
+    ``_tree``, the breadth-first search tree of the levels up to the
+    farthest target such a plan has picked: ``_tree[d]`` maps each node at
+    distance ``d`` to its rank in search order within the level and its
+    parent.
     """
 
-    __slots__ = ("source", "cur", "degree", "adj", "rev", "frontier", "low", "dist")
+    __slots__ = (
+        "source", "cur", "degree", "adj", "rev", "frontier", "low", "dist", "_heap", "_tree"
+    )
 
     def __init__(self):
         self.source: int | None = None
@@ -41,12 +53,15 @@ class ExploredView:
         self.frontier: set[int] = set()
         self.low: dict[int, int] = {}
         self.dist: ExploredDistances | None = None
+        self._heap: list[tuple[int, int]] | None = None
+        self._tree: list[dict[int, tuple[int, int | None]]] = []
 
     def observe(self, rec: MemoryRecord) -> bool:
         """Feed one record; returns whether its edge was new."""
         label = rec.label
         row = self.adj.get(label)
-        if row is None:
+        new_node = row is None
+        if new_node:
             row = self.adj[label] = {}
             self.degree[label] = rec.degree
             self.rev[label] = {}
@@ -56,6 +71,7 @@ class ExploredView:
         if rec.out_port == -1:
             self.source = self.cur = label
             self.dist = ExploredDistances(label)
+            self._tree = [{label: (0, None)}]
             return False
         prev = self.cur
         prev_row = self.adj[prev]
@@ -63,7 +79,17 @@ class ExploredView:
         if new_edge:
             prev_row[rec.out_port] = label
             self.rev[prev][label] = rec.out_port
-            self.dist.add_edge(prev, label)
+            moved = self.dist.add_edge(prev, label)
+            heap = self._heap
+            if heap is not None:
+                # a new node, and every node whose distance dropped, needs an
+                # entry at its current distance; the older entries go stale
+                if moved is None:
+                    moved = (label,) if new_node else ()
+                dist = self.dist.dist
+                for v in moved:
+                    if v in self.frontier:
+                        heappush(heap, (dist[v], v))
             if len(prev_row) == self.degree[prev]:
                 self.frontier.discard(prev)
         if rec.in_port not in row:
@@ -83,10 +109,12 @@ class ExploredView:
         return p if p < deg else None
 
     def _smallest_port_into(self, x: int, nodes: set[int]) -> int:
-        """The smallest explored port of ``x`` leading into ``nodes`` (the
-        intersection iterates the shorter of ``x``'s row and ``nodes``)."""
+        """The smallest explored port of ``x`` leading into ``nodes``; scans
+        the shorter of ``x``'s explored row and ``nodes``, building no set."""
         back = self.rev[x]
-        return min(back[y] for y in back.keys() & nodes)
+        if len(back) <= len(nodes):
+            return min([p for y, p in back.items() if y in nodes])
+        return min([back[y] for y in nodes if y in back])
 
     def plan_to(self, within: int | None) -> tuple[int, list[int]] | None:
         """Target node and port path of the walk from the current node.
@@ -101,21 +129,34 @@ class ExploredView:
         its nodes' smallest shortest-path port sequences (by induction: a
         node is first reached from the earliest node of the level before,
         through its smallest port), so it returns the lexicographically
-        smallest port sequence among shortest paths to the target.  Two of
-        the three cases read that sequence off ``dist.levels`` instead:
+        smallest port sequence among shortest paths to the target.  Three
+        of the four cases reach the same answer without the search:
 
         - From the source, the BFS levels are the distance levels, so the
-          target is the smallest label of ``frontier & levels[d]`` for the
-          smallest such ``d <= within`` that is not empty.  A backward pass
-          collects, level by level from the target down, the nodes with an
-          explored edge to the set collected one level up: the nodes of
-          shortest paths to the target.  A forward pass from the source then
-          takes the smallest port into the next level's set at each step.
+          target is the smallest ``(distance, label)`` in the frontier: the
+          top of ``_heap`` once the entries whose node left the frontier or
+          whose distance dropped since their push are popped.  ``observe``
+          pushes a fresh entry for every new node and every node whose
+          distance drops, so each frontier node has an entry at its current
+          distance.  The path follows the parents of ``_tree`` up from the
+          target: ranking each level by (parent's rank, port) lists it in
+          the order the search would, which the induction above shows.
+          When target ``t`` at distance ``d`` is picked, no node nearer
+          than ``d`` has an unexplored port, so every edge at those nodes
+          is explored.  A later edge joins two nodes at distance ``d`` or
+          more (or a new node), so every distance it sets or lowers ends
+          above ``d``.  The levels up to ``d`` and the edges between
+          consecutive ones are therefore fixed for good, and so is their
+          part of the tree: a distance drop leaves nothing to rebuild.
         - Home (``within=None``): every node one level closer lies on a
           shortest path to the source, so each step takes the smallest port
           into ``levels[dist[cur] - 1]``.
+        - From any other node with a bound, a frontier node among the
+          explored neighbours answers at once: the BFS would find exactly
+          those nodes in its first level.
 
-        From any other node with a bound the BFS runs as described.
+        Otherwise the BFS runs as described, and ``_heap`` is dropped: a
+        policy that plans from elsewhere would keep it up for nothing.
         """
         cur, dists = self.cur, self.dist
         dist, levels = dists.dist, dists.levels
@@ -130,25 +171,15 @@ class ExploredView:
         if cur in frontier and dist[cur] <= within:
             return (cur, [])
         if cur == self.source:
-            for d in range(1, min(within, len(levels) - 1) + 1):
-                hits = frontier & levels[d]
-                if hits:
-                    break
-            else:
+            target = self._nearest_frontier_node()
+            if target is None or dist[target] > within:
                 return None
-            target = min(hits)
-            on_paths = [{target}]
-            for i in range(d - 1, 0, -1):
-                below, lower = levels[i], set()
-                for y in on_paths[-1]:
-                    lower |= self.rev[y].keys() & below
-                on_paths.append(lower)
-            ports = []
-            for nodes in reversed(on_paths):
-                port = self._smallest_port_into(cur, nodes)
-                ports.append(port)
-                cur = self.adj[cur][port]
-            return (target, ports)
+            return (target, self._route_to(target))
+        self._heap = None
+        near = [y for y in self.adj[cur].values() if y in frontier and dist[y] <= within]
+        if near:
+            node = min(near)
+            return (node, [self.rev[cur][node]])
         parent: dict[int, int | None] = {cur: None}
         level = [cur]
         while level:
@@ -172,6 +203,42 @@ class ExploredView:
                 return (node, [self.rev[a][b] for a, b in zip(chain, chain[1:])])
             level = nxt
         return None
+
+    def _nearest_frontier_node(self) -> int | None:
+        """The frontier node of smallest ``(distance, label)``, or None; builds
+        ``_heap`` when there is none."""
+        heap, frontier, dist = self._heap, self.frontier, self.dist.dist
+        if heap is None:
+            heap = self._heap = [(dist[v], v) for v in frontier]
+            heapify(heap)
+        while heap:
+            d, v = heap[0]
+            if v in frontier and dist[v] == d:
+                return v
+            heappop(heap)
+        return None
+
+    def _route_to(self, target: int) -> list[int]:
+        """The port path from the source to ``target`` along ``_tree``,
+        ranking the levels up to ``target``'s first.  Level ``d`` is ranked
+        as the search reaches it: each node's parent is its explored
+        neighbour one level closer of smallest rank, entered by its port to
+        the node, and the nodes rank by that pair."""
+        dist, levels, rev, tree = self.dist.dist, self.dist.levels, self.rev, self._tree
+        for d in range(len(tree), dist[target] + 1):
+            above = tree[d - 1]
+            keys = sorted(
+                min((above[x][0], rev[x][y], x) for x in rev[y] if x in above) + (y,)
+                for y in levels[d]
+            )
+            tree.append({y: (r, x) for r, (_, _, x, y) in enumerate(keys)})
+        ports, y = [], target
+        for d in range(dist[target], 0, -1):
+            x = tree[d][y][1]
+            ports.append(rev[x][y])
+            y = x
+        ports.reverse()
+        return ports
 
 
 class _PlannedRun:

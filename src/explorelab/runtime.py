@@ -12,7 +12,6 @@ so that monitors can observe what an incorrect policy would have done.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Container
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -128,6 +127,11 @@ class ExploredDistances:
     distance.  A node whose distance drops moves to its new level.  Nodes
     joined by added edges but not yet to the root have no distance and sit
     in no level.
+
+    :meth:`add_edge` returns None when it changed no distance or only gave
+    a new leaf its distance, and otherwise the list of every node whose
+    distance it set or lowered: the relaxation's own queue, so a caller
+    that ignores it pays nothing.
     """
 
     __slots__ = ("root", "dist", "adj", "levels")
@@ -138,7 +142,7 @@ class ExploredDistances:
         self.adj: dict[int, list[int]] = {root: []}
         self.levels: list[set[int]] = [{root}]
 
-    def add_edge(self, a: int, b: int) -> None:
+    def add_edge(self, a: int, b: int) -> list[int] | None:
         dist, adj, levels = self.dist, self.adj, self.levels
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
@@ -146,11 +150,11 @@ class ExploredDistances:
         db = dist.get(b)
         if da is None:
             if db is None:
-                return
+                return None
             a, b, da, db = b, a, db, da
         elif db is not None:
             if abs(da - db) <= 1:
-                return
+                return None
             if db < da:
                 a, b, da, db = b, a, db, da
         # now da + 1 < db, or b has no distance yet
@@ -163,10 +167,9 @@ class ExploredDistances:
         else:
             levels[d].add(b)
         if db is None and len(adj[b]) == 1:
-            return  # a new leaf: nothing lies beyond it
-        queue = deque([b])
-        while queue:
-            v = queue.popleft()
+            return None  # a new leaf: nothing lies beyond it
+        queue = [b]
+        for v in queue:  # visits the nodes appended below too
             d = dist[v] + 1
             for u in adj[v]:
                 du = dist.get(u)
@@ -181,6 +184,7 @@ class ExploredDistances:
                     queue.append(u)
         while not levels[-1]:
             levels.pop()
+        return queue
 
     def get(self, v: int) -> int | None:
         return self.dist.get(v)

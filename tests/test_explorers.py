@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from explorelab import (
     make_policy,
 )
 from explorelab.explorers import POLICY_NAMES, DfsPolicy, ExploredView
-from explorelab.runtime import MemoryRecord, ReplayCursor
+from explorelab.runtime import ExploredDistances, MemoryRecord, ReplayCursor
 
 from conftest import engine_cases, small_graph_corpus
 from oracles import (
@@ -240,6 +241,109 @@ def test_plans_match_bfs_oracle(case, policy_name, monkeypatch):
     homeward = replans.count(None)
     assert homeward > 0 if policy_name == "fuel-cautious" else homeward == 0
     assert len(replans) - homeward > 0
+
+
+def walk_records(g, labels):
+    """The memory records of the walk through ``labels``."""
+    yield MemoryRecord(labels[0], g.degree(labels[0]), -1, -1)
+    for a, b in zip(labels, labels[1:]):
+        yield MemoryRecord(b, g.degree(b), g.port_of(a, b), g.port_of(b, a))
+
+
+def test_source_plans_across_a_distance_drop():
+    # target 2 keeps its unexplored port 2 while the edge 3-6 lowers 6 from
+    # distance 6 to 4: the second plan reuses the search tree ranked for the
+    # first; once 2 is spent, 6 must win over 5 (distance 5) on the entry
+    # pushed by the drop, not on its stale entry at 6
+    g = LabeledGraph(
+        {
+            0: [1],
+            1: [0, 2],
+            2: [1, 3, 9],
+            3: [2, 4, 6],
+            4: [3, 5],
+            5: [4, 6, 7],
+            6: [5, 3, 8],
+            7: [5],
+            8: [6],
+            9: [2],
+        }
+    )
+    walk = [0, 1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1, 0]  # distances 1..6 along the way
+    walk += [1, 2, 3, 6, 3, 2, 1, 0]  # the drop
+    walk += [1, 2, 9, 2, 1, 0]  # spends 2's last port
+    view, plans, dropped = ExploredView(), [], False
+    for rec in walk_records(g, walk):
+        before = dict(view.dist.dist) if view.dist else {}
+        view.observe(rec)
+        dropped |= any(view.dist.dist[v] < d for v, d in before.items())
+        # only the walk home is planned away from the source: a bounded plan
+        # from elsewhere would drop the heap
+        within = 10 if view.cur == view.source else None
+        ranked = len(view._tree)
+        got = view.plan_to(within)
+        assert got == naive_plan_to(view, oracle_target(view, within)), (rec, within)
+        if within is not None and rec.out_port != -1:
+            plans.append((got[0], dropped, len(view._tree) == ranked))
+            dropped = False
+    assert plans == [(2, False, False), (2, True, True), (6, False, False)]
+    assert view.dist.dist[6] == 4 and view.dist.dist[5] == 5
+
+
+@pytest.mark.parametrize("case", ["family-10-16-6-s0", "lollipop-1-2-1", "lollipop-3-2-1"])
+def test_fuel_plans_reuse_the_search_tree_and_pop_stale_entries(case, monkeypatch):
+    # every fuel-cautious plan from the source equals the oracle's; stale heap
+    # entries are popped, the ranked levels of the search tree are reused
+    # across new edges and still match the oracle when the run ends, and no
+    # distance ever drops: each probe leaves the nearest frontier node, so
+    # every known node with an unexplored port sits at that node's distance
+    # or one more
+    g, source, alpha, _ = PLAN_CASES[case]
+    inst = Instance(graph=g, source=source, alpha=alpha)
+    plan, add_edge = ExploredView.plan_to, ExploredDistances.add_edge
+    seen = Counter()
+    views = set()
+    edges_since = 0  # new edges since the last plan from the source
+
+    def counting_add_edge(dists, a, b):
+        nonlocal edges_since
+        moved = add_edge(dists, a, b)
+        edges_since += 1
+        seen["drops"] += moved is not None
+        return moved
+
+    def checked(view, within):
+        nonlocal edges_since
+        views.add(view)
+        if within is None:
+            return plan(view, within)
+        assert view.cur == view.source
+        dist, frontier = view.dist.dist, view.frontier
+        heap = list(view._heap or ())
+        stale = Counter(e for e in heap if e[1] not in frontier or dist[e[1]] != e[0])
+        ranked = len(view._tree)
+        got = plan(view, within)
+        assert got == naive_plan_to(view, oracle_target(view, within))
+        popped = Counter(heap) - Counter(view._heap)
+        assert popped <= stale
+        seen["popped"] += popped.total()
+        if got and got[1] and len(view._tree) == ranked and edges_since:
+            seen["reused across an edge"] += 1
+        edges_since = 0
+        return got
+
+    monkeypatch.setattr(ExploredDistances, "add_edge", counting_add_edge)
+    monkeypatch.setattr(ExploredView, "plan_to", checked)
+    _, report = execute(inst, make_policy("fuel-cautious", inst.alpha, inst.ecc), monitors=("completion",))
+    assert report.complete
+    assert seen["popped"] > 0 and seen["reused across an edge"] > 0, seen
+    assert seen["drops"] == 0
+    (view,) = views
+    assert view.cur == view.source and len(view._tree) > 1
+    for level in view._tree:
+        routes = {y: naive_plan_to(view, lambda v: v == y)[1] for y in level}
+        assert sorted(level, key=routes.get) == sorted(level, key=level.get)
+        assert all(view._route_to(y) == route for y, route in routes.items())
 
 
 WALK_GRAPHS = {name: (g, source) for name, g, source in small_graph_corpus()}
