@@ -1,10 +1,6 @@
 """Simulation lab for constrained mobile-agent graph exploration."""
 
-from .adversary import (
-    AdversaryRun,
-    adversary_behavior,
-    graph_modification,
-)
+from .adversary import AdversaryRun, adversary_behavior
 from .errors import (
     BudgetError,
     InvariantViolation,
@@ -25,7 +21,6 @@ from .family import (
     LollipopParams,
     build_family_graph,
     build_lollipop,
-    check_eccentricity_properties,
     contract_layer_to_bipartite,
     validate_family_membership,
 )
@@ -71,11 +66,9 @@ __all__ = [
     "adversary_behavior",
     "build_family_graph",
     "build_lollipop",
-    "check_eccentricity_properties",
     "contract_layer_to_bipartite",
     "eccentricity",
     "execute",
-    "graph_modification",
     "layer_traversal_stats",
     "make_policy",
     "merge_gadgets",

@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 from .adversary import adversary_behavior
-from .errors import BudgetError, ParameterError, PolicyError
+from .errors import BudgetError, ParameterError, PolicyError, StructuralError
 from .experiments import ExperimentConfig, default_config, report_emit, run_experiment
 from .explorers import POLICY_NAMES, make_policy
 from .family import (
@@ -174,8 +174,13 @@ def cmd_merge(args) -> int:
         raise ParameterError(
             f"{args.infile}: graph width {width} is not a positive multiple of 16"
         )
-    meta = FamilyMeta(FamilyParams(family_levels(ecc, args.alpha), width, ecc))
-    merged, plan = merge_gadgets(graph, meta, width // 16)
+    levels = family_levels(ecc, args.alpha)
+    meta = FamilyMeta(FamilyParams(levels, width, ecc))
+    try:
+        merged, plan = merge_gadgets(graph, meta, width // 16)
+    except (ParameterError, StructuralError) as exc:
+        # name the file and the family --alpha selected, as run --family does
+        raise type(exc)(f"{args.infile} (family {levels},{width},{ecc}): {exc}") from None
     _write(args.out, merged.to_json())
     if args.plan:
         _write(args.plan, json.dumps(plan.to_dict(), indent=2))

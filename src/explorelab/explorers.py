@@ -24,8 +24,7 @@ class ExploredView:
     """The subgraph an agent can reconstruct from its memory sequence: known
     degrees, known port assignments, which nodes still own unexplored ports,
     and ``dist``, the exact distances from the source over the explored
-    edges (every known node has one: it was reached over an explored edge)
-    with the nodes grouped by distance in ``dist.levels``.
+    edges (every known node has one: it was reached over an explored edge).
 
     ``low[v]`` is the lowest port of ``v`` that may still be unexplored:
     known ports only ever grow, so the pointer only moves up.
@@ -35,9 +34,10 @@ class ExploredView:
     label)`` over the frontier, built by the first such plan and kept up
     from each new edge until a bounded plan starts elsewhere; and
     ``_tree``, the breadth-first search tree of the levels up to the
-    farthest target such a plan has picked: ``_tree[d]`` maps each node at
-    distance ``d`` to its rank in search order within the level and its
-    parent.
+    farthest target such a plan has picked, the one place the view groups
+    nodes by distance: ``_tree[d]`` maps each node at distance ``d``, in
+    search order, to its parent and its home port, the smallest explored
+    port into level ``d - 1``.
     """
 
     __slots__ = (
@@ -54,7 +54,7 @@ class ExploredView:
         self.low: dict[int, int] = {}
         self.dist: ExploredDistances | None = None
         self._heap: list[tuple[int, int]] | None = None
-        self._tree: list[dict[int, tuple[int, int | None]]] = []
+        self._tree: list[dict[int, tuple[int | None, int | None]]] = []
 
     def observe(self, rec: MemoryRecord) -> bool:
         """Feed one record; returns whether its edge was new."""
@@ -71,7 +71,7 @@ class ExploredView:
         if rec.out_port == -1:
             self.source = self.cur = label
             self.dist = ExploredDistances(label)
-            self._tree = [{label: (0, None)}]
+            self._tree = [{label: (None, None)}]
             return False
         prev = self.cur
         prev_row = self.adj[prev]
@@ -108,13 +108,12 @@ class ExploredView:
         self.low[v] = p
         return p if p < deg else None
 
-    def _smallest_port_into(self, x: int, nodes: set[int]) -> int:
-        """The smallest explored port of ``x`` leading into ``nodes``; scans
-        the shorter of ``x``'s explored row and ``nodes``, building no set."""
-        back = self.rev[x]
-        if len(back) <= len(nodes):
-            return min([p for y, p in back.items() if y in nodes])
-        return min([back[y] for y in nodes if y in back])
+    def _home_port(self, x: int) -> int:
+        """The smallest explored port of ``x`` into the level below it, by a
+        scan of ``x``'s explored row."""
+        dist = self.dist.dist
+        d = dist[x] - 1
+        return min([p for p, y in self.adj[x].items() if dist[y] == d])
 
     def plan_to(self, within: int | None) -> tuple[int, list[int]] | None:
         """Target node and port path of the walk from the current node.
@@ -139,18 +138,21 @@ class ExploredView:
           pushes a fresh entry for every new node and every node whose
           distance drops, so each frontier node has an entry at its current
           distance.  The path follows the parents of ``_tree`` up from the
-          target: ranking each level by (parent's rank, port) lists it in
-          the order the search would, which the induction above shows.
-          When target ``t`` at distance ``d`` is picked, no node nearer
-          than ``d`` has an unexplored port, so every edge at those nodes
-          is explored.  A later edge joins two nodes at distance ``d`` or
-          more (or a new node), so every distance it sets or lowers ends
-          above ``d``.  The levels up to ``d`` and the edges between
-          consecutive ones are therefore fixed for good, and so is their
-          part of the tree: a distance drop leaves nothing to rebuild.
+          target, and ``_tree`` is the search itself: each level is built
+          by expanding the level before in order, ports ascending.  When
+          target ``t`` at distance ``d`` is picked, no node nearer than
+          ``d`` has an unexplored port, so every edge at those nodes is
+          explored.  A later edge joins two nodes at distance ``d`` or more
+          (or a new node), so every distance it sets or lowers ends above
+          ``d``.  The levels up to ``d``, the edges between consecutive
+          ones and each node's edges into the level below are therefore
+          fixed for good, and so is their part of the tree, home ports
+          included: a distance drop leaves nothing to rebuild.
         - Home (``within=None``): every node one level closer lies on a
-          shortest path to the source, so each step takes the smallest port
-          into ``levels[dist[cur] - 1]``.
+          shortest path to the source, so each step takes the node's home
+          port: the one stored in ``_tree`` for a node at one of its levels,
+          and otherwise the smallest port a scan of its explored row finds
+          into the level below.
         - From any other node with a bound, a frontier node among the
           explored neighbours answers at once: the BFS would find exactly
           those nodes in its first level.
@@ -158,12 +160,12 @@ class ExploredView:
         Otherwise the BFS runs as described, and ``_heap`` is dropped: a
         policy that plans from elsewhere would keep it up for nothing.
         """
-        cur, dists = self.cur, self.dist
-        dist, levels = dists.dist, dists.levels
+        cur, dist = self.cur, self.dist.dist
         if within is None:
-            ports = []
+            ports, tree = [], self._tree
             while cur != self.source:
-                port = self._smallest_port_into(cur, levels[dist[cur] - 1])
+                d = dist[cur]
+                port = tree[d][cur][1] if d < len(tree) else self._home_port(cur)
                 ports.append(port)
                 cur = self.adj[cur][port]
             return (cur, ports)
@@ -220,21 +222,24 @@ class ExploredView:
 
     def _route_to(self, target: int) -> list[int]:
         """The port path from the source to ``target`` along ``_tree``,
-        ranking the levels up to ``target``'s first.  Level ``d`` is ranked
-        as the search reaches it: each node's parent is its explored
-        neighbour one level closer of smallest rank, entered by its port to
-        the node, and the nodes rank by that pair."""
-        dist, levels, rev, tree = self.dist.dist, self.dist.levels, self.rev, self._tree
+        building the levels up to ``target``'s first.  Level ``d`` is built
+        as the search reaches it: the nodes of level ``d - 1`` are expanded
+        in order over their explored rows, ports ascending, and each node at
+        distance ``d`` is kept, in the order first reached, with the node
+        that reached it as its parent and with its home port."""
+        dist, adj, rev, tree = self.dist.dist, self.adj, self.rev, self._tree
         for d in range(len(tree), dist[target] + 1):
-            above = tree[d - 1]
-            keys = sorted(
-                min((above[x][0], rev[x][y], x) for x in rev[y] if x in above) + (y,)
-                for y in levels[d]
-            )
-            tree.append({y: (r, x) for r, (_, _, x, y) in enumerate(keys)})
+            level: dict[int, tuple[int, int]] = {}
+            for x in tree[d - 1]:
+                row = adj[x]
+                for p in sorted(row):
+                    y = row[p]
+                    if y not in level and dist[y] == d:
+                        level[y] = (x, self._home_port(y))
+            tree.append(level)
         ports, y = [], target
         for d in range(dist[target], 0, -1):
-            x = tree[d][y][1]
+            x = tree[d][y][0]
             ports.append(rev[x][y])
             y = x
         ports.reverse()

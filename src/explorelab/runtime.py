@@ -122,11 +122,7 @@ class ExploredDistances:
     set.  Adding an edge triggers a decrease-only relaxation, so lookups
     stay O(1) between additions.
 
-    ``levels[d]`` is the set of nodes at distance ``d``: every node with a
-    distance sits in exactly one level, and the list ends at the largest
-    distance.  A node whose distance drops moves to its new level.  Nodes
-    joined by added edges but not yet to the root have no distance and sit
-    in no level.
+    Nodes joined by added edges but not yet to the root have no distance.
 
     :meth:`add_edge` returns None when it changed no distance or only gave
     a new leaf its distance, and otherwise the list of every node whose
@@ -134,16 +130,15 @@ class ExploredDistances:
     that ignores it pays nothing.
     """
 
-    __slots__ = ("root", "dist", "adj", "levels")
+    __slots__ = ("root", "dist", "adj")
 
     def __init__(self, root: int):
         self.root = root
         self.dist: dict[int, int] = {root: 0}
         self.adj: dict[int, list[int]] = {root: []}
-        self.levels: list[set[int]] = [{root}]
 
     def add_edge(self, a: int, b: int) -> list[int] | None:
-        dist, adj, levels = self.dist, self.adj, self.levels
+        dist, adj = self.dist, self.adj
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
         da = dist.get(a)
@@ -160,12 +155,6 @@ class ExploredDistances:
         # now da + 1 < db, or b has no distance yet
         d = da + 1
         dist[b] = d
-        if db is not None:
-            levels[db].discard(b)
-        if d == len(levels):
-            levels.append({b})
-        else:
-            levels[d].add(b)
         if db is None and len(adj[b]) == 1:
             return None  # a new leaf: nothing lies beyond it
         queue = [b]
@@ -175,15 +164,7 @@ class ExploredDistances:
                 du = dist.get(u)
                 if du is None or du > d:
                     dist[u] = d
-                    if du is not None:
-                        levels[du].discard(u)
-                    if d == len(levels):
-                        levels.append({u})
-                    else:
-                        levels[d].add(u)
                     queue.append(u)
-        while not levels[-1]:
-            levels.pop()
         return queue
 
     def get(self, v: int) -> int | None:

@@ -19,7 +19,6 @@ from explorelab import (
     adversary_behavior,
     build_family_graph,
     build_lollipop,
-    check_eccentricity_properties,
     eccentricity,
     execute,
     make_policy,
@@ -28,6 +27,8 @@ from explorelab import (
     validate_family_membership,
     validate_merge_behavior,
 )
+from explorelab.family import check_eccentricity_properties
+
 from conftest import explored_return_distances
 from oracles import adjacency, naive_eccentricity, naive_return_distance
 from test_surgery import random_surgery

@@ -12,13 +12,12 @@ from explorelab import (
     adversary_behavior,
     build_family_graph,
     execute,
-    graph_modification,
     layer_traversal_stats,
     make_policy,
     penalty_before_step,
     validate_family_membership,
 )
-from explorelab.adversary import _replay_agrees
+from explorelab.adversary import _replay_agrees, graph_modification
 from explorelab.runtime import ReplayCursor
 from explorelab.graph import edge_key
 

@@ -323,6 +323,18 @@ def test_merge_refuses_a_width_that_is_not_a_multiple_of_16(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_merge_names_the_file_and_family_it_refuses(tmp_path, capsys):
+    # --alpha 1/3 selects 9 levels at ecc 6, so a 10-level member is refused
+    path = tmp_path / "m.json"
+    assert main(["gen", "--family", "10,16,6", "--out", str(path)]) == 0
+    out = tmp_path / "merged.json"
+    assert main(["merge", "--in", str(path), "--alpha", "1/3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(path) in err and "9,16,6" in err and "not a family member" in err
+    assert not out.exists()
+
+
 def test_validate_rejects_a_label_listed_twice(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(MALFORMED["duplicate-label"][0])

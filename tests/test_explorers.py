@@ -223,24 +223,38 @@ def oracle_target(view, within):
 @pytest.mark.parametrize("policy_name", ["cautious-bfs", "fuel-cautious"])
 def test_plans_match_bfs_oracle(case, policy_name, monkeypatch):
     # every replan's target and port path equal those of the old breadth-first
-    # search under the old predicates
+    # search under the old predicates; the walks home take some steps off the
+    # search tree's home ports and scan the row for others
     g, source, alpha, _ = PLAN_CASES[case]
     inst = Instance(graph=g, source=source, alpha=alpha)
-    plan = ExploredView.plan_to
+    plan, home_port = ExploredView.plan_to, ExploredView._home_port
     replans = []
+    steps = Counter()
+
+    def counting_home_port(view, x):
+        steps["scanned"] += 1
+        return home_port(view, x)
 
     def checked(view, within):
+        scanned = steps["scanned"]
         got = plan(view, within)
         assert got == naive_plan_to(view, oracle_target(view, within)), (len(replans), within)
+        if within is None:
+            scans = steps["scanned"] - scanned
+            steps["home by scan"] += scans
+            steps["home by tree"] += len(got[1]) - scans
         replans.append(within)
         return got
 
+    monkeypatch.setattr(ExploredView, "_home_port", counting_home_port)
     monkeypatch.setattr(ExploredView, "plan_to", checked)
     _, report = execute(inst, make_policy(policy_name, inst.alpha, inst.ecc), monitors=("completion",))
     assert report.complete
     homeward = replans.count(None)
     assert homeward > 0 if policy_name == "fuel-cautious" else homeward == 0
     assert len(replans) - homeward > 0
+    if policy_name == "fuel-cautious":
+        assert steps["home by scan"] > 0 and steps["home by tree"] > 0, steps
 
 
 def walk_records(g, labels):
@@ -342,7 +356,7 @@ def test_fuel_plans_reuse_the_search_tree_and_pop_stale_entries(case, monkeypatc
     assert view.cur == view.source and len(view._tree) > 1
     for level in view._tree:
         routes = {y: naive_plan_to(view, lambda v: v == y)[1] for y in level}
-        assert sorted(level, key=routes.get) == sorted(level, key=level.get)
+        assert sorted(level, key=routes.get) == list(level)
         assert all(view._route_to(y) == route for y, route in routes.items())
 
 
@@ -357,10 +371,18 @@ WALK_GRAPHS["branches"] = (
     LabeledGraph({0: [1, 2], 1: [0, 4], 2: [0, 3], 3: [2, 5], 4: [1], 5: [3]}),
     0,
 )
+# 3 is first reached from 1, but its smallest port into level 1 leads to 2:
+# the home port is not the port to the parent; the walk in the example below
+# ends at the source with 3 the one node left with an unexplored port
+WALK_GRAPHS["crossed"] = (
+    LabeledGraph({0: [1, 2], 1: [0, 3], 2: [0, 3], 3: [2, 1, 4], 4: [3]}),
+    0,
+)
 
 
 @given(st.sampled_from(sorted(WALK_GRAPHS)), st.lists(st.integers(0, 63), max_size=80))
 @example("branches", [0, 1, 0, 0, 1, 1, 0, 0])
+@example("crossed", [0, 1, 0, 0])
 @settings(max_examples=100, deadline=None)
 def test_port_pointers_match_port_scans_on_any_walk(name, choices):
     # record streams no policy would produce (re-entering a node whose ports
@@ -380,6 +402,13 @@ def test_port_pointers_match_port_scans_on_any_walk(name, choices):
         for v in view.degree:
             assert view.smallest_unexplored_port(v) == naive_smallest_unexplored_port(view, v)
         assert view.dist.dist == naive_view_distances(view)
-        assert view.dist.levels == naive_levels(view.dist.dist)
         for within in (None, 0, 1, 2, 3):
             assert view.plan_to(within) == naive_plan_to(view, oracle_target(view, within))
+        # the ranked levels of the search tree hold the nodes at their
+        # distance, each with its smallest explored port into the level below
+        levels = naive_levels(naive_view_distances(view))
+        for d in range(1, len(view._tree)):
+            level = view._tree[d]
+            assert set(level) == levels[d]
+            for y, (_, home) in level.items():
+                assert home == min(p for p, x in view.adj[y].items() if x in levels[d - 1])

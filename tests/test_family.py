@@ -9,10 +9,10 @@ from explorelab import (
     ParameterError,
     build_family_graph,
     build_lollipop,
-    check_eccentricity_properties,
     eccentricity,
     validate_family_membership,
 )
+from explorelab.family import check_eccentricity_properties
 from oracles import adjacency, naive_distance, naive_eccentricity
 
 

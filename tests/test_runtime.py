@@ -28,7 +28,6 @@ from conftest import ScriptPolicy, engine_cases, explored_return_distances, port
 from oracles import (
     naive_distances,
     naive_fuel_violations,
-    naive_levels,
     naive_return_distance,
     naive_run,
 )
@@ -241,12 +240,10 @@ def test_explored_distances_incremental_updates():
     dists = ExploredDistances(0)
     for a, b in [(0, 1), (1, 2), (2, 3)]:
         dists.add_edge(a, b)
-        assert dists.levels == naive_levels(dists.dist)
     assert [dists.get(v) for v in range(4)] == [0, 1, 2, 3]
     dists.add_edge(0, 3)  # shortcut must relax node 3 and its neighbors
     assert dists.get(3) == 1
     assert dists.get(2) == 2
-    assert dists.levels == [{0}, {1, 3}, {2}]
 
 
 @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30))
@@ -265,7 +262,6 @@ def test_explored_distances_match_bfs_on_any_edge_sequence(pairs):
         edges.setdefault(b, []).append(a)
         expected = naive_distances(edges, 0)
         assert dists.dist == expected
-        assert dists.levels == naive_levels(expected)
 
 
 ENGINE_CASES = engine_cases()
