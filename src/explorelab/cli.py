@@ -108,8 +108,7 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     graph = _load_graph(args.instance, check=True)
-    meta = None
-    gadget_set = None
+    meta = gadget_set = None
     if args.family:
         # the gadget set and layer statistics hold only for a member
         l, w, r = _comma_list("--family", args.family)
@@ -122,7 +121,10 @@ def cmd_run(args) -> int:
             )
         meta = FamilyMeta(params)
         gadget_set = set(meta.gadget_labels)
-    inst = Instance(graph=graph, source=args.source, alpha=args.alpha)
+    try:
+        inst = Instance(graph=graph, source=args.source, alpha=args.alpha)
+    except (ParameterError, StructuralError) as exc:
+        raise type(exc)(f"{args.instance}: {exc}") from None
     policy = make_policy(args.policy, inst.alpha, inst.ecc)
     monitors = tuple(m for m in args.monitors.split(",") if m) if args.monitors else ()
     trace, report = execute(inst, policy, monitors=monitors, gadget_set=gadget_set)
@@ -168,8 +170,11 @@ def cmd_adversary(args) -> int:
 
 def cmd_merge(args) -> int:
     graph = _load_graph(args.infile, check=True)
-    # the source is adjacent to exactly level 1, so its degree is the width
-    ecc, width = eccentricity(graph, 0), graph.degree(0)
+    try:
+        # the source is adjacent to exactly level 1, so its degree is the width
+        ecc, width = eccentricity(graph, 0), graph.degree(0)
+    except (ParameterError, StructuralError) as exc:
+        raise type(exc)(f"{args.infile}: {exc}") from None
     if width < 16 or width % 16:
         raise ParameterError(
             f"{args.infile}: graph width {width} is not a positive multiple of 16"

@@ -22,9 +22,11 @@ from .runtime import ExploredDistances, MemoryRecord
 
 class ExploredView:
     """The subgraph an agent can reconstruct from its memory sequence: known
-    degrees, known port assignments, which nodes still own unexplored ports,
-    and ``dist``, the exact distances from the source over the explored
-    edges (every known node has one: it was reached over an explored edge).
+    degrees, which nodes still own unexplored ports, and ``dist``, the
+    explored edges and the exact distances from the source over them (every
+    known node has one: it was reached over an explored edge).  ``adj`` is
+    ``dist.adj``, the one copy of the explored port rows; plans carry each
+    port from the search that crossed it, so no reverse map is kept.
 
     ``low[v]`` is the lowest port of ``v`` that may still be unexplored:
     known ports only ever grow, so the pointer only moves up.
@@ -36,50 +38,42 @@ class ExploredView:
     ``_tree``, the breadth-first search tree of the levels up to the
     farthest target such a plan has picked, the one place the view groups
     nodes by distance: ``_tree[d]`` maps each node at distance ``d``, in
-    search order, to its parent and its home port, the smallest explored
-    port into level ``d - 1``.
+    search order, to its parent, the parent's port to it, and its home
+    port, the smallest explored port into level ``d - 1``.
     """
 
-    __slots__ = (
-        "source", "cur", "degree", "adj", "rev", "frontier", "low", "dist", "_heap", "_tree"
-    )
+    __slots__ = ("source", "cur", "degree", "adj", "frontier", "low", "dist", "_heap", "_tree")
 
     def __init__(self):
         self.source: int | None = None
         self.cur: int | None = None
         self.degree: dict[int, int] = {}
         self.adj: dict[int, dict[int, int]] = {}
-        self.rev: dict[int, dict[int, int]] = {}
         self.frontier: set[int] = set()
         self.low: dict[int, int] = {}
         self.dist: ExploredDistances | None = None
         self._heap: list[tuple[int, int]] | None = None
-        self._tree: list[dict[int, tuple[int | None, int | None]]] = []
+        self._tree: list[dict[int, tuple[int | None, int | None, int | None]]] = []
 
     def observe(self, rec: MemoryRecord) -> bool:
         """Feed one record; returns whether its edge was new."""
-        label = rec.label
-        row = self.adj.get(label)
-        new_node = row is None
+        label, degree = rec.label, self.degree
+        new_node = label not in degree
         if new_node:
-            row = self.adj[label] = {}
-            self.degree[label] = rec.degree
-            self.rev[label] = {}
+            degree[label] = rec.degree
             self.low[label] = 0
             if rec.degree:
                 self.frontier.add(label)
         if rec.out_port == -1:
             self.source = self.cur = label
             self.dist = ExploredDistances(label)
-            self._tree = [{label: (None, None)}]
+            self.adj = self.dist.adj
+            self._tree = [{label: (None, None, None)}]
             return False
-        prev = self.cur
-        prev_row = self.adj[prev]
-        new_edge = rec.out_port not in prev_row
+        prev, adj = self.cur, self.adj
+        new_edge = rec.out_port not in adj[prev]
         if new_edge:
-            prev_row[rec.out_port] = label
-            self.rev[prev][label] = rec.out_port
-            moved = self.dist.add_edge(prev, label)
+            moved = self.dist.add_edge(prev, rec.out_port, label, rec.in_port)
             heap = self._heap
             if heap is not None:
                 # a new node, and every node whose distance dropped, needs an
@@ -90,12 +84,9 @@ class ExploredView:
                 for v in moved:
                     if v in self.frontier:
                         heappush(heap, (dist[v], v))
-            if len(prev_row) == self.degree[prev]:
+            if len(adj[prev]) == degree[prev]:
                 self.frontier.discard(prev)
-        if rec.in_port not in row:
-            row[rec.in_port] = prev
-            self.rev[label][prev] = rec.in_port
-            if len(row) == self.degree[label]:
+            if len(adj[label]) == degree[label]:
                 self.frontier.discard(label)
         self.cur = label
         return new_edge
@@ -137,14 +128,14 @@ class ExploredView:
           whose distance dropped since their push are popped.  ``observe``
           pushes a fresh entry for every new node and every node whose
           distance drops, so each frontier node has an entry at its current
-          distance.  The path follows the parents of ``_tree`` up from the
-          target, and ``_tree`` is the search itself: each level is built
-          by expanding the level before in order, ports ascending.  When
-          target ``t`` at distance ``d`` is picked, no node nearer than
-          ``d`` has an unexplored port, so every edge at those nodes is
-          explored.  A later edge joins two nodes at distance ``d`` or more
-          (or a new node), so every distance it sets or lowers ends above
-          ``d``.  The levels up to ``d``, the edges between consecutive
+          distance.  The path reads the ports stored along the parents of
+          ``_tree`` up from the target, and ``_tree`` is the search itself:
+          each level is built by expanding the level before in order, ports
+          ascending.  When target ``t`` at distance ``d`` is picked, no node
+          nearer than ``d`` has an unexplored port, so every edge at those
+          nodes is explored.  A later edge joins two nodes at distance ``d``
+          or more (or a new node), so every distance it sets or lowers ends
+          above ``d``.  The levels up to ``d``, the edges between consecutive
           ones and each node's edges into the level below are therefore
           fixed for good, and so is their part of the tree, home ports
           included: a distance drop leaves nothing to rebuild.
@@ -155,17 +146,19 @@ class ExploredView:
           into the level below.
         - From any other node with a bound, a frontier node among the
           explored neighbours answers at once: the BFS would find exactly
-          those nodes in its first level.
+          those nodes in its first level; one scan of the row finds the
+          smallest and its port.
 
-        Otherwise the BFS runs as described, and ``_heap`` is dropped: a
-        policy that plans from elsewhere would keep it up for nothing.
+        Otherwise the BFS runs as described, keeping each node's parent and
+        the port crossed from it, and ``_heap`` is dropped: a policy that
+        plans from elsewhere would keep it up for nothing.
         """
         cur, dist = self.cur, self.dist.dist
         if within is None:
             ports, tree = [], self._tree
             while cur != self.source:
                 d = dist[cur]
-                port = tree[d][cur][1] if d < len(tree) else self._home_port(cur)
+                port = tree[d][cur][2] if d < len(tree) else self._home_port(cur)
                 ports.append(port)
                 cur = self.adj[cur][port]
             return (cur, ports)
@@ -178,11 +171,13 @@ class ExploredView:
                 return None
             return (target, self._route_to(target))
         self._heap = None
-        near = [y for y in self.adj[cur].values() if y in frontier and dist[y] <= within]
-        if near:
-            node = min(near)
-            return (node, [self.rev[cur][node]])
-        parent: dict[int, int | None] = {cur: None}
+        node = None
+        for p, y in self.adj[cur].items():
+            if y in frontier and dist[y] <= within and (node is None or y < node):
+                node, port = y, p
+        if node is not None:
+            return (node, [port])
+        parent: dict[int, tuple[int, int] | None] = {cur: None}
         level = [cur]
         while level:
             nxt: list[int] = []
@@ -192,17 +187,17 @@ class ExploredView:
                 for p in sorted(row):
                     y = row[p]
                     if y not in parent:
-                        parent[y] = x
+                        parent[y] = (x, p)
                         nxt.append(y)
                         if y in frontier and dist[y] <= within:
                             found.append(y)
             if found:
-                node = min(found)
-                chain = [node]
-                while parent[chain[-1]] is not None:
-                    chain.append(parent[chain[-1]])
-                chain.reverse()
-                return (node, [self.rev[a][b] for a, b in zip(chain, chain[1:])])
+                node = y = min(found)
+                ports = []
+                while parent[y] is not None:
+                    y, p = parent[y]
+                    ports.append(p)
+                return (node, ports[::-1])
             level = nxt
         return None
 
@@ -226,24 +221,23 @@ class ExploredView:
         as the search reaches it: the nodes of level ``d - 1`` are expanded
         in order over their explored rows, ports ascending, and each node at
         distance ``d`` is kept, in the order first reached, with the node
-        that reached it as its parent and with its home port."""
-        dist, adj, rev, tree = self.dist.dist, self.adj, self.rev, self._tree
+        that reached it as its parent, the port the search crossed from it,
+        and its home port."""
+        dist, adj, tree = self.dist.dist, self.adj, self._tree
         for d in range(len(tree), dist[target] + 1):
-            level: dict[int, tuple[int, int]] = {}
+            level: dict[int, tuple[int, int, int]] = {}
             for x in tree[d - 1]:
                 row = adj[x]
                 for p in sorted(row):
                     y = row[p]
                     if y not in level and dist[y] == d:
-                        level[y] = (x, self._home_port(y))
+                        level[y] = (x, p, self._home_port(y))
             tree.append(level)
         ports, y = [], target
         for d in range(dist[target], 0, -1):
-            x = tree[d][y][0]
-            ports.append(rev[x][y])
-            y = x
-        ports.reverse()
-        return ports
+            y, p, _ = tree[d][y]
+            ports.append(p)
+        return ports[::-1]
 
 
 class _PlannedRun:

@@ -33,10 +33,6 @@ class MemoryRecord(NamedTuple):
     in_port: int
 
 
-def initial_record(g: LabeledGraph, source: int) -> MemoryRecord:
-    return MemoryRecord(source, g.degree(source), -1, -1)
-
-
 @dataclass(frozen=True)
 class Instance:
     """A problem instance: graph, source label, and the slack constant.
@@ -118,9 +114,13 @@ class RunReport:
 
 
 class ExploredDistances:
-    """Exact shortest-path distances from a fixed root over a growing edge
-    set.  Adding an edge triggers a decrease-only relaxation, so lookups
-    stay O(1) between additions.
+    """The explored edges from a fixed root and the exact shortest-path
+    distances over them.  ``adj[v]`` maps each explored port of ``v`` to the
+    neighbour it leads to: the one copy of the explored subgraph, which
+    ``ExploredView`` reads as its rows.  ``add_edge(a, pa, b, pb)`` writes
+    both rows of the edge from port ``pa`` of ``a`` to port ``pb`` of ``b``,
+    then runs a decrease-only relaxation, so lookups stay O(1) between
+    additions.
 
     Nodes joined by added edges but not yet to the root have no distance.
 
@@ -135,12 +135,12 @@ class ExploredDistances:
     def __init__(self, root: int):
         self.root = root
         self.dist: dict[int, int] = {root: 0}
-        self.adj: dict[int, list[int]] = {root: []}
+        self.adj: dict[int, dict[int, int]] = {root: {}}
 
-    def add_edge(self, a: int, b: int) -> list[int] | None:
+    def add_edge(self, a: int, pa: int, b: int, pb: int) -> list[int] | None:
         dist, adj = self.dist, self.adj
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
+        adj.setdefault(a, {})[pa] = b
+        adj.setdefault(b, {})[pb] = a
         da = dist.get(a)
         db = dist.get(b)
         if da is None:
@@ -160,7 +160,7 @@ class ExploredDistances:
         queue = [b]
         for v in queue:  # visits the nodes appended below too
             d = dist[v] + 1
-            for u in adj[v]:
+            for u in adj[v].values():
                 du = dist.get(u)
                 if du is None or du > d:
                     dist[u] = d
@@ -198,7 +198,7 @@ class ReplayCursor:
         self.graph = graph
         self.policy = policy
         self.state = policy.start()
-        self.memory: list[MemoryRecord] = [initial_record(graph, source)]
+        self.memory: list[MemoryRecord] = [MemoryRecord(source, graph.degree(source), -1, -1)]
         self.traversed: set[tuple[int, int]] = set()
         self.gadgets = gadgets
         self.first_gadget_step: int | None = None
@@ -336,7 +336,7 @@ def execute(
             fuel = tank
         if dists is not None:
             if len(traversed) > known:
-                dists.add_edge(memory[-2].label, cur)
+                dists.add_edge(memory[-2].label, rec.out_port, cur, rec.in_port)
             d = dists.get(cur)
             if d is None or d > cap:
                 report.violations.append(

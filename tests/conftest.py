@@ -49,10 +49,11 @@ def explored_return_distances(trace, source):
     seen = set()
     for i in range(1, trace.steps + 1):
         edge = trace.edge_at(i)
+        rec = trace.memory[i]
         if edge not in seen:
             seen.add(edge)
-            dists.add_edge(*edge)
-        yield i, seen, dists.get(trace.memory[i].label)
+            dists.add_edge(trace.memory[i - 1].label, rec.out_port, rec.label, rec.in_port)
+        yield i, seen, dists.get(rec.label)
 
 
 def port_script(graph, labels):

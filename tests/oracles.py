@@ -147,9 +147,28 @@ def naive_plan_to(view, is_target):
             while parent[chain[-1]] is not None:
                 chain.append(parent[chain[-1]])
             chain.reverse()
-            return (node, [view.rev[a][b] for a, b in zip(chain, chain[1:])])
+            return (node, [port_to(view.adj[a], b) for a, b in zip(chain, chain[1:])])
         level = nxt
     return None
+
+
+def port_to(row, y):
+    """The port of an explored row that leads to ``y``, by a scan."""
+    return next(p for p, x in row.items() if x == y)
+
+
+def naive_explored_rows(records):
+    """The explored port rows rebuilt from a memory record sequence: each
+    node seen maps every port it was left or entered by to the neighbour at
+    the other end; the slow counterpart of ``ExploredDistances.adj``."""
+    rows, prev = {}, None
+    for rec in records:
+        rows.setdefault(rec.label, {})
+        if rec.out_port != -1:
+            rows[prev][rec.out_port] = rec.label
+            rows[rec.label][rec.in_port] = prev
+        prev = rec.label
+    return rows
 
 
 def naive_levels(dist):

@@ -94,7 +94,7 @@ def test_run_on_disconnected_graph_exits_cleanly(tmp_path, capsys):
     path.write_text(LabeledGraph({0: [1], 1: [0], 2: [3], 3: [2]}).to_json())
     assert main(["run", "--instance", str(path), "--alpha", "1"]) == 2
     err = capsys.readouterr().err
-    assert err == "error: eccentricity undefined: graph is not connected\n"
+    assert err == f"error: {path}: eccentricity undefined: graph is not connected\n"
 
 
 def test_gen_lollipop_writes_library_graph(tmp_path):
@@ -311,6 +311,34 @@ def test_malformed_graph_file_is_a_one_line_error(tmp_path, capsys, name, comman
     assert err.startswith("error: ") and str(path) in err
     assert named in err
     assert "Traceback" not in err
+
+
+# consistently labeled graphs that neither command can use, and the refusal
+# each command gives
+UNUSABLE = {
+    "no-label-0": (
+        {1: [2], 2: [1]},
+        {"run": "source 0 not in graph", "merge": "label 0 not in graph"},
+    ),
+    "two-components": (
+        {0: [1], 1: [0], 2: [3], 3: [2]},
+        dict.fromkeys(("run", "merge"), "eccentricity undefined: graph is not connected"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNUSABLE))
+@pytest.mark.parametrize("command", ["run", "merge"])
+def test_unusable_graph_file_is_refused_by_name(tmp_path, capsys, name, command):
+    rows, refusals = UNUSABLE[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(LabeledGraph(rows).to_json())
+    if command == "run":
+        argv = ["run", "--instance", str(path), "--alpha", "1"]
+    else:
+        argv = ["merge", "--in", str(path), "--alpha", "1", "--out", str(tmp_path / "m.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: {refusals[command]}\n"
 
 
 def test_merge_refuses_a_width_that_is_not_a_multiple_of_16(tmp_path, capsys):

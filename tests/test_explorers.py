@@ -22,10 +22,12 @@ from explorelab.runtime import ExploredDistances, MemoryRecord, ReplayCursor
 from conftest import engine_cases, small_graph_corpus
 from oracles import (
     naive_dfs_next_action,
+    naive_explored_rows,
     naive_levels,
     naive_plan_to,
     naive_smallest_unexplored_port,
     naive_view_distances,
+    port_to,
 )
 
 
@@ -319,9 +321,9 @@ def test_fuel_plans_reuse_the_search_tree_and_pop_stale_entries(case, monkeypatc
     views = set()
     edges_since = 0  # new edges since the last plan from the source
 
-    def counting_add_edge(dists, a, b):
+    def counting_add_edge(dists, a, pa, b, pb):
         nonlocal edges_since
-        moved = add_edge(dists, a, b)
+        moved = add_edge(dists, a, pa, b, pb)
         edges_since += 1
         seen["drops"] += moved is not None
         return moved
@@ -389,15 +391,20 @@ def test_port_pointers_match_port_scans_on_any_walk(name, choices):
     # are all spent, say) keep the pointers equal to the scans too
     g, cur = WALK_GRAPHS[name]
     view, dfs = ExploredView(), DfsPolicy().start()
-    rec = MemoryRecord(cur, g.degree(cur), -1, -1)
+    records = [MemoryRecord(cur, g.degree(cur), -1, -1)]
     for choice in [None, *choices]:
         if choice is not None:
             port = choice % g.degree(cur)
             nxt = g.neighbor(cur, port)
-            rec = MemoryRecord(nxt, g.degree(nxt), port, g.port_of(nxt, cur))
+            records.append(MemoryRecord(nxt, g.degree(nxt), port, g.port_of(nxt, cur)))
             cur = nxt
+        rec = records[-1]
         view.observe(rec)
         dfs.observe(rec)
+        # the view reads its rows off the distances' one copy, and that copy
+        # holds exactly the ports the records name
+        assert view.adj is view.dist.adj
+        assert view.adj == naive_explored_rows(records)
         assert dfs.next_action() == naive_dfs_next_action(dfs)
         for v in view.degree:
             assert view.smallest_unexplored_port(v) == naive_smallest_unexplored_port(view, v)
@@ -405,10 +412,12 @@ def test_port_pointers_match_port_scans_on_any_walk(name, choices):
         for within in (None, 0, 1, 2, 3):
             assert view.plan_to(within) == naive_plan_to(view, oracle_target(view, within))
         # the ranked levels of the search tree hold the nodes at their
-        # distance, each with its smallest explored port into the level below
+        # distance, each with its parent's port to it and its smallest
+        # explored port into the level below
         levels = naive_levels(naive_view_distances(view))
         for d in range(1, len(view._tree)):
             level = view._tree[d]
             assert set(level) == levels[d]
-            for y, (_, home) in level.items():
+            for y, (parent, port, home) in level.items():
+                assert port == port_to(view.adj[parent], y)
                 assert home == min(p for p, x in view.adj[y].items() if x in levels[d - 1])

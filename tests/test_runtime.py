@@ -237,13 +237,15 @@ def test_traversed_set_growth_and_return_bound():
 
 
 def test_explored_distances_incremental_updates():
+    # each synthetic port is the label of the neighbour it leads to
     dists = ExploredDistances(0)
     for a, b in [(0, 1), (1, 2), (2, 3)]:
-        dists.add_edge(a, b)
+        dists.add_edge(a, b, b, a)
     assert [dists.get(v) for v in range(4)] == [0, 1, 2, 3]
-    dists.add_edge(0, 3)  # shortcut must relax node 3 and its neighbors
+    dists.add_edge(0, 3, 3, 0)  # shortcut must relax node 3 and its neighbors
     assert dists.get(3) == 1
     assert dists.get(2) == 2
+    assert dists.adj == {0: {1: 1, 3: 3}, 1: {0: 0, 2: 2}, 2: {1: 1, 3: 3}, 3: {2: 2, 0: 0}}
 
 
 @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30))
@@ -257,11 +259,12 @@ def test_explored_distances_match_bfs_on_any_edge_sequence(pairs):
     for a, b in pairs:
         if a == b or b in edges.get(a, ()):
             continue
-        dists.add_edge(a, b)
+        dists.add_edge(a, b, b, a)
         edges.setdefault(a, []).append(b)
         edges.setdefault(b, []).append(a)
         expected = naive_distances(edges, 0)
         assert dists.dist == expected
+        assert {v: list(row.values()) for v, row in dists.adj.items()} == edges
 
 
 ENGINE_CASES = engine_cases()
