@@ -37,7 +37,7 @@ from .family import (
     family_levels,
     validate_family_membership,
 )
-from .graph import LabeledGraph, edge_key, eccentricity
+from .graph import LabeledGraph, edge_key
 from .runtime import ReplayCursor, Trace
 from .surgery import SurgeryResult, move_gadget, switch_edges, switch_ports
 
@@ -291,30 +291,6 @@ def _modify_step(adv: _Adversary, audit: StepAudit) -> None:
                 audit.flags.append("reroute-switch-noop")
 
 
-def graph_modification(
-    graph: LabeledGraph,
-    alpha: Fraction,
-    policy,
-    t: int,
-) -> tuple[LabeledGraph, StepAudit]:
-    """Replay ``policy`` for ``t`` steps on ``graph`` and rewrite the graph so
-    that, when possible, the next traversal descends; the first ``t`` records
-    of the agent's memory are never altered.
-
-    Standalone form of the engine's per-step rewrite: family parameters are
-    derived from the graph itself (source eccentricity, level width).
-    """
-    ecc = eccentricity(graph, 0)
-    meta = FamilyMeta(FamilyParams(family_levels(ecc, alpha), graph.degree(0), ecc))
-    adv = _Adversary(graph, policy, meta)
-    for _ in range(t):
-        if adv.cursor.pending_port() is None:
-            raise ParameterError(f"policy halted before step {t + 1}")
-        adv.commit()
-    audit = adv.rewrite(t + 1)
-    return adv.cursor.graph, audit
-
-
 def _replay_agrees(policy, graph: LabeledGraph, records, t: int) -> bool:
     """Fresh replay of ``policy`` on ``graph`` from the first record's label,
     compared with ``records`` through index ``t`` and stopped at the first
@@ -352,9 +328,10 @@ def adversary_behavior(
     The run has two phases.  The *rewrite phase* runs the rewrite and the
     behavioral monitors before every step, until the agent first visits a
     gadget (the cursor's ``first_gadget_step`` is set) or the policy halts.
-    The *replay phase* then only commits the policy's ports until it halts,
-    under the same step budget and step numbering.  This gives the same run
-    as rewriting before every step, because
+    The *replay phase* is then one :meth:`ReplayCursor.run` call that takes
+    the policy's ports on the final graph until it halts, under the same
+    step budget and step numbering.  This gives the same run as rewriting
+    before every step, because
     - ``first_gadget_step`` is never reset;
     - once it is set, the first guard of ``_modify_step`` returns, so no
       surgery, stage, flag, audit entry, membership check or prefix check
@@ -429,12 +406,8 @@ def adversary_behavior(
         halted = cursor.pending_port() is None
 
     # replay phase: no rewrite or monitor can fire any more (see docstring)
-    while not halted:
-        x += 1
-        if x > max_steps:
-            raise BudgetError(f"adversary exceeded {max_steps} steps", trace=cursor.as_trace())
-        cursor.commit()
-        halted = cursor.pending_port() is None
+    if not cursor.run(max_steps - x) and cursor.pending_port() is not None:
+        raise BudgetError(f"adversary exceeded {max_steps} steps", trace=cursor.as_trace())
 
     final_report = validate_family_membership(cursor.graph, params)
     if not final_report.ok:
@@ -445,7 +418,7 @@ def adversary_behavior(
         width=width,
         seed=seed,
         final_graph=cursor.graph,
-        step_count=x,
+        step_count=cursor.steps,
         audit=audits,
         trace=cursor.as_trace(),
         flags=flags,

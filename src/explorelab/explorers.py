@@ -57,23 +57,24 @@ class ExploredView:
 
     def observe(self, rec: MemoryRecord) -> bool:
         """Feed one record; returns whether its edge was new."""
-        label, degree = rec.label, self.degree
+        label, deg, out_port, in_port = rec
+        degree = self.degree
         new_node = label not in degree
         if new_node:
-            degree[label] = rec.degree
+            degree[label] = deg
             self.low[label] = 0
-            if rec.degree:
+            if deg:
                 self.frontier.add(label)
-        if rec.out_port == -1:
+        if out_port == -1:
             self.source = self.cur = label
             self.dist = ExploredDistances(label)
             self.adj = self.dist.adj
             self._tree = [{label: (None, None, None)}]
             return False
         prev, adj = self.cur, self.adj
-        new_edge = rec.out_port not in adj[prev]
+        new_edge = out_port not in adj[prev]
         if new_edge:
-            moved = self.dist.add_edge(prev, rec.out_port, label, rec.in_port)
+            moved = self.dist.add_edge(prev, out_port, label, in_port)
             heap = self._heap
             if heap is not None:
                 # a new node, and every node whose distance dropped, needs an
@@ -257,11 +258,17 @@ class _PlannedRun:
 
     def observe(self, rec: MemoryRecord) -> None:
         new_edge = self.view.observe(rec)
-        if rec.out_port != -1 and self.plan and self.pos < len(self.plan):
-            self.pos += 1
-        if self.plan is not None and (new_edge or self.pos >= len(self.plan)):
+        plan = self.plan
+        if plan is None:
+            return
+        pos, n = self.pos, len(plan)
+        if pos < n and rec.out_port != -1:
+            pos += 1
+        if new_edge or pos >= n:
             self.pos = 0
             self._replan()
+        else:
+            self.pos = pos
 
     def _replan(self) -> None:
         raise NotImplementedError
@@ -279,9 +286,10 @@ class _PlannedRun:
         self.plan = ports
 
     def next_action(self) -> int | None:
-        if self.plan is None or self.pos >= len(self.plan):
+        plan, pos = self.plan, self.pos
+        if plan is None or pos >= len(plan):
             return None
-        return self.plan[self.pos]
+        return plan[pos]
 
 
 def _require_slack(alpha: Fraction, ecc: int) -> Fraction:
@@ -351,16 +359,15 @@ class _DfsRun:
         self.low: dict[int, int] = {}
 
     def observe(self, rec: MemoryRecord) -> None:
-        if rec.out_port == -1:
-            self.first_entry[rec.label] = None
-        else:
-            self.departed[self.cur].add(rec.out_port)
-            if rec.label not in self.first_entry:
-                self.first_entry[rec.label] = rec.in_port
-        self.cur = rec.label
-        self.degree.setdefault(rec.label, rec.degree)
-        self.departed.setdefault(rec.label, set())
-        self.low.setdefault(rec.label, 0)
+        label, degree, out_port, in_port = rec
+        if out_port != -1:
+            self.departed[self.cur].add(out_port)
+        if label not in self.degree:  # the first visit; only the source's has no entry port
+            self.first_entry[label] = None if out_port == -1 else in_port
+            self.degree[label] = degree
+            self.departed[label] = set()
+            self.low[label] = 0
+        self.cur = label
 
     def next_action(self) -> int | None:
         cur = self.cur

@@ -13,7 +13,7 @@ ranges alone, so :class:`FamilyMeta` carries no per-graph state.
 from __future__ import annotations
 
 import random
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -23,7 +23,6 @@ from .graph import (
     LabeledGraph,
     ValidationReport,
     circulant_pairs,
-    eccentricity,
     is_connected,
     validate_consistent_labeling,
 )
@@ -535,68 +534,6 @@ class _FamilyLedger:
             sums["up", lo] += sign
             sums["down", hi] += sign
         return True
-
-
-def check_eccentricity_properties(
-    g: LabeledGraph,
-    meta: FamilyMeta,
-    sample_size: int = 100,
-    seed: int = 0,
-) -> ValidationReport:
-    """Distance-structure checks that hold for widths >= 16: source
-    eccentricity, gadget proximity of deep levels, and lower bounds on
-    source-to-level distances once the critical node is removed."""
-    p = meta.params
-    if p.width < 16:
-        raise ParameterError(f"width must be >= 16 for these checks, got {p.width}")
-    report = ValidationReport()
-
-    if eccentricity(g, meta.source_label) != p.ecc:
-        report.add(
-            "eccentricity",
-            f"source eccentricity {eccentricity(g, meta.source_label)} != {p.ecc}",
-        )
-
-    # every node of level >= 2 within distance 2 of a gadget
-    dist = {x: 0 for x in meta.gadget_labels}
-    queue = deque(dist)
-    while queue:
-        v = queue.popleft()
-        if dist[v] == 2:
-            continue
-        for u in g.neighbors(v):
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    far = [
-        v
-        for i in range(2, p.levels + 1)
-        for v in meta.level_labels(i)
-        if v not in dist
-    ]
-    if far:
-        report.add("gadget-proximity", f"levels>=2 nodes beyond distance 2: {far[:8]}")
-
-    # BFS from the source avoiding the critical node
-    pd = {meta.source_label: 0}
-    queue = deque([meta.source_label])
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors(v):
-            if u != meta.critical_label and u not in pd:
-                pd[u] = pd[v] + 1
-                queue.append(u)
-    level_nodes = [v for i in range(1, p.levels + 1) for v in meta.level_labels(i)]
-    if sample_size < len(level_nodes):
-        level_nodes = random.Random(seed).sample(level_nodes, sample_size)
-    for v in level_nodes:
-        lv = meta.level_of(v)
-        if v in pd and pd[v] < lv:
-            report.add(
-                "punctured-distance",
-                f"node {v} of level {lv} reachable in {pd[v]} without the critical node",
-            )
-    return report
 
 
 # -- lollipop graphs ------------------------------------------------------------

@@ -3,11 +3,13 @@ and distance / fuel / completion monitors.
 
 The agent model: the policy sees only the memory sequence (one 4-tuple per
 traversal) and answers with the next port to take or a halt.  The runtime
-owns the graph, performs traversals, and feeds records back: every traversal
-in the package is a :meth:`ReplayCursor.commit`, which :func:`execute` loops
-over with its monitors and the adversary drives on the graph it rewrites.
-Constraint violations are recorded in the run report and the run continues,
-so that monitors can observe what an incorrect policy would have done.
+owns the graph, performs traversals, and feeds records back.  Every
+traversal in the package is a step of :meth:`ReplayCursor.run`: ``commit``
+is one such step, the adversary drives the cursor on the graph it rewrites,
+and :func:`execute` runs it to the policy's halt.  A run is judged only by
+its memory, so ``execute``'s monitors read the finished memory in one pass.
+Constraint violations are recorded in the run report and never stop the
+run, so that monitors can observe what an incorrect policy would have done.
 """
 
 from __future__ import annotations
@@ -139,8 +141,14 @@ class ExploredDistances:
 
     def add_edge(self, a: int, pa: int, b: int, pb: int) -> list[int] | None:
         dist, adj = self.dist, self.adj
-        adj.setdefault(a, {})[pa] = b
-        adj.setdefault(b, {})[pb] = a
+        if a in adj:
+            adj[a][pa] = b
+        else:
+            adj[a] = {pa: b}
+        if b in adj:
+            adj[b][pb] = a
+        else:
+            adj[b] = {pb: a}
         da = dist.get(a)
         db = dist.get(b)
         if da is None:
@@ -175,17 +183,18 @@ _UNASKED = object()
 
 
 class ReplayCursor:
-    """Stepwise execution of a policy: the one place a traversal happens.
+    """Stepwise execution of a policy: :meth:`run` is the one place a
+    traversal happens.
 
-    Each :meth:`commit` checks the port, looks up the neighbor, builds the
+    Each step asks the policy for its next port, checks it, builds the
     memory record, grows the traversed set and the memory, notes the first
-    visit to a label in ``gadgets`` and feeds the record to the policy.  The
-    policy is asked for its next port once per step: the answer is kept
-    until the next :meth:`commit`, the only place the policy is fed.  The
-    policy only ever sees memory records, and the adversary's rewrites
-    preserve labels, degrees and the ports of traversed edges, so the
-    accumulated policy state remains valid when :meth:`replace_graph` swaps
-    the graph underneath it.
+    visit to a label in ``gadgets`` and feeds the record to the policy.
+    :meth:`commit` is one step.  The policy is asked once per step: an
+    answer read through :meth:`pending_port` is kept for the step that
+    takes it.  The policy only ever sees memory records, and the
+    adversary's rewrites preserve labels, degrees and the ports of
+    traversed edges, so the accumulated policy state remains valid when
+    :meth:`replace_graph` swaps the graph underneath it.
     """
 
     def __init__(
@@ -239,37 +248,56 @@ class ReplayCursor:
                 )
         self.graph = new_graph
 
-    def commit(self) -> MemoryRecord:
-        """Traverse the policy's pending choice."""
-        port = self._pending
-        if port is _UNASKED:
-            port = self.pending_port()
-        if port is None:
-            raise InvariantViolation("commit requested but the policy halted")
-        g = self.graph
+    def run(self, limit: int) -> bool:
+        """Take up to ``limit`` traversals; returns whether the policy
+        halted.  After ``limit`` traversals it returns False without asking
+        the policy again.  The graph is read once per call, so a graph
+        swapped in by :meth:`replace_graph` is traversed from the next
+        call on."""
+        state = self.state
+        next_action, observe = state.next_action, state.observe
         memory = self.memory
-        cur = memory[-1].label
+        append, add = memory.append, self.traversed.add
+        g = self.graph
         ports = g._ports
-        row = ports[cur]
-        if not isinstance(port, int) or not 0 <= port < len(row):
-            raise PolicyError(
-                f"policy chose port {port!r} at node {cur} of degree {len(row)}"
-            )
-        nxt = row[port]
-        # this is the hot path: the reverse map is read without a method
-        # call, tuple.__new__ skips the NamedTuple's Python-level __new__,
-        # and the edge key is edge_key(cur, nxt) inlined
         rev = g._rports
         if rev is None:
             rev = g._reverse()
-        rec = tuple.__new__(MemoryRecord, (nxt, len(ports[nxt]), port, rev[nxt][cur]))
-        self.traversed.add((cur, nxt) if cur <= nxt else (nxt, cur))
-        memory.append(rec)
-        if self.first_gadget_step is None and self.gadgets is not None and nxt in self.gadgets:
-            self.first_gadget_step = len(memory) - 1
-        self.state.observe(rec)
-        self._pending = _UNASKED
-        return rec
+        gadgets = self.gadgets if self.first_gadget_step is None else None
+        # this is the hot path: tuple.__new__ skips the NamedTuple's
+        # Python-level __new__, and the edge key is edge_key(cur, nxt) inlined
+        record = tuple.__new__
+        cur = memory[-1][0]
+        port = self._pending
+        for _ in range(limit):
+            if port is _UNASKED:
+                port = next_action()
+            if port is None:
+                break
+            row = ports[cur]
+            if not isinstance(port, int) or not 0 <= port < len(row):
+                self._pending = port
+                raise PolicyError(
+                    f"policy chose port {port!r} at node {cur} of degree {len(row)}"
+                )
+            nxt = row[port]
+            rec = record(MemoryRecord, (nxt, len(ports[nxt]), port, rev[nxt][cur]))
+            add((cur, nxt) if cur <= nxt else (nxt, cur))
+            append(rec)
+            if gadgets is not None and nxt in gadgets:
+                self.first_gadget_step = len(memory) - 1
+                gadgets = None
+            observe(rec)
+            cur = nxt
+            port = _UNASKED
+        self._pending = port
+        return port is None
+
+    def commit(self) -> MemoryRecord:
+        """Traverse the policy's pending choice: one step of :meth:`run`."""
+        if self.run(1):
+            raise InvariantViolation("commit requested but the policy halted")
+        return self.memory[-1]
 
     def as_trace(self) -> Trace:
         return Trace(
@@ -289,8 +317,10 @@ def execute(
 ) -> tuple[Trace, RunReport]:
     """Run ``policy`` on ``inst`` until it halts; returns (trace, report).
 
-    Monitors ("distance", "fuel", "completion") record violations without
-    stopping the run.  ``max_steps`` defaults to 50*|E| + 1000; exceeding it
+    The run is one :meth:`ReplayCursor.run` call.  The monitors
+    ("distance", "fuel", "completion") then read the finished memory and
+    record violations; none of them stops the run.  ``max_steps`` defaults
+    to 50*|E| + 1000; a policy still moving after that many traversals
     raises :class:`BudgetError` carrying the partial trace.
     """
     g = inst.graph
@@ -302,65 +332,68 @@ def execute(
         max_steps = 50 * edge_total + 1000
 
     cursor = ReplayCursor(g, policy, inst.source, gadgets=gadget_set)
-    memory, traversed = cursor.memory, cursor.traversed
-    report = RunReport()
-    # Fuel is counted in integer units of 1/``unit`` (the tank's denominator),
-    # so one traversal costs ``unit`` of them.
-    tank = fuel = unit = None
-    if "fuel" in monitors:
-        tank, unit = inst.fuel_tank.as_integer_ratio()
-        fuel = tank
-    dists = ExploredDistances(inst.source) if "distance" in monitors else None
-    cap = inst.dist_cap_floor
-
-    while True:
-        port = cursor.pending_port()
-        if port is None:
-            break
-        if len(memory) > max_steps:
-            raise BudgetError(f"exceeded {max_steps} traversals", trace=cursor.as_trace())
-        if fuel is not None:
-            if fuel < unit:
-                report.violations.append(
-                    {
-                        "kind": "fuel",
-                        "step": len(memory),
-                        "detail": f"tank {Fraction(fuel, unit)}",
-                    }
-                )
-            fuel -= unit
-        known = len(traversed)
-        rec = cursor.commit()
-        cur = rec.label
-        if fuel is not None and cur == inst.source:
-            fuel = tank
-        if dists is not None:
-            if len(traversed) > known:
-                dists.add_edge(memory[-2].label, rec.out_port, cur, rec.in_port)
-            d = dists.get(cur)
-            if d is None or d > cap:
-                report.violations.append(
-                    {
-                        "kind": "distance",
-                        "step": len(memory) - 1,
-                        "detail": f"known return distance {d} > {cap}",
-                    }
-                )
+    if not cursor.run(max_steps) and cursor.pending_port() is not None:
+        raise BudgetError(f"exceeded {max_steps} traversals", trace=cursor.as_trace())
 
     trace = cursor.as_trace()
-    report.steps = trace.steps
-    report.penalty = trace.steps - edge_total
+    report = RunReport(steps=trace.steps, penalty=trace.steps - edge_total)
+    if "fuel" in monitors or "distance" in monitors:
+        report.violations = _fuel_and_distance_violations(
+            inst, trace.memory, "fuel" in monitors, "distance" in monitors
+        )
     if "completion" in monitors:
-        report.complete = len(traversed) == edge_total
+        report.complete = len(trace.traversed) == edge_total
         if not report.complete:
             report.violations.append(
                 {
                     "kind": "completion",
                     "step": trace.steps,
-                    "detail": f"{edge_total - len(traversed)} edges unexplored",
+                    "detail": f"{edge_total - len(trace.traversed)} edges unexplored",
                 }
             )
     return trace, report
+
+
+def _fuel_and_distance_violations(
+    inst: Instance, memory: list[MemoryRecord], fuel_on: bool, distance_on: bool
+) -> list[dict]:
+    """The fuel and distance monitors' violations of a finished memory, in
+    step order, a step's fuel violation before its distance violation.
+
+    Fuel is counted in integer units of 1/``unit`` (the tank's denominator),
+    so one traversal costs ``unit`` of them; it is checked before the step
+    and refilled on arrival at the source.  The distance monitor keeps the
+    explored edges and the known return distances from the source over them;
+    an edge is new when its out-port is not yet in its tail's explored row.
+    """
+    source = inst.source
+    out: list[dict] = []
+    tank = fuel = unit = None
+    if fuel_on:
+        tank, unit = inst.fuel_tank.as_integer_ratio()
+        fuel = tank
+    dists = adj = dist = None
+    if distance_on:
+        dists = ExploredDistances(source)
+        adj, dist = dists.adj, dists.dist
+    cap = inst.dist_cap_floor
+    prev = source
+    for step in range(1, len(memory)):
+        cur, _, out_port, in_port = memory[step]
+        if fuel is not None:
+            if fuel < unit:
+                detail = f"tank {Fraction(fuel, unit)}"
+                out.append({"kind": "fuel", "step": step, "detail": detail})
+            fuel = tank if cur == source else fuel - unit
+        if dists is not None:
+            if out_port not in adj[prev]:
+                dists.add_edge(prev, out_port, cur, in_port)
+            d = dist.get(cur)
+            if d is None or d > cap:
+                detail = f"known return distance {d} > {cap}"
+                out.append({"kind": "distance", "step": step, "detail": detail})
+        prev = cur
+    return out
 
 
 def layer_traversal_stats(trace: Trace, meta: FamilyMeta) -> dict[int, tuple[int, int]]:

@@ -1,19 +1,31 @@
 """Independent brute-force oracles used to cross-check the package's search
 routines.  These deliberately re-derive everything from raw adjacency and
-never call the package's BFS helpers."""
+never call the package's BFS helpers.
 
+The last two functions are test helpers rather than oracles, kept out of the
+package because only the tests call them: ``graph_modification``, the
+adversary's per-step rewrite on its own, and ``check_eccentricity_properties``,
+distance-structure checks of a family member."""
+
+import random
 from collections import deque
 from fractions import Fraction
 
-from explorelab.adversary import AdversaryRun, _Adversary, _unexplored_layer_neighbors
-from explorelab.errors import BudgetError, InvariantViolation
+from explorelab.adversary import (
+    AdversaryRun,
+    StepAudit,
+    _Adversary,
+    _unexplored_layer_neighbors,
+)
+from explorelab.errors import BudgetError, InvariantViolation, ParameterError
 from explorelab.family import (
+    FamilyMeta,
     FamilyParams,
     build_family_graph,
     family_levels,
     validate_family_membership,
 )
-from explorelab.graph import ValidationReport
+from explorelab.graph import LabeledGraph, ValidationReport, eccentricity
 from explorelab.runtime import MemoryRecord
 
 
@@ -218,6 +230,26 @@ def naive_fuel_violations(memory, source, tank):
     return out
 
 
+def naive_distance_violations(memory, source, cap):
+    """Distance-monitor violations of a memory sequence: at each step, the
+    return distance of the node reached over the edges traversed so far,
+    from a fresh breadth-first search of those edges after each new one;
+    the slow counterpart of ``execute``'s incremental distances."""
+    adj, dist = {source: []}, {source: 0}
+    out = []
+    for step in range(1, len(memory)):
+        a, b = memory[step - 1].label, memory[step].label
+        if b not in adj.get(a, ()):
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+            dist = naive_distances(adj, source)
+        d = dist.get(b)
+        if d is None or d > cap:
+            detail = f"known return distance {d} > {cap}"
+            out.append({"kind": "distance", "step": step, "detail": detail})
+    return out
+
+
 def naive_hopcroft_karp(adj):
     """Hopcroft-Karp with a recursive depth-first search: the recursive
     counterpart of ``graph.hopcroft_karp`` (same visiting order, so the same
@@ -334,3 +366,89 @@ def naive_adversary_behavior(ecc, alpha, policy, width, *, seed=0, max_steps=Non
         prefix_checks=adv.prefix_checks,
         membership_checks=adv.membership_checks,
     )
+
+
+def graph_modification(
+    graph: LabeledGraph,
+    alpha: Fraction,
+    policy,
+    t: int,
+) -> tuple[LabeledGraph, StepAudit]:
+    """Replay ``policy`` for ``t`` steps on ``graph`` and rewrite the graph so
+    that, when possible, the next traversal descends; the first ``t`` records
+    of the agent's memory are never altered.
+
+    Standalone form of the engine's per-step rewrite: family parameters are
+    derived from the graph itself (source eccentricity, level width).
+    """
+    ecc = eccentricity(graph, 0)
+    meta = FamilyMeta(FamilyParams(family_levels(ecc, alpha), graph.degree(0), ecc))
+    adv = _Adversary(graph, policy, meta)
+    for _ in range(t):
+        if adv.cursor.pending_port() is None:
+            raise ParameterError(f"policy halted before step {t + 1}")
+        adv.commit()
+    audit = adv.rewrite(t + 1)
+    return adv.cursor.graph, audit
+
+
+def check_eccentricity_properties(
+    g: LabeledGraph,
+    meta: FamilyMeta,
+    sample_size: int = 100,
+    seed: int = 0,
+) -> ValidationReport:
+    """Distance-structure checks that hold for widths >= 16: source
+    eccentricity, gadget proximity of deep levels, and lower bounds on
+    source-to-level distances once the critical node is removed."""
+    p = meta.params
+    if p.width < 16:
+        raise ParameterError(f"width must be >= 16 for these checks, got {p.width}")
+    report = ValidationReport()
+
+    if eccentricity(g, meta.source_label) != p.ecc:
+        report.add(
+            "eccentricity",
+            f"source eccentricity {eccentricity(g, meta.source_label)} != {p.ecc}",
+        )
+
+    # every node of level >= 2 within distance 2 of a gadget
+    dist = {x: 0 for x in meta.gadget_labels}
+    queue = deque(dist)
+    while queue:
+        v = queue.popleft()
+        if dist[v] == 2:
+            continue
+        for u in g.neighbors(v):
+            if u not in dist:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    far = [
+        v
+        for i in range(2, p.levels + 1)
+        for v in meta.level_labels(i)
+        if v not in dist
+    ]
+    if far:
+        report.add("gadget-proximity", f"levels>=2 nodes beyond distance 2: {far[:8]}")
+
+    # BFS from the source avoiding the critical node
+    pd = {meta.source_label: 0}
+    queue = deque([meta.source_label])
+    while queue:
+        v = queue.popleft()
+        for u in g.neighbors(v):
+            if u != meta.critical_label and u not in pd:
+                pd[u] = pd[v] + 1
+                queue.append(u)
+    level_nodes = [v for i in range(1, p.levels + 1) for v in meta.level_labels(i)]
+    if sample_size < len(level_nodes):
+        level_nodes = random.Random(seed).sample(level_nodes, sample_size)
+    for v in level_nodes:
+        lv = meta.level_of(v)
+        if v in pd and pd[v] < lv:
+            report.add(
+                "punctured-distance",
+                f"node {v} of level {lv} reachable in {pd[v]} without the critical node",
+            )
+    return report

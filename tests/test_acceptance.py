@@ -27,10 +27,14 @@ from explorelab import (
     validate_family_membership,
     validate_merge_behavior,
 )
-from explorelab.family import check_eccentricity_properties
 
 from conftest import explored_return_distances
-from oracles import adjacency, naive_eccentricity, naive_return_distance
+from oracles import (
+    adjacency,
+    check_eccentricity_properties,
+    naive_eccentricity,
+    naive_return_distance,
+)
 from test_surgery import random_surgery
 
 ALPHA = Fraction(1, 2)

@@ -17,11 +17,11 @@ from explorelab import (
     penalty_before_step,
     validate_family_membership,
 )
-from explorelab.adversary import _replay_agrees, graph_modification
+from explorelab.adversary import _replay_agrees
 from explorelab.runtime import ReplayCursor
 from explorelab.graph import edge_key
 
-from oracles import naive_adversary_behavior, naive_run
+from oracles import graph_modification, naive_adversary_behavior, naive_run
 
 ALPHA = Fraction(1, 2)
 
@@ -402,6 +402,25 @@ def test_budget_error_matches_rewriting_every_step(past_gadget):
     assert str(errors[0]) == str(errors[1]) == f"adversary exceeded {budget} steps"
     assert errors[0].trace.steps == errors[1].trace.steps == budget
     assert errors[0].trace.memory == errors[1].trace.memory
+
+
+@pytest.mark.parametrize("before_halt", [1, 2, 1000])
+def test_replay_phase_budget_error_matches_rewriting_every_step(before_halt):
+    # budgets that run out deep in the replay phase, which is one
+    # ReplayCursor.run call: the same message and the same partial memory as
+    # rewriting before every step, and the full run's memory up to the budget
+    full = naive_adversary_behavior(6, ALPHA, cautious(), 16, seed=0)
+    budget = full.step_count - before_halt
+    assert budget > full.trace.first_gadget_step
+    errors = []
+    for behavior in (adversary_behavior, naive_adversary_behavior):
+        with pytest.raises(BudgetError) as err:
+            behavior(6, ALPHA, cautious(), 16, seed=0, max_steps=budget)
+        errors.append(err.value)
+    assert str(errors[0]) == str(errors[1]) == f"adversary exceeded {budget} steps"
+    assert errors[0].trace.memory == errors[1].trace.memory == full.trace.memory[: budget + 1]
+    run = adversary_behavior(6, ALPHA, cautious(), 16, seed=0, max_steps=full.step_count)
+    assert run.step_count == full.step_count
 
 
 def test_cursor_replays_with_graph_swap():

@@ -191,6 +191,7 @@ def test_port_pointers_match_port_scans(case, policy_name, monkeypatch):
     monkeypatch.setattr(ExploredView, "smallest_unexplored_port", checked)
     cursor = ReplayCursor(g, make_policy(policy_name, inst.alpha, inst.ecc), source=source)
     state = cursor.state
+    budget = 50 * g.edge_count() + 1000  # execute's default: a policy that never halts fails
     while True:
         if policy_name == "dfs":
             assert state.next_action() == naive_dfs_next_action(state), cursor.steps
@@ -198,6 +199,7 @@ def test_port_pointers_match_port_scans(case, policy_name, monkeypatch):
             state.view.smallest_unexplored_port(state.view.cur)
         if cursor.pending_port() is None:
             break
+        assert cursor.steps < budget, f"policy still moving after {budget} traversals"
         cursor.commit()
     if policy_name == "dfs":
         assert cursor.steps == 2 * g.edge_count()

@@ -12,8 +12,12 @@ from explorelab import (
     eccentricity,
     validate_family_membership,
 )
-from explorelab.family import check_eccentricity_properties
-from oracles import adjacency, naive_distance, naive_eccentricity
+from oracles import (
+    adjacency,
+    check_eccentricity_properties,
+    naive_distance,
+    naive_eccentricity,
+)
 
 
 def test_params_derived_quantities():

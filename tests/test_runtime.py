@@ -26,6 +26,7 @@ from explorelab.runtime import ExploredDistances, MemoryRecord, ReplayCursor
 
 from conftest import ScriptPolicy, engine_cases, explored_return_distances, port_script
 from oracles import (
+    naive_distance_violations,
     naive_distances,
     naive_fuel_violations,
     naive_return_distance,
@@ -286,6 +287,17 @@ def test_engine_matches_plain_stepping_oracle(case, policy_name):
     assert trace.memory == memory
     assert trace.traversed == traversed
     assert report.steps == len(memory) - 1
+    # the monitors read the finished memory: each kind matches its oracle,
+    # and at a step with both, the fuel violation comes first
+    fuel = naive_fuel_violations(memory, source, inst.fuel_tank)
+    distance = naive_distance_violations(memory, source, inst.dist_cap_floor)
+    assert report.violations_of("fuel") == fuel
+    assert report.violations_of("distance") == distance
+    monitored = [v for v in report.violations if v["kind"] != "completion"]
+    assert monitored == sorted(fuel + distance, key=lambda v: v["step"])  # a stable sort
+    if (policy_name, case) == ("dfs", "family-10-16-6-s3"):
+        both = {v["step"] for v in fuel} & {v["step"] for v in distance}
+        assert len(both) > 100, "dfs overruns the tank and the return cap at the same steps"
 
     cursor = ReplayCursor(g, policy(), source=source, gadgets=gadgets)
     while cursor.pending_port() is not None:
@@ -335,3 +347,75 @@ def test_commit_after_halt_raises(path3):
     with pytest.raises(InvariantViolation) as err:
         cursor.commit()
     assert str(err.value) == "commit requested but the policy halted"
+
+
+@pytest.mark.parametrize("port", ["1", -1, 1], ids=["str", "negative", "degree"])
+def test_bad_port_message_through_run(path3, port):
+    # the check runs at every step of a run, not only the first; the bad
+    # answer stays pending, so a commit raises the same error
+    cursor = ReplayCursor(path3, ScriptPolicy([0, port]), source=1)
+    with pytest.raises(PolicyError) as err:
+        cursor.run(5)
+    assert str(err.value) == f"policy chose port {port!r} at node 0 of degree 1"
+    assert cursor.memory == [MemoryRecord(1, 2, -1, -1), MemoryRecord(0, 1, 0, 0)]
+    with pytest.raises(PolicyError) as again:
+        cursor.commit()
+    assert str(again.value) == str(err.value)
+
+
+def test_run_returns_whether_the_policy_halted(path3):
+    # a run that takes its whole limit returns False without asking again;
+    # one that meets a halt returns True, and a commit after it raises
+    cursor = ReplayCursor(path3, ScriptPolicy([0, 0, 1]), source=1)
+    assert cursor.run(0) is False and cursor.steps == 0
+    assert cursor.run(2) is False and cursor.steps == 2
+    assert cursor.run(5) is True and cursor.steps == 3
+    assert cursor.run(5) is True and cursor.steps == 3
+    with pytest.raises(InvariantViolation) as err:
+        cursor.commit()
+    assert str(err.value) == "commit requested but the policy halted"
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 10**9])
+def test_run_reads_a_graph_swapped_in_between_calls(chunk):
+    # a graph swapped in between run(1) calls is the one the next call
+    # traverses, whatever its limit
+    base, _ = build_family_graph(FamilyParams(10, 16, 6))
+    policy = make_policy("cautious-bfs", Fraction(1, 2), 6)
+    cursor = ReplayCursor(base, policy, source=0)
+    for _ in range(5):
+        assert cursor.run(1) is False
+    seen = {rec.label for rec in cursor.memory}
+    unswapped, _ = naive_run(base, policy, 0)
+    v = next(r.label for r in unswapped if r.label not in seen and base.degree(r.label) > 1)
+    swapped = base.replace_ports({v: base.neighbors(v)[::-1]})
+    cursor.replace_graph(swapped, ())
+    while not cursor.run(chunk):
+        pass
+    memory, traversed = naive_run(swapped, policy, 0)
+    assert memory != unswapped
+    assert cursor.memory == memory
+    assert cursor.traversed == traversed
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_budget_error_carries_the_oracle_prefix(case):
+    # at any budget below the run's length, execute raises with the same
+    # message and the memory of exactly that many steps; at the length, the
+    # run completes
+    g, source, alpha, gadgets = ENGINE_CASES[case]
+    inst = Instance(graph=g, source=source, alpha=alpha)
+    policy = make_policy("cautious-bfs", inst.alpha, inst.ecc)
+    memory, _ = naive_run(g, policy, source)
+    steps = len(memory) - 1
+    for budget in (0, 1, 37, steps // 2, steps - 1):
+        with pytest.raises(BudgetError) as err:
+            execute(inst, policy, monitors=("distance", "fuel"), max_steps=budget)
+        assert str(err.value) == f"exceeded {budget} traversals"
+        assert err.value.trace.memory == memory[: budget + 1]
+        assert err.value.trace.traversed == {
+            (min(a.label, b.label), max(a.label, b.label))
+            for a, b in zip(memory[:budget], memory[1 : budget + 1])
+        }
+    trace, _ = execute(inst, policy, max_steps=steps, gadget_set=gadgets)
+    assert trace.memory == memory
