@@ -21,7 +21,6 @@ from .family import (
     LollipopParams,
     build_family_graph,
     build_lollipop,
-    contract_layer_to_bipartite,
     validate_family_membership,
 )
 from .graph import (
@@ -66,7 +65,6 @@ __all__ = [
     "adversary_behavior",
     "build_family_graph",
     "build_lollipop",
-    "contract_layer_to_bipartite",
     "eccentricity",
     "execute",
     "layer_traversal_stats",

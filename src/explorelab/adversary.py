@@ -263,7 +263,7 @@ def _modify_step(adv: _Adversary, audit: StepAudit) -> None:
         }
         greens = [x for x in _unexplored_greens(cursor, meta, i) if x != e]
         chosen = None
-        for gadget, pair in _contract_layer(g, meta, i).by_gadget.items():
+        for gadget, pair in _contract_layer(g, meta, i).items():
             if pair[0] not in n_lo or pair[1] not in n_hi:
                 continue
             # two specific green edges would make the follow-up switch
@@ -292,18 +292,11 @@ def _modify_step(adv: _Adversary, audit: StepAudit) -> None:
 
 
 def _replay_agrees(policy, graph: LabeledGraph, records, t: int) -> bool:
-    """Fresh replay of ``policy`` on ``graph`` from the first record's label,
-    compared with ``records`` through index ``t`` and stopped at the first
-    mismatch.  An early halt on either side counts as disagreement."""
-    records = iter(records)
-    first = next(records)
-    fresh = ReplayCursor(graph, policy, source=first.label)
-    if fresh.memory[0] != first:
-        return False
-    for _ in range(t):
-        if fresh.pending_port() is None or fresh.commit() != next(records, None):
-            return False
-    return True
+    """Whether a fresh replay of ``policy`` on ``graph`` from the first
+    record's label, ``t`` steps long, gives ``records`` through index ``t``.
+    A halt before step ``t`` counts as disagreement."""
+    fresh = ReplayCursor(graph, policy, source=records[0].label)
+    return not fresh.run(t) and fresh.memory == records[: t + 1]
 
 
 def adversary_behavior(

@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise ParameterError(f"variant must be distance or fuel, got {self.variant}")
         if any(k < 1 for k in self.k_values) or not self.k_values:
             raise ParameterError("k values must be positive")
+        if self.alpha <= 0:
+            raise ParameterError(f"alpha must be positive, got {self.alpha}")
         if self.variant == "distance" and self.ecc < 6:
             raise ParameterError("distance experiments need ecc >= 6")
         if self.variant == "fuel" and self.ecc * self.alpha < 1:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import ParameterError, StructuralError
+from .errors import ParameterError
 from .graph import (
     LabeledGraph,
     ValidationReport,
@@ -89,8 +89,11 @@ class FamilyParams:
 
 def family_levels(ecc: int, alpha) -> int:
     """Levels of the family that forces the return cap ``(1+alpha)*ecc``:
-    ``floor((1+alpha)*ecc) + 1``, exact for rational ``alpha``."""
-    cap = (1 + Fraction(alpha)) * ecc
+    ``floor((1+alpha)*ecc) + 1``, exact for rational ``alpha > 0``."""
+    alpha = Fraction(alpha)
+    if alpha <= 0:
+        raise ParameterError(f"alpha must be positive, got {alpha}")
+    cap = (1 + alpha) * ecc
     return cap.numerator // cap.denominator + 1
 
 
@@ -126,6 +129,13 @@ class FamilyMeta:
     @property
     def gadget_labels(self) -> range:
         return range(self._level_top + 1, self._gadget_top + 1)
+
+    def _layer_gadgets(self, layer: int) -> range:
+        """The gadget labels of ``layer``; empty outside 1..levels-1."""
+        if not 1 <= layer < self.params.levels:
+            return range(0)
+        lo = self._level_top + (layer - 1) * self.gadgets_per_layer + 1
+        return range(lo, lo + self.gadgets_per_layer)
 
     def gadget_layer(self, label: int) -> int:
         if not self.is_gadget(label):
@@ -183,17 +193,20 @@ class FamilyMeta:
         return self._row_level_pair(gadget, g.neighbors(gadget))
 
     def _row_level_pair(self, gadget: int, row: list[int]) -> tuple[int, int] | None:
-        layer = self.gadget_layer(gadget)
+        if len(row) != 3:
+            return None
+        w = self.width
+        # the last label of level i, for a gadget of layer i
+        mid = w * ((gadget - self._level_top - 1) // self.gadgets_per_layer + 1)
         lo = hi = None
         for u in row:
-            lu = self.level_of(u)
-            if lu == layer:
+            if mid - w < u <= mid:
                 lo = u
-            elif lu == layer + 1:
+            elif mid < u <= mid + w:
                 hi = u
             elif u != self.critical_label:
                 return None
-        if lo is None or hi is None or len(row) != 3:
+        if lo is None or hi is None:
             return None
         return (lo, hi)
 
@@ -260,60 +273,16 @@ def build_family_graph(params: FamilyParams, seed: int = 0) -> tuple[LabeledGrap
 # -- layer contraction -------------------------------------------------------
 
 
-@dataclass
-class ContractedLayer:
-    """A layer with its gadgets contracted back into level-to-level edges:
-    the sorted green edges, then one edge per well-shaped gadget by label,
-    each as a (level-i node, level-i+1 node) pair.  ``problems`` reports
-    every way the result falls short of the layer-degree-regular bipartite
-    graph the construction started from."""
-
-    left: set[int]
-    edges: list[tuple[int, int]]
-    by_gadget: dict[int, tuple[int, int]]
-    problems: ValidationReport
-
-
-def _contract_layer(g: LabeledGraph, meta: FamilyMeta, layer: int) -> ContractedLayer:
-    p = meta.params
-    edges = meta.green_edges(g, layer)
-    by_gadget: dict[int, tuple[int, int]] = {}
-    problems = ValidationReport()
-    glo = meta._level_top + (layer - 1) * p.gadgets_per_layer + 1
-    for gd in range(glo, glo + p.gadgets_per_layer):
+def _contract_layer(g: LabeledGraph, meta: FamilyMeta, layer: int) -> dict[int, tuple[int, int]]:
+    """The (level-i node, level-i+1 node) pair of each of the layer's
+    well-shaped gadgets, by gadget label: with the layer's green edges, the
+    level-to-level edges its gadgets subdivide."""
+    pairs: dict[int, tuple[int, int]] = {}
+    for gd in meta._layer_gadgets(layer):
         pair = meta.gadget_level_pair(g, gd)
-        if pair is None:
-            problems.add("gadget-shape", f"gadget {gd} lacks the degree-3 shape")
-            continue
-        by_gadget[gd] = pair
-        edges.append(pair)
-    if len(set(edges)) < len(edges):
-        problems.add("layer-contraction", f"layer {layer}: duplicate contracted edge")
-    deg = Counter(v for e in edges for v in e)
-    left, right = meta.level_labels(layer), meta.level_labels(layer + 1)
-    bad = [v for v in (*left, *right) if deg[v] != p.layer_degree]
-    if bad:
-        problems.add(
-            "layer-contraction",
-            f"layer {layer}: nodes {bad[:8]} off {p.layer_degree}-regularity",
-        )
-    return ContractedLayer(set(left), edges, by_gadget, problems)
-
-
-def contract_layer_to_bipartite(
-    g: LabeledGraph, meta: FamilyMeta, layer: int
-) -> ContractedLayer:
-    """Replace each of the layer's gadgets by an edge between its two level
-    neighbors; raises :class:`StructuralError` unless the result is the
-    layer-degree-regular bipartite graph the construction started from."""
-    if not 1 <= layer <= meta.params.levels - 1:
-        raise ParameterError(f"layer must be in 1..{meta.params.levels - 1}, got {layer}")
-    contracted = _contract_layer(g, meta, layer)
-    if not contracted.problems.ok:
-        raise StructuralError(
-            "; ".join(v.detail for v in contracted.problems.violations)
-        )
-    return contracted
+        if pair is not None:
+            pairs[gd] = pair
+    return pairs
 
 
 # -- membership validation ---------------------------------------------------
@@ -325,18 +294,21 @@ def validate_family_membership(
     """Enumerate every violated family property of ``g``; empty report means
     the graph is a member for the given parameters.
 
+    After the labeling and label-range checks, the full check is one pass of
+    :meth:`_FamilyLedger._add_row` over every row.  It names each misshapen
+    row, each sum off its target and a disconnected graph.
+
     With a ``ledger`` for the same parameters (the adversary keeps one
     across its rewrites), a graph the ledger admits gets the empty report
     without the full pass; any other graph gets the full pass, and becomes
     the ledger's base if it passes.
     """
-    p = params
     if ledger is not None and ledger.admits(g):
         return ValidationReport()
-    meta = FamilyMeta(p)
+    terms = ledger if ledger is not None else _FamilyLedger(params)
     report = validate_consistent_labeling(g)
 
-    expected = meta.expected_labels()
+    expected = terms.meta.expected_labels()
     actual = set(g.labels())
     if actual != expected:
         report.add(
@@ -344,78 +316,39 @@ def validate_family_membership(
             f"missing={sorted(expected - actual)[:8]} extra={sorted(actual - expected)[:8]}",
         )
         return report  # remaining checks assume the exact label set
-    if g.edge_count() != p.edge_total:
-        report.add("edge-count", f"expected {p.edge_total}, got {g.edge_count()}")
 
-    # per-layer color counts and contraction regularity
-    for layer in range(1, p.levels):
-        contracted = _contract_layer(g, meta, layer)
-        greens = len(contracted.edges) - len(contracted.by_gadget)
-        reds = 0
-        for v in (*meta.level_labels(layer), *meta.level_labels(layer + 1)):
-            for u in g.neighbors(v):
-                if meta.is_gadget(u) and meta.gadget_layer(u) == layer:
-                    reds += 1
-        if greens != p.greens_per_layer:
-            report.add(
-                "green-count",
-                f"layer {layer}: expected {p.greens_per_layer}, got {greens}",
-            )
-        if reds != p.reds_per_layer:
-            report.add(
-                "red-count", f"layer {layer}: expected {p.reds_per_layer}, got {reds}"
-            )
-        report.violations.extend(contracted.problems.violations)
-
-    # no green edge's endpoints may share a gadget neighbor
-    for layer in range(1, p.levels):
-        for u, v in meta.green_edges(g, layer):
-            shared = {x for x in g.neighbors(u) if meta.is_gadget(x)} & {
-                x for x in g.neighbors(v) if meta.is_gadget(x)
-            }
-            if shared:
-                report.add(
-                    "green-gadget-overlap",
-                    f"green ({u},{v}) endpoints share gadgets {sorted(shared)}",
-                )
-
-    if sorted(g.neighbors(meta.source_label)) != list(meta.level_labels(1)):
-        report.add("source-edges", "source is not adjacent to exactly level 1")
-
-    crit = meta.critical_label
-    want_crit = set(meta.gadget_labels) | {meta.tail_labels[0]}
-    if set(g.neighbors(crit)) != want_crit or g.degree(crit) != len(want_crit):
-        report.add("critical-shape", "critical node adjacency is not gadgets + tail")
-    chain = [crit] + meta.tail_labels
-    for a, b in zip(chain, chain[1:]):
-        if not g.has_edge(a, b):
-            report.add("tail", f"missing tail edge ({a},{b})")
-    for t in meta.tail_labels:
-        want = 1 if t == meta.tail_tip else 2
-        if g.degree(t) != want:
-            report.add("tail", f"tail node {t} has degree {g.degree(t)} != {want}")
+    sums: Counter = Counter()
+    for v, row in g._ports.items():
+        for code, detail in terms._add_row(v, row, 1, sums):
+            report.add(code, detail)
+    terms._report_sums(g, sums, report)
 
     # a search would follow a listed neighbor that has no row
     if "unknown-neighbor" not in report.codes() and not is_connected(g):
         report.add("disconnected", "graph is not connected")
     if ledger is not None and report.ok:
-        ledger.rebuild(g)
+        ledger.rows, ledger.sums = g._ports, sums
     return report
 
 
 class _FamilyLedger:
     """The family structure of the last graph that passed a membership
-    check, as sums of per-row contributions, so that the next check costs
+    check, as sums of per-row terms, so that the next check costs
     O(changed rows x degree) instead of O(|E|).
 
-    A row contributes contracted edges (a level row its green edges up to
-    the next level, a gadget row its level pair) and its degree.  ``sums``
-    holds, keyed by tagged tuples:
+    :meth:`_add_row` defines what each row contributes; ``sums`` holds,
+    keyed by tagged tuples:
 
-    - ``("up", v)`` and ``("down", v)``: the contracted edges from v to the
-      next and to the previous level, ``layer_degree`` each in a member;
+    - ``("up", v)`` and ``("down", v)``: the contracted edges (green edges,
+      listed by their lower end, and gadget level pairs) from v to the next
+      and to the previous level, ``layer_degree`` each in a member;
     - ``("edge", lo, hi)``: how often the contraction holds that edge, at
       most once in a member;
+    - ``("green", i)`` and ``("red", i)``: layer i's green edges and the
+      gadgets of layer i that its level rows list, ``greens_per_layer`` and
+      ``reds_per_layer`` in a member;
+    - ``("stray", a, b)``: adjacent-level nodes listed by a gadget row that
+      is not its level pair and the critical node, none in a member;
     - ``("degree",)``: the total degree, twice the edge count.
 
     The rows of the source, the critical node, the tail and each gadget
@@ -423,37 +356,28 @@ class _FamilyLedger:
 
     :meth:`admits` finds the dirty rows from the graph diff: the rows that
     are not the very list the last member held, so a surgery cannot hide a
-    row from the check, whatever it reports as touched.  It then re-checks
-    the labeling for the pairs at a dirty row, in its old or its new row,
-    swaps each dirty row's old contribution for its new one, and requires
-    every changed sum to be on target and each dirty row to have its shape.
-    Every other row, pair and sum is the last member's.  Any doubt (a key
-    added or removed, a failed check) answers False and leaves the ledger as
-    it was; the caller then runs the full validator, whose report is the
-    only one this package gives.
+    row from the check, whatever it reports as touched.  It re-checks the
+    labeling at each dirty row, old and new, swaps its old terms for its new
+    ones, and requires each changed sum on target and each dirty row in
+    shape.  Any doubt answers False and leaves the ledger as it was; the
+    caller then runs the full check, whose report is the only one given.
 
-    The rest of the full validator's checks follow once all of these hold.
-    The graph is then symmetric, so its edges are undirected, and every
-    gadget's row is its level pair and the critical node, which lists
-    every gadget.
+    Once the labeling is consistent and every row and sum is on target, two
+    more family properties follow, so the ledger does not check them:
 
-    - *Green count.*  Layer i's level-i nodes have ``width * layer_degree
-      = beta`` contracted edges, one per well-shaped gadget and one per
-      green edge, so there are ``beta - gadgets_per_layer =
-      greens_per_layer`` green edges.
-    - *Red count.*  Each of layer i's gadgets has exactly two level
-      neighbours, at levels i and i+1, so layer i has ``reds_per_layer``
-      red edges.
-    - *No green edge's endpoints share a gadget.*  A gadget next to a
-      level-i and a level-(i+1) node is well shaped only in layer i, with
-      exactly that pair, so the contraction would hold the green edge
-      twice.
+    - *No green edge's ends share a gadget.*  A gadget next to a level-i and
+      a level-(i+1) node is well shaped only in layer i, with exactly that
+      pair, so the contraction would hold the green edge twice.  The full
+      check names ``green-gadget-overlap`` for such an edge and for a green
+      stray pair.  It reads a gadget's level nodes from the gadget's row, so
+      where a gadget and a level row disagree (``asymmetric-edge``) its
+      overlaps may differ from those the level rows give.
     - *Connectivity.*  Level-1 nodes are the source's neighbours.  Every
       level-(i+1) node has ``layer_degree >= 1`` contracted edges down to
       level i, each a green edge or a gadget joined to both of its level
       nodes.  Every gadget touches a level node and the critical node; the
       critical node lists the first tail node; and the tail chain has every
-      link.
+      link.  The full check still runs its search.
     """
 
     def __init__(self, params: FamilyParams):
@@ -461,13 +385,8 @@ class _FamilyLedger:
         self.rows: dict[int, list[int]] | None = None
         self.sums: Counter = Counter()
         self._critical_row = set(self.meta.gadget_labels) | {self.meta.tail_labels[0]}
-
-    def rebuild(self, g: LabeledGraph) -> None:
-        """Take ``g``, which the full validator has just passed, as the base."""
-        self.rows = g._ports
-        self.sums = Counter()
-        for v, row in self.rows.items():
-            self._add_row(v, row, 1, self.sums)
+        ld = params.layer_degree
+        self._want = dict(up=ld, down=ld, green=params.greens_per_layer, red=params.reds_per_layer)
 
     def admits(self, g: LabeledGraph) -> bool:
         """Whether ``g`` is a member, found from the rows that differ from
@@ -490,7 +409,7 @@ class _FamilyLedger:
         delta: Counter = Counter()
         for v in dirty:
             self._add_row(v, old[v], -1, delta)
-            if not self._add_row(v, new[v], 1, delta):
+            if self._add_row(v, new[v], 1, delta):
                 return False
         sums = self.sums
         if not all(self._on_target(key, sums[key] + d) for key, d in delta.items() if d):
@@ -501,39 +420,100 @@ class _FamilyLedger:
         return True
 
     def _on_target(self, key: tuple, total: int) -> bool:
-        p = self.meta.params
-        if key[0] == "edge":
+        kind = key[0]
+        if kind == "edge":
             return total <= 1
-        if key[0] == "degree":
-            return total == 2 * p.edge_total
-        return total == p.layer_degree
+        if kind == "stray":
+            return total == 0
+        if kind == "degree":
+            return total // 2 == self.meta.params.edge_total
+        return total == self._want[kind]
 
-    def _add_row(self, v: int, row: list[int], sign: int, sums: Counter) -> bool:
-        """Add ``sign`` times row ``v``'s contribution to ``sums``; returns
-        whether a source, critical, tail or gadget row has its shape."""
+    def _add_row(self, v: int, row: list[int], sign: int, sums: Counter) -> list:
+        """Add ``sign`` times row ``v``'s terms to ``sums``; returns the
+        ``(code, detail)`` pairs naming how a source, critical, tail or
+        gadget row lacks its shape."""
         meta = self.meta
         sums["degree",] += sign * len(row)
         j = meta.level_of(v)
         if j is not None:
-            pairs = [(v, u) for u in row if meta.level_of(u) == j + 1]
-        elif meta.is_gadget(v):
+            up = meta.level_labels(j + 1) if j < meta.params.levels else ()
+            below, above = meta._layer_gadgets(j - 1), meta._layer_gadgets(j)
+            greens = reds_below = reds_above = 0
+            for u in row:
+                if u in up:
+                    greens += 1
+                    sums["edge", v, u] += sign
+                    sums["down", u] += sign
+                elif u in above:
+                    reds_above += 1
+                elif u in below:
+                    reds_below += 1
+            sums["up", v] += sign * greens
+            sums["green", j] += sign * greens
+            sums["red", j] += sign * reds_above
+            sums["red", j - 1] += sign * reds_below
+            return []
+        if meta.is_gadget(v):
             pair = meta._row_level_pair(v, row)
-            if pair is None:
-                return False
-            pairs = [pair]
-        elif v == meta.source_label:
-            return sorted(row) == list(meta.level_labels(1))
-        elif v == meta.critical_label:
-            return len(row) == len(self._critical_row) and set(row) == self._critical_row
-        elif v == meta.tail_tip:
-            return len(row) == 1
-        else:  # a tail node before the tip
-            return len(row) == 2 and v + 1 in row
-        for lo, hi in pairs:
-            sums["edge", lo, hi] += sign
-            sums["up", lo] += sign
-            sums["down", hi] += sign
-        return True
+            if pair is not None:
+                for key in (("edge", *pair), ("up", pair[0]), ("down", pair[1])):
+                    sums[key] += sign
+                if meta.critical_label in row:
+                    return []
+            levels = [(meta.level_of(u), u) for u in row]
+            for i, a in levels:
+                for k, b in levels:
+                    if i is not None and k == i + 1:
+                        sums["stray", a, b] += sign
+            return [] if pair else [("gadget-shape", f"gadget {v} lacks the degree-3 shape")]
+        if v == meta.source_label:
+            if sorted(row) == list(meta.level_labels(1)):
+                return []
+            return [("source-edges", "source is not adjacent to exactly level 1")]
+        if v == meta.critical_label:
+            if len(row) == len(self._critical_row) and set(row) == self._critical_row:
+                return []
+            out = [("critical-shape", "critical node adjacency is not gadgets + tail")]
+            links = [meta.tail_labels[0]]
+        else:  # a tail node: the tip lists one neighbour, any other the next too
+            want = 1 if v == meta.tail_tip else 2
+            out = []
+            if len(row) != want:
+                out.append(("tail", f"tail node {v} has degree {len(row)} != {want}"))
+            links = [v + 1] if want == 2 else []
+        return out + [("tail", f"missing tail edge ({v},{u})") for u in links if u not in row]
+
+    def _report_sums(self, g: LabeledGraph, sums: Counter, report: ValidationReport) -> None:
+        """Add to ``report`` each sum of a full pass that is off target, and
+        ``green-gadget-overlap`` for each green edge whose two ends one
+        gadget row lists."""
+        meta, p, on = self.meta, self.meta.params, self._on_target
+        if not on(("degree",), sums["degree",]):
+            report.add("edge-count", f"expected {p.edge_total}, got {sums['degree',] // 2}")
+        doubled = [key[1:] for key, n in sums.items() if key[0] == "edge" and not on(key, n)]
+        for i in range(1, p.levels):
+            for kind in ("green", "red"):
+                if not on((kind, i), sums[kind, i]):
+                    want = self._want[kind]
+                    report.add(f"{kind}-count", f"layer {i}: expected {want}, got {sums[kind, i]}")
+            if any(meta.level_of(lo) == i for lo, _ in doubled):
+                report.add("layer-contraction", f"layer {i}: duplicate contracted edge")
+            bad = [v for v in meta.level_labels(i) if not on(("up", v), sums["up", v])]
+            bad += [v for v in meta.level_labels(i + 1) if not on(("down", v), sums["down", v])]
+            if bad:
+                report.add(
+                    "layer-contraction",
+                    f"layer {i}: nodes {bad[:8]} off {p.layer_degree}-regularity",
+                )
+        # a gadget's level pair held more often than the lower row lists it
+        # as green, or a stray pair that the lower row lists
+        listed = g.neighbors
+        overlaps = {e for e in doubled if 0 < listed(e[0]).count(e[1]) < sums[("edge", *e)]}
+        strays = [k[1:] for k, n in sums.items() if k[0] == "stray" and n]
+        overlaps.update((lo, hi) for lo, hi in strays if hi in listed(lo))
+        for lo, hi in sorted(overlaps):
+            report.add("green-gadget-overlap", f"green ({lo},{hi}) has both ends on one gadget")
 
 
 # -- lollipop graphs ------------------------------------------------------------

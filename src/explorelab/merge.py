@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvariantViolation, ParameterError, StructuralError
-from .family import FamilyMeta, contract_layer_to_bipartite, validate_family_membership
+from .family import FamilyMeta, _contract_layer, validate_family_membership
 from .graph import (
     LabeledGraph,
     ValidationReport,
@@ -106,12 +106,15 @@ def merge_gadgets(
     raw: dict[int, dict[int, int]] = {}
     pairs: dict[int, tuple[int, int]] = {}
     for layer in range(1, p.levels):
-        contracted = contract_layer_to_bipartite(g, meta, layer)
-        coloring = color_regular_bipartite_edges(contracted.edges, contracted.left)
-        raw[layer] = {
-            gd: coloring[edge_key(*pair)] for gd, pair in contracted.by_gadget.items()
-        }
-        pairs.update(contracted.by_gadget)
+        # a member's layer contracts to a regular bipartite graph: its green
+        # edges plus the level pair of each gadget
+        by_gadget = _contract_layer(g, meta, layer)
+        coloring = color_regular_bipartite_edges(
+            meta.green_edges(g, layer) + list(by_gadget.values()),
+            set(meta.level_labels(layer)),
+        )
+        raw[layer] = {gd: coloring[edge_key(*pair)] for gd, pair in by_gadget.items()}
+        pairs.update(by_gadget)
 
     # one pass per layer parity, even first: each recolors its layers and
     # merges each color class into one vertex labeled after the input's labels

@@ -2,13 +2,19 @@
 routines.  These deliberately re-derive everything from raw adjacency and
 never call the package's BFS helpers.
 
+``naive_family_violations`` is the family membership check as a set of
+per-layer loops over the graph (a contraction of each layer, a red-edge
+count, a scan for green edges whose endpoints share a gadget) and explicit
+checks of the source, critical and tail rows: the independent reference for
+the package's one pass over the rows.
+
 The last two functions are test helpers rather than oracles, kept out of the
 package because only the tests call them: ``graph_modification``, the
 adversary's per-step rewrite on its own, and ``check_eccentricity_properties``,
 distance-structure checks of a family member."""
 
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 from explorelab.adversary import (
@@ -25,7 +31,12 @@ from explorelab.family import (
     family_levels,
     validate_family_membership,
 )
-from explorelab.graph import LabeledGraph, ValidationReport, eccentricity
+from explorelab.graph import (
+    LabeledGraph,
+    ValidationReport,
+    eccentricity,
+    validate_consistent_labeling,
+)
 from explorelab.runtime import MemoryRecord
 
 
@@ -119,6 +130,128 @@ def naive_validate_consistent_labeling(g):
                     f"node {v} lists {u} but {u} lists {v} "
                     f"{g.neighbors(u).count(v)} times",
                 )
+    return report
+
+
+def naive_gadget_level_pair(g, meta, gadget):
+    """The (level-i node, level-i+1 node) pair of a layer-i gadget, each the
+    last one its row lists, for a row of three neighbours that are level-i
+    nodes, level-(i+1) nodes or the critical node, with both levels present;
+    None for any other row."""
+    layer = meta.gadget_layer(gadget)
+    lo = hi = None
+    for u in g.neighbors(gadget):
+        lu = meta.level_of(u)
+        if lu == layer:
+            lo = u
+        elif lu == layer + 1:
+            hi = u
+        elif u != meta.critical_label:
+            return None
+    if lo is None or hi is None or g.degree(gadget) != 3:
+        return None
+    return (lo, hi)
+
+
+def naive_contract_layer(g, meta, layer):
+    """Layer ``layer`` with its gadgets contracted back into level-to-level
+    edges: (the green edges then one pair per well-shaped gadget, the
+    gadget -> pair map, the report of the contraction's faults)."""
+    p = meta.params
+    edges = meta.green_edges(g, layer)
+    by_gadget = {}
+    problems = ValidationReport()
+    glo = meta.gadget_labels[0] + (layer - 1) * p.gadgets_per_layer
+    for gd in range(glo, glo + p.gadgets_per_layer):
+        pair = naive_gadget_level_pair(g, meta, gd)
+        if pair is None:
+            problems.add("gadget-shape", f"gadget {gd} lacks the degree-3 shape")
+            continue
+        by_gadget[gd] = pair
+        edges.append(pair)
+    if len(set(edges)) < len(edges):
+        problems.add("layer-contraction", f"layer {layer}: duplicate contracted edge")
+    deg = Counter(v for e in edges for v in e)
+    left, right = meta.level_labels(layer), meta.level_labels(layer + 1)
+    bad = [v for v in (*left, *right) if deg[v] != p.layer_degree]
+    if bad:
+        problems.add(
+            "layer-contraction",
+            f"layer {layer}: nodes {bad[:8]} off {p.layer_degree}-regularity",
+        )
+    return edges, by_gadget, problems
+
+
+def naive_family_violations(g, params):
+    """Every violated family property of ``g``, found by per-layer loops
+    and role checks: the slow counterpart of ``validate_family_membership``."""
+    p = params
+    meta = FamilyMeta(p)
+    report = validate_consistent_labeling(g)
+
+    expected = meta.expected_labels()
+    actual = set(g.labels())
+    if actual != expected:
+        report.add(
+            "label-range",
+            f"missing={sorted(expected - actual)[:8]} extra={sorted(actual - expected)[:8]}",
+        )
+        return report  # remaining checks assume the exact label set
+    if g.edge_count() != p.edge_total:
+        report.add("edge-count", f"expected {p.edge_total}, got {g.edge_count()}")
+
+    # per-layer color counts and contraction regularity
+    for layer in range(1, p.levels):
+        edges, by_gadget, problems = naive_contract_layer(g, meta, layer)
+        greens = len(edges) - len(by_gadget)
+        reds = 0
+        for v in (*meta.level_labels(layer), *meta.level_labels(layer + 1)):
+            for u in g.neighbors(v):
+                if meta.is_gadget(u) and meta.gadget_layer(u) == layer:
+                    reds += 1
+        if greens != p.greens_per_layer:
+            report.add(
+                "green-count",
+                f"layer {layer}: expected {p.greens_per_layer}, got {greens}",
+            )
+        if reds != p.reds_per_layer:
+            report.add(
+                "red-count", f"layer {layer}: expected {p.reds_per_layer}, got {reds}"
+            )
+        report.violations.extend(problems.violations)
+
+    # no green edge's endpoints may share a gadget neighbor
+    for layer in range(1, p.levels):
+        for u, v in meta.green_edges(g, layer):
+            shared = {x for x in g.neighbors(u) if meta.is_gadget(x)} & {
+                x for x in g.neighbors(v) if meta.is_gadget(x)
+            }
+            if shared:
+                report.add(
+                    "green-gadget-overlap",
+                    f"green ({u},{v}) endpoints share gadgets {sorted(shared)}",
+                )
+
+    if sorted(g.neighbors(meta.source_label)) != list(meta.level_labels(1)):
+        report.add("source-edges", "source is not adjacent to exactly level 1")
+
+    crit = meta.critical_label
+    want_crit = set(meta.gadget_labels) | {meta.tail_labels[0]}
+    if set(g.neighbors(crit)) != want_crit or g.degree(crit) != len(want_crit):
+        report.add("critical-shape", "critical node adjacency is not gadgets + tail")
+    chain = [crit] + meta.tail_labels
+    for a, b in zip(chain, chain[1:]):
+        if not g.has_edge(a, b):
+            report.add("tail", f"missing tail edge ({a},{b})")
+    for t in meta.tail_labels:
+        want = 1 if t == meta.tail_tip else 2
+        if g.degree(t) != want:
+            report.add("tail", f"tail node {t} has degree {g.degree(t)} != {want}")
+
+    # a search would follow a listed neighbor that has no row
+    if "unknown-neighbor" not in report.codes():
+        if len(naive_distances(adjacency(g), next(iter(g.labels())))) != len(g):
+            report.add("disconnected", "graph is not connected")
     return report
 
 

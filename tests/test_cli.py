@@ -276,6 +276,25 @@ def test_adversary_strict_flags_invalid_policy(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["adversary", "--r", "6", "--alpha", "0", "--k", "1", "--policy", "dfs"],
+        ["adversary", "--r", "6", "--alpha", "-1", "--k", "1", "--policy", "dfs"],
+        ["merge", "--alpha", "-3"],
+    ],
+)
+def test_non_positive_alpha_is_refused_by_name(tmp_path, capsys, command):
+    member = tmp_path / "member.json"
+    member.write_text(build_family_graph(FamilyParams(10, 16, 6))[0].to_json())
+    if command[0] == "merge":
+        command = command + ["--in", str(member)]
+    assert main(command + ["--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: alpha must be positive, got {command[command.index('--alpha') + 1]}\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 # graph file text -> what its one-line error names
 MALFORMED = {
     "dangling": (LabeledGraph({0: [1], 1: []}).to_json(), "asymmetric-edge"),

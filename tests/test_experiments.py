@@ -29,6 +29,13 @@ def test_config_validation():
         ExperimentConfig("fuel", (), 2, Fraction(1))
 
 
+@pytest.mark.parametrize("variant", ["distance", "fuel"])
+@pytest.mark.parametrize("alpha", [Fraction(0), Fraction(-1, 2)])
+def test_config_refuses_non_positive_alpha(variant, alpha):
+    with pytest.raises(ParameterError, match=f"alpha must be positive, got {alpha}"):
+        ExperimentConfig(variant, (1,), 6, alpha)
+
+
 def test_default_configs():
     d = default_config("distance")
     assert (d.k_values, d.ecc, d.alpha, d.policy) == ((2, 3, 4), 6, Fraction(1, 2), "cautious-bfs")

@@ -1,11 +1,15 @@
-"""The adversary's incremental membership check (``family._FamilyLedger``)
-against its slow counterpart, the full ``validate_family_membership``."""
+"""The family membership check three ways: the adversary's incremental
+ledger (``family._FamilyLedger.admits``), the full check (one pass of the
+ledger's row terms over every row), and ``oracles.naive_family_violations``,
+per-layer loops over the whole graph."""
 
 import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from explorelab import (
     FamilyParams,
@@ -19,6 +23,7 @@ from explorelab import (
 )
 from explorelab import adversary
 from explorelab.family import _FamilyLedger
+from oracles import naive_family_violations
 from test_surgery import random_surgery
 
 ALPHA = Fraction(1, 2)
@@ -31,20 +36,29 @@ def seeded_ledger(g, params):
     return ledger
 
 
+def full_check(g, params):
+    """The full check's report, after checking that it gives the verdict and
+    the codes of the per-layer reference."""
+    report = validate_family_membership(g, params)
+    naive = naive_family_violations(g, params)
+    assert (report.ok, report.codes()) == (naive.ok, naive.codes())
+    return report
+
+
 # -- differential: the ledger's verdict against the full validator -------------------
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("k", [1, 2])
 def test_ledger_matches_full_validator_on_adversary_runs(monkeypatch, k, seed):
-    full_check = adversary.validate_family_membership
+    validate = adversary.validate_family_membership
     verdicts = []
 
     def both(g, params, *, ledger=None):
         report = full_check(g, params)
         if ledger is not None:
             if ledger.rows is None:
-                full_check(g, params, ledger=ledger)  # the first check builds it
+                validate(g, params, ledger=ledger)  # the first check builds it
             else:
                 verdicts.append((ledger.admits(g), report.ok))
         return report
@@ -67,7 +81,7 @@ def test_ledger_matches_full_validator_on_surgery_chain():
         res = random_surgery(g, meta, rng)
         if res.changed:
             changed += 1
-            ok = validate_family_membership(res.graph, params).ok
+            ok = full_check(res.graph, params).ok
             assert ledger.admits(res.graph) == ok, f"op {i}"
             g = res.graph
     assert changed > 300
@@ -244,24 +258,27 @@ def _tail(g, meta):
     return _rewired(g, {t1: {t2: v}, t2: {t1: None}, v: {None: t1}})
 
 
-# name -> (the code it must raise, its corruption)
+# name -> (every code its report names, its corruption)
 MUTANTS = {
-    "self-loop": ("self-loop", _self_loop),
-    "parallel-edge": ("parallel-edge", _parallel_edge),
-    "unknown-neighbor": ("unknown-neighbor", _unknown_neighbor),
-    "asymmetric-dropped": ("asymmetric-edge", _asymmetric_dropped),
-    "asymmetric-added": ("asymmetric-edge", _asymmetric_added),
-    "label-range-added": ("label-range", _label_range_added),
-    "label-range-renamed": ("label-range", _label_range_renamed),
-    "edge-count": ("edge-count", _edge_count),
-    "green-count": ("green-count", _green_count),
-    "red-count": ("red-count", _red_count),
-    "gadget-shape": ("gadget-shape", _gadget_shape),
-    "layer-contraction": ("layer-contraction", _layer_contraction),
-    "green-gadget-overlap": ("green-gadget-overlap", _green_gadget_overlap),
-    "source-edges": ("source-edges", _source_edges),
-    "critical-shape": ("critical-shape", _critical_shape),
-    "tail": ("tail", _tail),
+    "self-loop": ({"self-loop"}, _self_loop),
+    "parallel-edge": ({"parallel-edge", "asymmetric-edge", "red-count"}, _parallel_edge),
+    "unknown-neighbor": ({"unknown-neighbor"}, _unknown_neighbor),
+    "asymmetric-dropped": ({"asymmetric-edge"}, _asymmetric_dropped),
+    "asymmetric-added": ({"asymmetric-edge"}, _asymmetric_added),
+    "label-range-added": ({"label-range"}, _label_range_added),
+    "label-range-renamed": ({"label-range"}, _label_range_renamed),
+    "edge-count": ({"edge-count"}, _edge_count),
+    "green-count": ({"green-count", "layer-contraction"}, _green_count),
+    "red-count": ({"red-count", "critical-shape"}, _red_count),
+    "gadget-shape": ({"gadget-shape", "green-count", "red-count"}, _gadget_shape),
+    "layer-contraction": ({"layer-contraction"}, _layer_contraction),
+    "green-gadget-overlap": (
+        {"green-gadget-overlap", "layer-contraction"},
+        _green_gadget_overlap,
+    ),
+    "source-edges": ({"source-edges"}, _source_edges),
+    "critical-shape": ({"critical-shape", "edge-count"}, _critical_shape),
+    "tail": ({"tail", "disconnected"}, _tail),
 }
 
 
@@ -275,10 +292,10 @@ def shuffled_member():
 def test_ledger_rejects_each_violation(shuffled_member, name):
     g, meta = shuffled_member
     ledger = seeded_ledger(g, PARAMS)
-    code, corrupt = MUTANTS[name]
+    codes, corrupt = MUTANTS[name]
     mutant = corrupt(g, meta)
-    full = validate_family_membership(mutant, PARAMS)
-    assert code in full.codes()
+    full = full_check(mutant, PARAMS)
+    assert full.codes() == codes
     assert not ledger.admits(mutant)
     # a rejection leaves the ledger on the member, and the report is the
     # full validator's
@@ -308,3 +325,110 @@ def test_surgery_with_a_lying_touched_list_is_caught(monkeypatch):
     with pytest.raises(InvariantViolation) as err:
         adversary_behavior(6, ALPHA, policy, 16, seed=0)
     assert str(err.value) == "family membership broken at step 4: {'asymmetric-edge'}"
+
+
+# -- the full check against the per-layer reference -----------------------------------
+
+
+def _corrupted(g, rng, kind):
+    """``g`` after one random edit of the given kind, or None when the
+    drawn edit does not apply.  Every kind but "one-way" keeps each listing
+    two-way: a row lists u exactly when u's row lists it back."""
+    labels = sorted(g.labels())
+    rows = {}
+
+    def row(v):
+        if v not in rows:
+            rows[v] = list(g.neighbors(v))
+        return rows[v]
+
+    a = rng.choice(labels)
+    if not row(a):
+        return None
+    b = rng.choice(row(a))
+    if kind == "switch-ports":  # keeps membership
+        i, j = rng.randrange(len(row(a))), rng.randrange(len(row(a)))
+        row(a)[i], row(a)[j] = row(a)[j], row(a)[i]
+    elif kind == "move-end":  # the edge (a, b) becomes (a, c)
+        c = rng.choice(labels)
+        if c == a or c in row(a):
+            return None
+        row(a)[row(a).index(b)] = c
+        row(b).remove(a)
+        row(c).insert(rng.randrange(len(row(c)) + 1), a)
+    elif kind == "swap-ends":  # the edges (a, b) and (c, d) become (a, d) and (c, b)
+        c = rng.choice(labels)
+        if not row(c):
+            return None
+        d = rng.choice(row(c))
+        if len({a, b, c, d}) < 4 or d in row(a) or b in row(c):
+            return None
+        for x, old, new in ((a, b, d), (c, d, b), (b, a, c), (d, c, a)):
+            row(x)[row(x).index(old)] = new
+    elif kind == "add":
+        c = rng.choice(labels)
+        if c == a or c in row(a):
+            return None
+        row(a).append(c)
+        row(c).append(a)
+    elif kind == "remove":
+        row(a).remove(b)
+        row(b).remove(a)
+    else:  # "one-way": one row lists another label in place of b
+        row(a)[row(a).index(b)] = rng.choice(labels)
+    return g.replace_ports(rows)
+
+
+def _corruptions(kinds, count, seed):
+    g, _ = build_family_graph(PARAMS, seed=3)
+    rng = random.Random(seed)
+    while count:
+        edited = _corrupted(g, rng, rng.choice(kinds))
+        if edited is not None:
+            count -= 1
+            yield edited
+
+
+def test_full_check_matches_reference_on_corruptions():
+    members = 0
+    for edited in _corruptions(("switch-ports", "move-end", "swap-ends", "add", "remove"), 400, 3):
+        members += full_check(edited, PARAMS).ok
+    assert 40 < members < 200
+
+
+def test_one_way_listings_differ_from_reference_in_overlap_only():
+    # The pass reads which level nodes a gadget touches from the gadget's
+    # row, the reference from the level nodes' rows.  Where a listing is
+    # one-way the two can disagree on green-gadget-overlap alone, and the
+    # labeling check has already named the graph.
+    differ = 0
+    for edited in _corruptions(("one-way",), 200, 3):
+        report = validate_family_membership(edited, PARAMS)
+        naive = naive_family_violations(edited, PARAMS)
+        assert report.ok == naive.ok
+        diff = report.codes() ^ naive.codes()
+        if diff:
+            differ += 1
+            assert diff == {"green-gadget-overlap"}
+            assert "asymmetric-edge" in report.codes()
+    assert differ < 10
+
+
+@given(
+    levels=st.integers(2, 5),
+    width=st.sampled_from([8, 12, 16, 20]),
+    ecc=st.integers(6, 8),
+    seed=st.integers(0, 3),
+    ops=st.randoms(use_true_random=False),
+)
+@settings(max_examples=20, deadline=None)
+def test_surgeries_keep_membership_by_all_three_checks(levels, width, ecc, seed, ops):
+    params = FamilyParams(levels, width, ecc)
+    g, meta = build_family_graph(params, seed=seed)
+    ledger = seeded_ledger(g, params)
+    for i in range(12):
+        res = random_surgery(g, meta, ops)
+        if res.changed:
+            assert full_check(res.graph, params).ok, f"op {i}"
+            assert ledger.admits(res.graph), f"op {i}"
+            g = res.graph

@@ -10,7 +10,6 @@ from explorelab import (
     StructuralError,
     adversary_behavior,
     build_family_graph,
-    contract_layer_to_bipartite,
     eccentricity,
     make_policy,
     merge_gadgets,
@@ -18,6 +17,7 @@ from explorelab import (
     validate_family_membership,
     validate_merge_behavior,
 )
+from explorelab.family import _contract_layer
 from explorelab.graph import bfs_distances
 
 ALPHA = Fraction(1, 2)
@@ -39,11 +39,12 @@ def adversary_final():
 
 def test_contract_layer_fresh(fresh):
     params, g, meta = fresh
-    layer = contract_layer_to_bipartite(g, meta, 1)
-    assert len(layer.edges) == params.beta
-    assert len(layer.by_gadget) == params.gadgets_per_layer
+    pairs = _contract_layer(g, meta, 1)
+    edges = meta.green_edges(g, 1) + list(pairs.values())
+    assert len(edges) == params.beta
+    assert len(pairs) == params.gadgets_per_layer
     deg = {}
-    for a, b in layer.edges:
+    for a, b in edges:
         deg[a] = deg.get(a, 0) + 1
         deg[b] = deg.get(b, 0) + 1
     assert set(deg.values()) == {params.layer_degree}
@@ -51,15 +52,10 @@ def test_contract_layer_fresh(fresh):
 
 def test_contract_layer_correspondence(fresh):
     _, g, meta = fresh
-    layer = contract_layer_to_bipartite(g, meta, 3)
-    for gadget, pair in layer.by_gadget.items():
+    pairs = _contract_layer(g, meta, 3)
+    assert pairs
+    for gadget, pair in pairs.items():
         assert meta.gadget_level_pair(g, gadget) == pair
-
-
-def test_contract_layer_bad_index(fresh):
-    _, g, meta = fresh
-    with pytest.raises(ParameterError):
-        contract_layer_to_bipartite(g, meta, 0)
 
 
 def test_contract_layer_rejects_rewired_gadget(fresh):
@@ -78,9 +74,8 @@ def test_contract_layer_rejects_rewired_gadget(fresh):
         }
     )
     assert validate_consistent_labeling(rewired).ok
-    with pytest.raises(StructuralError):
-        contract_layer_to_bipartite(rewired, meta, 1)
-    contract_layer_to_bipartite(rewired, meta, 2)  # other layers still contract
+    assert _contract_layer(rewired, meta, 1)[gadget] == (lo, other)
+    assert _contract_layer(rewired, meta, 2) == _contract_layer(g, meta, 2)
     assert "layer-contraction" in validate_family_membership(rewired, params).codes()
 
 
@@ -88,8 +83,9 @@ def test_contract_layer_post_adversary(adversary_final):
     run = adversary_final
     meta = FamilyMeta(run.params)
     for layer in range(1, run.params.levels):
-        contracted = contract_layer_to_bipartite(run.final_graph, meta, layer)
-        assert len(contracted.edges) == run.params.beta
+        pairs = _contract_layer(run.final_graph, meta, layer)
+        assert len(pairs) == run.params.gadgets_per_layer
+        assert len(meta.green_edges(run.final_graph, layer)) + len(pairs) == run.params.beta
 
 
 def test_merge_fresh_member(fresh):
