@@ -39,7 +39,7 @@ from .runtime import (
     layer_traversal_stats,
     penalty_before_step,
 )
-from .surgery import SurgeryResult, move_gadget, switch_edges, switch_ports
+from .surgery import move_gadget, switch_edges, switch_ports
 
 __all__ = [
     "AdversaryRun",
@@ -59,7 +59,6 @@ __all__ = [
     "PolicyError",
     "ReplayCursor",
     "StructuralError",
-    "SurgeryResult",
     "Trace",
     "ValidationReport",
     "adversary_behavior",

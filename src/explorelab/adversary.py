@@ -3,12 +3,13 @@ deterministic exploration policy.
 
 The rewriting never touches an edge the agent has traversed, so the agent's
 memory prefix is preserved across every rewrite; the engine verifies this
-per surgery (touched edges against the traversed set) and, after every step
-that changed the graph, by a full fresh replay.  Family membership is
-checked after every step that changed the graph, incrementally: a ledger of
-the last member's per-row sums is updated from the rows that differ from
-it, and any doubt falls back to the full validator.  The final graph gets
-the full validator.  Structural monitors (family membership, prefix
+per surgery (the ports of the rows the new graph records as replaced,
+against the traversed set) and, after every step that changed the graph, by
+a full fresh replay.  Family membership is checked after every step that
+changed the graph, incrementally: a ledger of the last member's per-row
+sums is updated from the rows the graph records as replaced since that
+member, and any doubt falls back to the full validator.  The final graph
+gets the full validator.  Structural monitors (family membership, prefix
 preservation) raise on failure since they hold unconditionally; behavioral
 monitors (the agent being kept out of gadgets, and each descent ending in a
 deeper frontier node or a repeated edge) are recorded as flags because they
@@ -182,7 +183,7 @@ def _apply(cursor: ReplayCursor, audit: StepAudit, op: str, args: tuple, result:
         SurgeryAudit(op, args, result.changed, result.reason, result.note)
     )
     if result.changed:
-        cursor.replace_graph(result.graph, result.touched)
+        cursor.replace_graph(result.graph)
     return result.changed
 
 

@@ -327,7 +327,7 @@ def validate_family_membership(
     if "unknown-neighbor" not in report.codes() and not is_connected(g):
         report.add("disconnected", "graph is not connected")
     if ledger is not None and report.ok:
-        ledger.rows, ledger.sums = g._ports, sums
+        ledger.rows, ledger.diff, ledger.sums = g._ports, g._diff, sums
     return report
 
 
@@ -354,9 +354,10 @@ class _FamilyLedger:
     The rows of the source, the critical node, the tail and each gadget
     must also have the shape their role asks for.
 
-    :meth:`admits` finds the dirty rows from the graph diff: the rows that
-    are not the very list the last member held, so a surgery cannot hide a
-    row from the check, whatever it reports as touched.  It re-checks the
+    :meth:`admits` takes the dirty rows from the graph's own record of the
+    rows :meth:`LabeledGraph.replace_ports` replaced since the last member,
+    whose record the ledger keeps as ``diff``; a graph that does not
+    descend from that member gets no incremental check.  It re-checks the
     labeling at each dirty row, old and new, swaps its old terms for its new
     ones, and requires each changed sum on target and each dirty row in
     shape.  Any doubt answers False and leaves the ledger as it was; the
@@ -383,19 +384,21 @@ class _FamilyLedger:
     def __init__(self, params: FamilyParams):
         self.meta = FamilyMeta(params)
         self.rows: dict[int, list[int]] | None = None
+        self.diff: list | None = None
         self.sums: Counter = Counter()
         self._critical_row = set(self.meta.gadget_labels) | {self.meta.tail_labels[0]}
         ld = params.layer_degree
         self._want = dict(up=ld, down=ld, green=params.greens_per_layer, red=params.reds_per_layer)
 
     def admits(self, g: LabeledGraph) -> bool:
-        """Whether ``g`` is a member, found from the rows that differ from
-        the base's; on True, ``g`` becomes the base."""
+        """Whether ``g`` is a member, found from the rows replaced since the
+        base; on True, ``g`` becomes the base."""
         old, new = self.rows, g._ports
+        # replace_ports never drops a label, so an equal count is the same labels
         if old is None or len(new) != len(old):
             return False
-        dirty = [v for v, row in new.items() if old.get(v) is not row]
-        if not all(v in old for v in dirty):
+        dirty = g._replaced_since(self.diff)
+        if dirty is None:
             return False
         for v in dirty:
             row = new[v]
@@ -416,7 +419,7 @@ class _FamilyLedger:
             return False
         for key, d in delta.items():
             sums[key] += d
-        self.rows = new
+        self.rows, self.diff = new, g._diff
         return True
 
     def _on_target(self, key: tuple, total: int) -> bool:

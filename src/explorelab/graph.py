@@ -5,7 +5,8 @@ whose nodes carry pairwise distinct non-negative integer labels and whose
 incident edges are numbered locally at each node: the edge leaving ``v``
 through port ``p`` is the one to ``v``'s ``p``-th listed neighbor.  Graph
 values are immutable by convention; every rewriting operation in this package
-returns a fresh value and shares untouched adjacency rows.
+returns a fresh value that shares untouched adjacency rows and records which
+rows it replaced.
 """
 
 from __future__ import annotations
@@ -68,11 +69,14 @@ class LabeledGraph:
     to derive a modified graph.
     """
 
-    __slots__ = ("_ports", "_rports")
+    __slots__ = ("_ports", "_rports", "_diff")
 
     def __init__(self, ports: dict[int, list[int]]):
         self._ports: dict[int, list[int]] = dict(ports)
         self._rports: dict[int, dict[int, int]] | None = None
+        # [labels whose rows replace_ports replaced, the parent's record]; a
+        # fresh list per graph, so that no two graphs share a record
+        self._diff: list = [(), None]
 
     # -- basic queries -----------------------------------------------------
 
@@ -132,16 +136,32 @@ class LabeledGraph:
 
         A reverse map already built here is carried over: the new graph gets
         a shallow copy with only the changed rows rebuilt, and this graph's
-        maps are left untouched.
+        maps are left untouched.  The new graph records the replaced labels
+        and a link to this graph's record, which :meth:`_replaced_since`
+        reads; the record holds no graph and no row.
         """
         new = LabeledGraph(self._ports)
         new._ports.update(changes)
+        new._diff = [tuple(changes), self._diff]
         if self._rports is not None:
             rports = dict(self._rports)
             for v, ns in changes.items():
                 rports[v] = {u: p for p, u in enumerate(ns)}
             new._rports = rports
         return new
+
+    def _replaced_since(self, base: list) -> set[int] | None:
+        """The labels whose rows :meth:`replace_ports` replaced on the way
+        from the graph whose record is ``base`` to this one, or None when
+        this graph does not descend from that graph."""
+        labels: set[int] = set()
+        diff = self._diff
+        while diff is not base:
+            if diff is None:
+                return None
+            replaced, diff = diff
+            labels.update(replaced)
+        return labels
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledGraph):

@@ -240,12 +240,20 @@ class ReplayCursor:
             return None
         return self.graph.neighbor(self.node, port)
 
-    def replace_graph(self, new_graph: LabeledGraph, touched: tuple) -> None:
-        for key in touched:
-            if key in self.traversed:
-                raise InvariantViolation(
-                    f"surgery touched already-traversed edge {key}"
-                )
+    def replace_graph(self, new_graph: LabeledGraph) -> None:
+        """Traverse ``new_graph`` from now on; raises if it moves a traversed
+        edge off its ports.  The rows compared port by port are those the
+        new graph's record says were replaced since the current graph, or
+        every row when it does not descend from the current graph."""
+        old, new = self.graph._ports, new_graph._ports
+        labels = new_graph._replaced_since(self.graph._diff)
+        for v in old if labels is None else labels:
+            row = new.get(v, ())
+            for p, u in enumerate(old.get(v, ())):
+                if (p >= len(row) or row[p] != u) and edge_key(v, u) in self.traversed:
+                    raise InvariantViolation(
+                        f"surgery touched already-traversed edge {edge_key(v, u)}"
+                    )
         self.graph = new_graph
 
     def run(self, limit: int) -> bool:

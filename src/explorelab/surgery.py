@@ -2,9 +2,9 @@
 
 Each operation returns a :class:`SurgeryResult`; when any guard fails the
 input graph is returned unchanged together with the failed guard's reason.
-Changed results also carry the list of edges whose endpoints or ports were
-touched, which lets callers verify that a surgery never disturbed an edge an
-agent has already traversed.
+A changed graph comes from :meth:`LabeledGraph.replace_ports`, so it records
+the rows it replaced; callers read that record, for example to verify that a
+surgery never disturbed an edge an agent has already traversed.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ class SurgeryResult:
     graph: LabeledGraph
     changed: bool
     reason: str | None = None
-    touched: tuple[tuple[int, int], ...] = ()
     note: str | None = None
 
     @classmethod
@@ -39,11 +38,7 @@ def switch_ports(g: LabeledGraph, v: int, p1: int, p2: int) -> SurgeryResult:
         )
     row = list(g.neighbors(v))
     row[p1], row[p2] = row[p2], row[p1]
-    return SurgeryResult(
-        graph=g.replace_ports({v: row}),
-        changed=True,
-        touched=(edge_key(v, row[p1]), edge_key(v, row[p2])),
-    )
+    return SurgeryResult(graph=g.replace_ports({v: row}), changed=True)
 
 
 def switch_edges(
@@ -87,11 +82,7 @@ def switch_edges(
     rowf1[g.port_of(far1, v1)] = v2
     rowf2[g.port_of(far2, v2)] = v1
     new_g = g.replace_ports({v1: row1, v2: row2, far1: rowf1, far2: rowf2})
-    return SurgeryResult(
-        graph=new_g,
-        changed=True,
-        touched=(edge_key(v1, far1), edge_key(v2, far2)),
-    )
+    return SurgeryResult(graph=new_g, changed=True)
 
 
 def move_gadget(
@@ -145,10 +136,4 @@ def move_gadget(
         for port, neighbor in patch.items():
             row[port] = neighbor
         rows[node] = row
-    new_g = g.replace_ports(rows)
-    return SurgeryResult(
-        graph=new_g,
-        changed=True,
-        touched=(edge_key(v1, v2), edge_key(lo, gadget), edge_key(hi, gadget)),
-        note=note,
-    )
+    return SurgeryResult(graph=g.replace_ports(rows), changed=True, note=note)

@@ -6,7 +6,9 @@ never call the package's BFS helpers.
 per-layer loops over the graph (a contraction of each layer, a red-edge
 count, a scan for green edges whose endpoints share a gadget) and explicit
 checks of the source, critical and tail rows: the independent reference for
-the package's one pass over the rows.
+the package's one pass over the rows.  ``naive_dirty_rows`` finds the rows a
+graph changed against a member's by identity, the reference for the record
+of replaced rows that ``LabeledGraph.replace_ports`` keeps.
 
 The last two functions are test helpers rather than oracles, kept out of the
 package because only the tests call them: ``graph_modification``, the
@@ -253,6 +255,13 @@ def naive_family_violations(g, params):
         if len(naive_distances(adjacency(g), next(iter(g.labels())))) != len(g):
             report.add("disconnected", "graph is not connected")
     return report
+
+
+def naive_dirty_rows(base_rows, g):
+    """The labels of ``g`` whose row is not the very list ``base_rows``
+    holds: a scan of every row, the slow counterpart of the record
+    ``LabeledGraph._replaced_since`` reads."""
+    return {v for v, row in g._ports.items() if base_rows.get(v) is not row}
 
 
 def naive_smallest_unexplored_port(view, v):

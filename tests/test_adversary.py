@@ -431,7 +431,7 @@ def test_cursor_replays_with_graph_swap():
     assert cursor.steps == 5
     assert cursor.pending_edge() is not None
     before = list(cursor.memory)
-    cursor.replace_graph(g, ())
+    cursor.replace_graph(g)
     assert cursor.memory == before
 
 

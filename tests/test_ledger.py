@@ -23,7 +23,7 @@ from explorelab import (
 )
 from explorelab import adversary
 from explorelab.family import _FamilyLedger
-from oracles import naive_family_violations
+from oracles import naive_dirty_rows, naive_family_violations
 from test_surgery import random_surgery
 
 ALPHA = Fraction(1, 2)
@@ -45,6 +45,18 @@ def full_check(g, params):
     return report
 
 
+def assert_rebuilt_gets_the_full_check(ledger, g, params):
+    """A copy of the member ``g`` read back from JSON has no record that
+    reaches the ledger's base: the ledger does not admit it, and the check
+    with the ledger gives the full report and makes it the base."""
+    rebuilt = LabeledGraph.from_json(g.to_json())
+    assert rebuilt._replaced_since(ledger.diff) is None
+    assert not ledger.admits(rebuilt)
+    report = validate_family_membership(rebuilt, params, ledger=ledger)
+    assert report.ok and report.to_dict() == full_check(rebuilt, params).to_dict()
+    assert ledger.rows is rebuilt._ports
+
+
 # -- differential: the ledger's verdict against the full validator -------------------
 
 
@@ -52,14 +64,17 @@ def full_check(g, params):
 @pytest.mark.parametrize("k", [1, 2])
 def test_ledger_matches_full_validator_on_adversary_runs(monkeypatch, k, seed):
     validate = adversary.validate_family_membership
-    verdicts = []
+    verdicts, ledgers = [], []
 
     def both(g, params, *, ledger=None):
         report = full_check(g, params)
         if ledger is not None:
             if ledger.rows is None:
                 validate(g, params, ledger=ledger)  # the first check builds it
+                ledgers.append(ledger)
             else:
+                # the graph's record names exactly the rows a scan finds
+                assert g._replaced_since(ledger.diff) == naive_dirty_rows(ledger.rows, g)
                 verdicts.append((ledger.admits(g), report.ok))
         return report
 
@@ -68,6 +83,7 @@ def test_ledger_matches_full_validator_on_adversary_runs(monkeypatch, k, seed):
     run = adversary_behavior(6, ALPHA, policy, 16 * k, seed=seed)
     assert len(verdicts) == run.membership_checks - 1 > 10
     assert all(admitted == ok for admitted, ok in verdicts)
+    assert_rebuilt_gets_the_full_check(ledgers[0], run.final_graph, run.params)
 
 
 def test_ledger_matches_full_validator_on_surgery_chain():
@@ -308,7 +324,8 @@ def test_ledger_rejects_each_violation(shuffled_member, name):
 
 def test_surgery_with_a_lying_touched_list_is_caught(monkeypatch):
     # the third changed gadget move also breaks the tail, far from the rows
-    # it reports as touched; the adversary still names the step and the code
+    # the move itself rewrites; the graph records every replaced row, so the
+    # ledger sees the tail rows and the adversary names the step and the code
     move_gadget = adversary.move_gadget
     moves = []
 
@@ -430,5 +447,8 @@ def test_surgeries_keep_membership_by_all_three_checks(levels, width, ecc, seed,
         res = random_surgery(g, meta, ops)
         if res.changed:
             assert full_check(res.graph, params).ok, f"op {i}"
+            dirty = res.graph._replaced_since(ledger.diff)
+            assert dirty == naive_dirty_rows(ledger.rows, res.graph), f"op {i}"
             assert ledger.admits(res.graph), f"op {i}"
             g = res.graph
+    assert_rebuilt_gets_the_full_check(ledger, g, params)

@@ -21,6 +21,7 @@ from explorelab import (
     layer_traversal_stats,
     make_policy,
     penalty_before_step,
+    switch_ports,
 )
 from explorelab.runtime import ExploredDistances, MemoryRecord, ReplayCursor
 
@@ -324,13 +325,34 @@ def test_commit_reads_entry_ports_of_a_swapped_in_graph(reverse_built):
     old = base if reverse_built else LabeledGraph.from_json(base.to_json())
     swapped = old.replace_ports({v: base.neighbors(v)[::-1]})
     assert (swapped._rports is not None) == reverse_built
-    cursor.replace_graph(swapped, ())
+    cursor.replace_graph(swapped)
     while cursor.pending_port() is not None:
         cursor.commit()
     memory, traversed = naive_run(swapped, policy, 0)
     assert memory != unswapped
     assert cursor.memory == memory
     assert cursor.traversed == traversed
+
+
+@pytest.mark.parametrize("derived", [True, False], ids=["derived", "from-json"])
+def test_replace_graph_refuses_to_move_a_traversed_edge(derived):
+    # the gate compares the rows the new graph records as replaced, or every
+    # row of a graph that does not descend from the cursor's (one read back
+    # from JSON); an equal copy moves nothing and is taken
+    base, _ = build_family_graph(FamilyParams(10, 16, 6))
+    cursor = ReplayCursor(base, make_policy("cautious-bfs", Fraction(1, 2), 6), source=0)
+    assert cursor.run(5) is False
+    v, _, _, in_port = cursor.memory[1]
+    moved = switch_ports(base, v, in_port, (in_port + 1) % base.degree(v)).graph
+    if not derived:
+        moved = LabeledGraph.from_json(moved.to_json())
+    with pytest.raises(InvariantViolation) as err:
+        cursor.replace_graph(moved)
+    assert str(err.value) == f"surgery touched already-traversed edge {(0, v)}"
+    assert cursor.graph is base
+    copy = LabeledGraph.from_json(base.to_json())
+    cursor.replace_graph(copy)
+    assert cursor.graph is copy
 
 
 @pytest.mark.parametrize("port", ["1", -1, 2])
@@ -389,7 +411,7 @@ def test_run_reads_a_graph_swapped_in_between_calls(chunk):
     unswapped, _ = naive_run(base, policy, 0)
     v = next(r.label for r in unswapped if r.label not in seen and base.degree(r.label) > 1)
     swapped = base.replace_ports({v: base.neighbors(v)[::-1]})
-    cursor.replace_graph(swapped, ())
+    cursor.replace_graph(swapped)
     while not cursor.run(chunk):
         pass
     memory, traversed = naive_run(swapped, policy, 0)
