@@ -1,6 +1,10 @@
-"""Simulation lab for constrained mobile-agent graph exploration."""
+"""Simulation lab for constrained mobile-agent graph exploration.
 
-from .adversary import AdversaryRun, adversary_behavior
+The root exports what the README's Library section uses and the exceptions
+callers catch; every other name is imported from the module that defines it.
+"""
+
+from .adversary import adversary_behavior
 from .errors import (
     BudgetError,
     InvariantViolation,
@@ -8,72 +12,25 @@ from .errors import (
     PolicyError,
     StructuralError,
 )
-from .explorers import (
-    CautiousBfsPolicy,
-    DfsPolicy,
-    ExploredView,
-    FuelCautiousPolicy,
-    make_policy,
-)
-from .family import (
-    FamilyMeta,
-    FamilyParams,
-    LollipopParams,
-    build_family_graph,
-    build_lollipop,
-    validate_family_membership,
-)
-from .graph import (
-    LabeledGraph,
-    ValidationReport,
-    eccentricity,
-    validate_consistent_labeling,
-)
-from .merge import merge_gadgets, validate_merge_behavior
-from .runtime import (
-    Instance,
-    MemoryRecord,
-    ReplayCursor,
-    Trace,
-    execute,
-    layer_traversal_stats,
-    penalty_before_step,
-)
-from .surgery import move_gadget, switch_edges, switch_ports
+from .explorers import make_policy
+from .family import FamilyMeta, FamilyParams, build_family_graph, validate_family_membership
+from .merge import merge_gadgets
+from .runtime import Instance, ReplayCursor, execute
 
 __all__ = [
-    "AdversaryRun",
     "BudgetError",
-    "CautiousBfsPolicy",
-    "DfsPolicy",
-    "ExploredView",
     "FamilyMeta",
     "FamilyParams",
-    "FuelCautiousPolicy",
     "Instance",
     "InvariantViolation",
-    "LabeledGraph",
-    "LollipopParams",
-    "MemoryRecord",
     "ParameterError",
     "PolicyError",
     "ReplayCursor",
     "StructuralError",
-    "Trace",
-    "ValidationReport",
     "adversary_behavior",
     "build_family_graph",
-    "build_lollipop",
-    "eccentricity",
     "execute",
-    "layer_traversal_stats",
     "make_policy",
     "merge_gadgets",
-    "move_gadget",
-    "penalty_before_step",
-    "switch_edges",
-    "switch_ports",
-    "validate_consistent_labeling",
     "validate_family_membership",
-    "validate_merge_behavior",
 ]

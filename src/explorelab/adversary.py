@@ -97,7 +97,6 @@ class AdversaryRun:
     trace: Trace
     flags: list[tuple[int, str]]
     prefix_checks: int
-    membership_checks: int
 
     @property
     def params(self) -> FamilyParams:
@@ -107,7 +106,9 @@ class AdversaryRun:
 class _Adversary:
     """A cursor on the graph under rewrite, with the green edges explored
     per layer that the monitors read, the ledger that checks membership
-    after each rewrite, and the count of checks run after rewrites."""
+    after each rewrite, and one count, ``prefix_checks``: the steps that
+    changed the graph, each followed by one membership check and one
+    prefix replay."""
 
     def __init__(self, graph: LabeledGraph, policy, meta: FamilyMeta):
         self.cursor = ReplayCursor(graph, policy, source=0, gadgets=meta.gadget_labels)
@@ -115,13 +116,12 @@ class _Adversary:
         self.explored_green = {i: 0 for i in range(1, meta.params.levels)}
         self.ledger = _FamilyLedger(meta.params)
         self.prefix_checks = 0
-        self.membership_checks = 0
 
     def commit(self) -> bool:
         """Take the pending traversal; returns whether its edge was already
         explored."""
         cursor = self.cursor
-        e = cursor.pending_edge()
+        e = edge_key(cursor.node, cursor.pending_node())
         was_seen = e in cursor.traversed
         cursor.commit()
         if not was_seen:
@@ -143,7 +143,6 @@ class _Adversary:
             report = validate_family_membership(
                 cursor.graph, self.meta.params, ledger=self.ledger
             )
-            self.membership_checks += 1
             if not report.ok:
                 raise InvariantViolation(
                     f"family membership broken at step {step}: {report.codes()}"
@@ -200,9 +199,9 @@ def _modify_step(adv: _Adversary, audit: StepAudit) -> None:
     cursor, meta = adv.cursor, adv.meta
     g = cursor.graph
     u = cursor.node
-    e = cursor.pending_edge()
-    if e is None:
+    if cursor.pending_port() is None:
         raise ParameterError("policy halts before the step being modified")
+    e = edge_key(u, cursor.pending_node())
     levels = meta.params.levels
     i = meta.level_of(u)
 
@@ -223,7 +222,7 @@ def _modify_step(adv: _Adversary, audit: StepAudit) -> None:
             if not _apply(cursor, audit, "switch-ports", (u, pending, new_port), res):
                 audit.flags.append("divert-port-noop")
             g = cursor.graph
-            e = cursor.pending_edge()
+            e = edge_key(u, cursor.pending_node())
 
     # a pending red edge: move its gadget onto an unexplored green edge of the
     # same layer, which turns the pending port into a green descent
@@ -237,7 +236,7 @@ def _modify_step(adv: _Adversary, audit: StepAudit) -> None:
             if not _apply(cursor, audit, "move-gadget", (greens[0], gadget), res):
                 audit.flags.append("divert-gadget-noop")
             g = cursor.graph
-            e = cursor.pending_edge()
+            e = edge_key(u, cursor.pending_node())
 
     reached = cursor.pending_node()
     if (
@@ -417,5 +416,4 @@ def adversary_behavior(
         trace=cursor.as_trace(),
         flags=flags,
         prefix_checks=adv.prefix_checks,
-        membership_checks=adv.membership_checks,
     )

@@ -158,7 +158,6 @@ def cmd_adversary(args) -> int:
             "steps": run.step_count,
             "first_gadget_step": run.trace.first_gadget_step,
             "prefix_checks": run.prefix_checks,
-            "membership_checks": run.membership_checks,
             "flags": run.flags,
             "entries": [a.to_dict() for a in run.audit],
         }

@@ -313,8 +313,6 @@ class CautiousBfsPolicy:
     distance within the cap after every single traversal.
     """
 
-    name = "cautious-bfs"
-
     def __init__(self, alpha: Fraction, ecc: int):
         alpha = _require_slack(alpha, ecc)
         cap = (1 + alpha) * ecc
@@ -339,8 +337,6 @@ class DfsPolicy:
     source once every port is spent.  Traverses each edge once per direction,
     so a connected graph costs exactly 2|E| moves.  Ignores all constraints.
     """
-
-    name = "dfs"
 
     def start(self):
         return _DfsRun()
@@ -391,8 +387,6 @@ class FuelCautiousPolicy:
     return from, so requiring 2d + 2 <= floor(tank), that is
     ``plan_to((tank_floor - 2) // 2)``, keeps every excursion within one tank.
     """
-
-    name = "fuel-cautious"
 
     def __init__(self, alpha: Fraction, ecc: int):
         alpha = _require_slack(alpha, ecc)

@@ -124,11 +124,6 @@ class LabeledGraph:
     def edge_count(self) -> int:
         return sum(len(ns) for ns in self._ports.values()) // 2
 
-    def edge_ports(self, a: int, b: int) -> tuple[int, int]:
-        """Ports of edge {a, b} at a and at b, in that order."""
-        rev = self._reverse()
-        return (rev[a][b], rev[b][a])
-
     # -- derivation and serialization ---------------------------------------
 
     def replace_ports(self, changes: dict[int, list[int]]) -> "LabeledGraph":

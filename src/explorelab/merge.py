@@ -12,7 +12,7 @@ any port at a surviving node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvariantViolation, ParameterError, StructuralError
 from .family import FamilyMeta, _contract_layer, validate_family_membership
@@ -37,7 +37,6 @@ class MergePlan:
     merged_even: dict[int, int]
     merged_odd: dict[int, int]
     gadget_map: dict[int, int]
-    pairs: dict[int, tuple[int, int]] = field(default_factory=dict)
 
     def map_label(self, label: int) -> int:
         return self.gadget_map.get(label, label)
@@ -176,7 +175,6 @@ def merge_gadgets(
         merged_even=merged_maps[0],
         merged_odd=merged_maps[1],
         gadget_map=gadget_map,
-        pairs=pairs,
     )
 
     check = validate_consistent_labeling(merged_graph)

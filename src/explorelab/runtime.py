@@ -57,22 +57,13 @@ class Instance:
         object.__setattr__(self, "ecc", eccentricity(self.graph, self.source))
 
     @property
-    def dist_cap(self) -> Fraction:
-        return (1 + self.alpha) * self.ecc
-
-    @property
     def fuel_tank(self) -> Fraction:
         return 2 * (1 + self.alpha) * self.ecc
 
     @property
     def dist_cap_floor(self) -> int:
-        d = self.dist_cap
+        d = (1 + self.alpha) * self.ecc
         return d.numerator // d.denominator
-
-    @property
-    def fuel_floor(self) -> int:
-        b = self.fuel_tank
-        return b.numerator // b.denominator
 
 
 @dataclass
@@ -86,10 +77,6 @@ class Trace:
     @property
     def steps(self) -> int:
         return len(self.memory) - 1
-
-    @property
-    def current(self) -> int:
-        return self.memory[-1].label
 
     def edge_at(self, i: int) -> tuple[int, int]:
         """The edge of the i-th traversal (1-based)."""
@@ -175,9 +162,6 @@ class ExploredDistances:
                     queue.append(u)
         return queue
 
-    def get(self, v: int) -> int | None:
-        return self.dist.get(v)
-
 
 _UNASKED = object()
 
@@ -227,12 +211,6 @@ class ReplayCursor:
         if port is _UNASKED:
             port = self._pending = self.state.next_action()
         return port
-
-    def pending_edge(self) -> tuple[int, int] | None:
-        port = self.pending_port()
-        if port is None:
-            return None
-        return edge_key(self.node, self.graph.neighbor(self.node, port))
 
     def pending_node(self) -> int | None:
         port = self.pending_port()

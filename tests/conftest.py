@@ -6,20 +6,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from explorelab import (
-    FamilyParams,
-    LabeledGraph,
-    LollipopParams,
-    build_family_graph,
-    build_lollipop,
-)
+from explorelab import FamilyParams, build_family_graph
+from explorelab.family import LollipopParams, build_lollipop
+from explorelab.graph import LabeledGraph
 from explorelab.runtime import ExploredDistances
 
 
 class ScriptPolicy:
     """Plays a fixed port sequence, then halts.  Test helper."""
-
-    name = "script"
 
     def __init__(self, ports):
         self.ports = list(ports)
@@ -53,7 +47,7 @@ def explored_return_distances(trace, source):
         if edge not in seen:
             seen.add(edge)
             dists.add_edge(trace.memory[i - 1].label, rec.out_port, rec.label, rec.in_port)
-        yield i, seen, dists.get(rec.label)
+        yield i, seen, dists.dist.get(rec.label)
 
 
 def port_script(graph, labels):

@@ -506,7 +506,6 @@ def naive_adversary_behavior(ecc, alpha, policy, width, *, seed=0, max_steps=Non
         trace=cursor.as_trace(),
         flags=flags,
         prefix_checks=adv.prefix_checks,
-        membership_checks=adv.membership_checks,
     )
 
 

@@ -15,18 +15,17 @@ from explorelab import (
     FamilyMeta,
     FamilyParams,
     Instance,
-    LollipopParams,
     adversary_behavior,
     build_family_graph,
-    build_lollipop,
-    eccentricity,
     execute,
     make_policy,
     merge_gadgets,
-    penalty_before_step,
     validate_family_membership,
-    validate_merge_behavior,
 )
+from explorelab.family import LollipopParams, build_lollipop
+from explorelab.graph import eccentricity
+from explorelab.merge import validate_merge_behavior
+from explorelab.runtime import penalty_before_step
 
 from conftest import explored_return_distances
 from oracles import (

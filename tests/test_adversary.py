@@ -12,14 +12,12 @@ from explorelab import (
     adversary_behavior,
     build_family_graph,
     execute,
-    layer_traversal_stats,
     make_policy,
-    penalty_before_step,
     validate_family_membership,
 )
 from explorelab.adversary import _replay_agrees
-from explorelab.runtime import ReplayCursor
 from explorelab.graph import edge_key
+from explorelab.runtime import ReplayCursor, layer_traversal_stats, penalty_before_step
 
 from oracles import graph_modification, naive_adversary_behavior, naive_run
 
@@ -81,7 +79,7 @@ def test_modification_noop_after_first_gadget_visit():
         cursor.commit()
     assert cursor.first_gadget_step is not None and cursor.first_gadget_step < t
     assert meta.level_of(cursor.node) == 1
-    assert cursor.pending_edge() not in cursor.traversed
+    assert edge_key(cursor.node, cursor.pending_node()) not in cursor.traversed
     out, audit = graph_modification(g, ALPHA, cautious(), t)
     assert out is g
     assert not audit.stages and not audit.surgeries
@@ -429,7 +427,7 @@ def test_cursor_replays_with_graph_swap():
     for _ in range(5):
         cursor.commit()
     assert cursor.steps == 5
-    assert cursor.pending_edge() is not None
+    assert cursor.pending_node() is not None
     before = list(cursor.memory)
     cursor.replace_graph(g)
     assert cursor.memory == before

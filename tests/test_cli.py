@@ -7,16 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from explorelab import (
-    FamilyMeta,
-    FamilyParams,
-    LabeledGraph,
-    LollipopParams,
-    build_family_graph,
-    build_lollipop,
-    merge_gadgets,
-)
+from explorelab import FamilyMeta, FamilyParams, build_family_graph, merge_gadgets
 from explorelab.cli import main
+from explorelab.family import LollipopParams, build_lollipop
+from explorelab.graph import LabeledGraph
 
 
 def test_gen_and_validate_family(tmp_path, capsys):

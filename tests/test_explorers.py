@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 from explorelab import (
     FamilyParams,
     Instance,
-    LabeledGraph,
-    LollipopParams,
     ParameterError,
     build_family_graph,
-    build_lollipop,
     execute,
     make_policy,
 )
 from explorelab.explorers import POLICY_NAMES, DfsPolicy, ExploredView
+from explorelab.family import LollipopParams, build_lollipop
+from explorelab.graph import LabeledGraph
 from explorelab.runtime import ExploredDistances, MemoryRecord, ReplayCursor
 
 from conftest import engine_cases, small_graph_corpus
@@ -102,7 +101,7 @@ def test_dfs_halts_at_source():
     g, _ = build_family_graph(FamilyParams(2, 4, 6))
     trace, report = run(g, 0, Fraction(1), "dfs", monitors=("completion",))
     assert report.complete
-    assert trace.current == 0
+    assert trace.memory[-1].label == 0
 
 
 def test_fuel_single_edge(single_edge):
@@ -112,7 +111,7 @@ def test_fuel_single_edge(single_edge):
     assert report.complete
     assert report.steps == 2
     assert report.penalty == 1
-    assert trace.current == 0
+    assert trace.memory[-1].label == 0
 
 
 def test_fuel_lollipop_safe_and_complete():
@@ -139,7 +138,7 @@ def test_fuel_respects_tank_between_refuels():
         streak += 1
         if rec.label == source:
             streak = 0
-        assert streak <= inst.fuel_floor
+        assert streak <= inst.fuel_tank
 
 
 @pytest.mark.parametrize("name", ["cautious-bfs", "dfs", "fuel-cautious"])

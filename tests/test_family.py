@@ -5,13 +5,12 @@ import pytest
 from explorelab import (
     FamilyMeta,
     FamilyParams,
-    LollipopParams,
     ParameterError,
     build_family_graph,
-    build_lollipop,
-    eccentricity,
     validate_family_membership,
 )
+from explorelab.family import LollipopParams, build_lollipop
+from explorelab.graph import eccentricity
 from oracles import (
     adjacency,
     check_eccentricity_properties,

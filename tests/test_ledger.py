@@ -14,15 +14,15 @@ from hypothesis import strategies as st
 from explorelab import (
     FamilyParams,
     InvariantViolation,
-    LabeledGraph,
     adversary_behavior,
     build_family_graph,
     make_policy,
-    switch_ports,
     validate_family_membership,
 )
 from explorelab import adversary
 from explorelab.family import _FamilyLedger
+from explorelab.graph import LabeledGraph
+from explorelab.surgery import switch_ports
 from oracles import naive_dirty_rows, naive_family_violations
 from test_surgery import random_surgery
 
@@ -81,7 +81,7 @@ def test_ledger_matches_full_validator_on_adversary_runs(monkeypatch, k, seed):
     monkeypatch.setattr(adversary, "validate_family_membership", both)
     policy = make_policy("cautious-bfs", ALPHA, 6)
     run = adversary_behavior(6, ALPHA, policy, 16 * k, seed=seed)
-    assert len(verdicts) == run.membership_checks - 1 > 10
+    assert len(verdicts) == run.prefix_checks - 1 > 10
     assert all(admitted == ok for admitted, ok in verdicts)
     assert_rebuilt_gets_the_full_check(ledgers[0], run.final_graph, run.params)
 

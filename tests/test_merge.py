@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from explorelab import (
     FamilyMeta,
@@ -10,15 +12,16 @@ from explorelab import (
     StructuralError,
     adversary_behavior,
     build_family_graph,
-    eccentricity,
     make_policy,
     merge_gadgets,
-    validate_consistent_labeling,
     validate_family_membership,
-    validate_merge_behavior,
 )
 from explorelab.family import _contract_layer
-from explorelab.graph import bfs_distances
+from explorelab.graph import bfs_distances, eccentricity, validate_consistent_labeling
+from explorelab.merge import validate_merge_behavior
+from explorelab.surgery import switch_ports
+
+from conftest import ScriptPolicy
 
 ALPHA = Fraction(1, 2)
 
@@ -118,7 +121,7 @@ def test_merge_each_class_nonempty_and_disjoint(fresh):
             assert members
             ends = []
             for gd in members:
-                ends.extend(plan.pairs[gd])
+                ends.extend(meta.gadget_level_pair(g, gd))
             assert len(ends) == len(set(ends))
 
 
@@ -175,6 +178,42 @@ def test_merge_behavior_on_adversary_final(adversary_final):
     assert info["penalty_before_gadget"] == info["penalty_before_gadget_merged"]
     assert info["first_gadget_step"] == run.trace.first_gadget_step
     assert info["complete"] and info["complete_merged"]
+
+
+def cautious(a, r):
+    return make_policy("cautious-bfs", a, r)
+
+
+@given(seed=st.integers(0, 2**16))
+@settings(max_examples=15, deadline=None)
+def test_merge_behavior_exact_on_fresh_members(seed):
+    # k = 1: the merged run is the original one pushed through the merge
+    # map, whatever the member's port orders
+    g, meta = build_family_graph(FamilyParams(10, 16, 6), seed=seed)
+    merged, plan = merge_gadgets(g, meta, 1)
+    report, _ = validate_merge_behavior(g, merged, plan, meta, cautious, ALPHA)
+    assert report.ok, report.codes()
+
+
+def test_merge_behavior_flags_a_moved_port(fresh):
+    # swapping the source's first two ports sends the merged run's first
+    # traversal elsewhere
+    _, g, meta = fresh
+    merged, plan = merge_gadgets(g, meta, 1)
+    moved = switch_ports(merged, 0, 0, 1).graph
+    report, _ = validate_merge_behavior(g, moved, plan, meta, cautious, ALPHA)
+    assert not report.ok
+    assert "memory-prefix" in report.codes()
+
+
+def test_merge_behavior_needs_a_gadget_visit(fresh):
+    _, g, meta = fresh
+    merged, plan = merge_gadgets(g, meta, 1)
+    # a policy that halts at once never reaches a gadget
+    halts_at_once = lambda a, r: ScriptPolicy([])
+    report, info = validate_merge_behavior(g, merged, plan, meta, halts_at_once, ALPHA)
+    assert report.codes() == {"no-gadget-visit"}
+    assert info == {}
 
 
 def test_merged_graph_is_a_valid_instance(adversary_final):

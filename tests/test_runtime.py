@@ -9,21 +9,24 @@ from explorelab import (
     FamilyParams,
     Instance,
     InvariantViolation,
-    LabeledGraph,
-    LollipopParams,
     ParameterError,
     PolicyError,
     StructuralError,
-    Trace,
     build_family_graph,
-    build_lollipop,
     execute,
-    layer_traversal_stats,
     make_policy,
-    penalty_before_step,
-    switch_ports,
 )
-from explorelab.runtime import ExploredDistances, MemoryRecord, ReplayCursor
+from explorelab.family import LollipopParams, build_lollipop
+from explorelab.graph import LabeledGraph
+from explorelab.runtime import (
+    ExploredDistances,
+    MemoryRecord,
+    ReplayCursor,
+    Trace,
+    layer_traversal_stats,
+    penalty_before_step,
+)
+from explorelab.surgery import switch_ports
 
 from conftest import ScriptPolicy, engine_cases, explored_return_distances, port_script
 from oracles import (
@@ -38,10 +41,8 @@ from oracles import (
 def test_instance_derives_limits(path3):
     inst = Instance(graph=path3, source=1, alpha=Fraction(1, 2))
     assert inst.ecc == 1
-    assert inst.dist_cap == Fraction(3, 2)
     assert inst.dist_cap_floor == 1
     assert inst.fuel_tank == 3
-    assert inst.fuel_floor == 3
 
 
 def test_instance_rejects_bad_source(path3):
@@ -99,7 +100,7 @@ def test_completion_monitor_flags_partial_run(path3):
 def test_fuel_violation_at_step_nine():
     g, _ = build_lollipop(LollipopParams(scale=1, ecc=2, alpha=Fraction(1)))
     inst = Instance(graph=g, source=0, alpha=Fraction(1))
-    assert inst.fuel_floor == 8
+    assert inst.fuel_tank == 8
     walk = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]  # nine hops away from the source
     trace, report = execute(inst, port_script(g, walk), monitors=("fuel",))
     fuel = report.violations_of("fuel")
@@ -151,7 +152,7 @@ def test_known_return_distance_examples(path3):
     trace, _ = execute(inst, ScriptPolicy([0, 0, 1]))
     assert [d for _, _, d in explored_return_distances(trace, 1)] == [1, 0, 1]
     empty = ExploredDistances(1)
-    assert (empty.get(1), empty.get(0)) == (0, None)
+    assert (empty.dist.get(1), empty.dist.get(0)) == (0, None)
 
 
 def test_known_return_distance_tracks_oracle_midrun():
@@ -208,23 +209,34 @@ def test_first_gadget_step_detection():
     assert trace.first_gadget_step == 2
 
 
-def test_execute_replay_determinism():
-    g, meta = build_family_graph(FamilyParams(10, 16, 6), seed=3)
+@given(seed=st.integers(0, 2**16), data=st.data())
+@example(seed=3, data=None)
+@settings(max_examples=8, deadline=None)
+def test_execute_replay_determinism(seed, data):
+    # two runs of one policy give the same trace and report, and a fresh
+    # cursor stopped after t steps holds the first t + 1 records
+    g, meta = build_family_graph(FamilyParams(10, 16, 6), seed=seed)
     inst = Instance(graph=g, source=0, alpha=Fraction(1, 2))
-    runs = [
-        execute(
-            inst,
-            make_policy("cautious-bfs", inst.alpha, inst.ecc),
-            monitors=("distance", "completion"),
-            gadget_set=set(meta.gadget_labels),
-        )
-        for _ in range(2)
-    ]
-    (t1, r1), (t2, r2) = runs
-    assert t1.memory == t2.memory
-    assert t1.traversed == t2.traversed
-    assert t1.first_gadget_step == t2.first_gadget_step
-    assert r1.to_dict() == r2.to_dict()
+    for name in ("cautious-bfs", "dfs", "fuel-cautious"):
+        policy = make_policy(name, inst.alpha, inst.ecc)
+        runs = [
+            execute(
+                inst,
+                policy,
+                monitors=("distance", "completion"),
+                gadget_set=set(meta.gadget_labels),
+            )
+            for _ in range(2)
+        ]
+        (t1, r1), (t2, r2) = runs
+        assert t1.memory == t2.memory
+        assert t1.traversed == t2.traversed
+        assert t1.first_gadget_step == t2.first_gadget_step
+        assert r1.to_dict() == r2.to_dict()
+        t = t1.steps if data is None else data.draw(st.integers(0, t1.steps))
+        cursor = ReplayCursor(g, policy, source=0)
+        cursor.run(t)
+        assert cursor.memory == t1.memory[: t + 1]
 
 
 def test_traversed_set_growth_and_return_bound():
@@ -243,10 +255,10 @@ def test_explored_distances_incremental_updates():
     dists = ExploredDistances(0)
     for a, b in [(0, 1), (1, 2), (2, 3)]:
         dists.add_edge(a, b, b, a)
-    assert [dists.get(v) for v in range(4)] == [0, 1, 2, 3]
+    assert [dists.dist.get(v) for v in range(4)] == [0, 1, 2, 3]
     dists.add_edge(0, 3, 3, 0)  # shortcut must relax node 3 and its neighbors
-    assert dists.get(3) == 1
-    assert dists.get(2) == 2
+    assert dists.dist[3] == 1
+    assert dists.dist[2] == 2
     assert dists.adj == {0: {1: 1, 3: 3}, 1: {0: 0, 2: 2}, 2: {1: 1, 3: 3}, 3: {2: 2, 0: 0}}
 
 

@@ -2,15 +2,9 @@ import random
 
 import pytest
 
-from explorelab import (
-    FamilyParams,
-    LabeledGraph,
-    build_family_graph,
-    move_gadget,
-    switch_edges,
-    switch_ports,
-    validate_family_membership,
-)
+from explorelab import FamilyParams, build_family_graph, validate_family_membership
+from explorelab.graph import LabeledGraph
+from explorelab.surgery import move_gadget, switch_edges, switch_ports
 
 
 @pytest.fixture(scope="module")
@@ -281,10 +275,10 @@ def test_random_surgery_chain_preserves_membership(member):
 
 
 def graph_answers(g, pairs):
-    """Every port_of and edge_ports answer of ``g``, and the label pairs of
+    """Every port_of answer of ``g`` per node and per edge, and the label pairs of
     ``pairs`` that ``g`` joins by an edge."""
     ports = {(v, u): g.port_of(v, u) for v in g.labels() for u in g.neighbors(v)}
-    ends = {e: g.edge_ports(*e) for e in g.edges()}
+    ends = {(a, b): (g.port_of(a, b), g.port_of(b, a)) for a, b in g.edges()}
     return ports, ends, {pair for pair in pairs if g.has_edge(*pair)}
 
 
