@@ -129,6 +129,7 @@ def run_distance_experiment(cfg: ExperimentConfig) -> tuple[list[ExperimentRow],
             if trace.first_gadget_step is not None
             else None
         )
+        del trace  # equal to run.trace: one copy of the memory is enough
         merged, plan = merge_gadgets(run.final_graph, meta, k)
         behavior, merge_info = validate_merge_behavior(
             run.final_graph,

@@ -68,15 +68,20 @@ class Instance:
 
 @dataclass
 class Trace:
-    """Everything observable about one run."""
+    """Everything observable about one run: its memory and the step of its
+    first gadget visit.  The traversed edges are derived from the memory
+    on each read, so a trace keeps no copy of them."""
 
     memory: list[MemoryRecord]
-    traversed: set[tuple[int, int]] = field(default_factory=set)
     first_gadget_step: int | None = None
 
     @property
     def steps(self) -> int:
         return len(self.memory) - 1
+
+    @property
+    def traversed(self) -> set[tuple[int, int]]:
+        return {self.edge_at(i) for i in range(1, len(self.memory))}
 
     def edge_at(self, i: int) -> tuple[int, int]:
         """The edge of the i-th traversal (1-based)."""
@@ -286,11 +291,7 @@ class ReplayCursor:
         return self.memory[-1]
 
     def as_trace(self) -> Trace:
-        return Trace(
-            memory=self.memory,
-            traversed=self.traversed,
-            first_gadget_step=self.first_gadget_step,
-        )
+        return Trace(memory=self.memory, first_gadget_step=self.first_gadget_step)
 
 
 def execute(
@@ -303,11 +304,13 @@ def execute(
 ) -> tuple[Trace, RunReport]:
     """Run ``policy`` on ``inst`` until it halts; returns (trace, report).
 
-    The run is one :meth:`ReplayCursor.run` call.  The monitors
-    ("distance", "fuel", "completion") then read the finished memory and
-    record violations; none of them stops the run.  ``max_steps`` defaults
-    to 50*|E| + 1000; a policy still moving after that many traversals
-    raises :class:`BudgetError` carrying the partial trace.
+    The run is one :meth:`ReplayCursor.run` call.  The completion count
+    is read from the cursor's traversed set, and the cursor, with the
+    policy's run state, is dropped before the monitors ("distance", "fuel",
+    "completion") read the finished memory and record violations; none of
+    them stops the run.  ``max_steps`` defaults to 50*|E| + 1000; a policy
+    still moving after that many traversals raises :class:`BudgetError`
+    carrying the partial trace.
     """
     g = inst.graph
     for m in monitors:
@@ -318,23 +321,26 @@ def execute(
         max_steps = 50 * edge_total + 1000
 
     cursor = ReplayCursor(g, policy, inst.source, gadgets=gadget_set)
-    if not cursor.run(max_steps) and cursor.pending_port() is not None:
-        raise BudgetError(f"exceeded {max_steps} traversals", trace=cursor.as_trace())
-
+    halted = cursor.run(max_steps) or cursor.pending_port() is None
+    explored = len(cursor.traversed)
     trace = cursor.as_trace()
+    del cursor  # frees the policy's run state before the monitors build theirs
+    if not halted:
+        raise BudgetError(f"exceeded {max_steps} traversals", trace=trace)
+
     report = RunReport(steps=trace.steps, penalty=trace.steps - edge_total)
     if "fuel" in monitors or "distance" in monitors:
         report.violations = _fuel_and_distance_violations(
             inst, trace.memory, "fuel" in monitors, "distance" in monitors
         )
     if "completion" in monitors:
-        report.complete = len(trace.traversed) == edge_total
+        report.complete = explored == edge_total
         if not report.complete:
             report.violations.append(
                 {
                     "kind": "completion",
                     "step": trace.steps,
-                    "detail": f"{edge_total - len(trace.traversed)} edges unexplored",
+                    "detail": f"{edge_total - explored} edges unexplored",
                 }
             )
     return trace, report

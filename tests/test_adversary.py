@@ -152,6 +152,9 @@ def test_adversary_trace_matches_fresh_replay(k1_run):
     assert report.complete
     assert not report.violations
     assert trace.memory == k1_run.trace.memory
+    # the run's trace keeps its memory only; the edge set is derived from it
+    assert "traversed" not in vars(k1_run.trace)
+    assert k1_run.trace.traversed == naive_run(k1_run.final_graph, cautious(), 0)[1]
 
 
 def test_adversary_green_counts_conserved(k1_run):

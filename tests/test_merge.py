@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from explorelab import (
@@ -184,13 +184,15 @@ def cautious(a, r):
     return make_policy("cautious-bfs", a, r)
 
 
-@given(seed=st.integers(0, 2**16))
+@given(seed=st.integers(0, 2**16), k=st.sampled_from([1, 2]))
+@example(seed=0, k=1)
+@example(seed=1, k=2)
 @settings(max_examples=15, deadline=None)
-def test_merge_behavior_exact_on_fresh_members(seed):
-    # k = 1: the merged run is the original one pushed through the merge
-    # map, whatever the member's port orders
-    g, meta = build_family_graph(FamilyParams(10, 16, 6), seed=seed)
-    merged, plan = merge_gadgets(g, meta, 1)
+def test_merge_behavior_exact_on_fresh_members(seed, k):
+    # k = 1 (width 16) and k = 2 (width 32): the merged run is the original
+    # one pushed through the merge map, whatever the member's port orders
+    g, meta = build_family_graph(FamilyParams(10, 16 * k, 6), seed=seed)
+    merged, plan = merge_gadgets(g, meta, k)
     report, _ = validate_merge_behavior(g, merged, plan, meta, cautious, ALPHA)
     assert report.ok, report.codes()
 

@@ -94,7 +94,9 @@ def test_completion_monitor_flags_partial_run(path3):
     inst = Instance(graph=path3, source=1, alpha=Fraction(1))
     _, report = execute(inst, ScriptPolicy([0]), monitors=("completion",))
     assert report.complete is False
-    assert report.violations_of("completion")
+    assert report.violations == [
+        {"kind": "completion", "step": 1, "detail": "1 edges unexplored"}
+    ]
 
 
 def test_fuel_violation_at_step_nine():
@@ -298,6 +300,8 @@ def test_engine_matches_plain_stepping_oracle(case, policy_name):
         inst, policy(), monitors=("distance", "fuel", "completion"), gadget_set=gadgets
     )
     assert trace.memory == memory
+    # the trace keeps its memory only; the edge set is derived on each read
+    assert "traversed" not in vars(trace)
     assert trace.traversed == traversed
     assert report.steps == len(memory) - 1
     # the monitors read the finished memory: each kind matches its oracle,
@@ -447,6 +451,7 @@ def test_budget_error_carries_the_oracle_prefix(case):
             execute(inst, policy, monitors=("distance", "fuel"), max_steps=budget)
         assert str(err.value) == f"exceeded {budget} traversals"
         assert err.value.trace.memory == memory[: budget + 1]
+        assert "traversed" not in vars(err.value.trace)
         assert err.value.trace.traversed == {
             (min(a.label, b.label), max(a.label, b.label))
             for a, b in zip(memory[:budget], memory[1 : budget + 1])
