@@ -32,7 +32,6 @@ from .errors import BudgetError, InvariantViolation, ParameterError
 from .family import (
     FamilyMeta,
     FamilyParams,
-    _contract_layer,
     _FamilyLedger,
     build_family_graph,
     family_levels,
@@ -87,71 +86,33 @@ class StepAudit:
 
 @dataclass
 class AdversaryRun:
+    """A finished run.  The audit lists each step that ran a stage or raised
+    a flag; the step count, flags and prefix checks are read off it and the trace."""
+
     ecc: int
     alpha: Fraction
     width: int
     seed: int
     final_graph: LabeledGraph
-    step_count: int
     audit: list[StepAudit]
     trace: Trace
-    flags: list[tuple[int, str]]
-    prefix_checks: int
 
     @property
     def params(self) -> FamilyParams:
         return FamilyParams(family_levels(self.ecc, self.alpha), self.width, self.ecc)
 
+    @property
+    def step_count(self) -> int:
+        return self.trace.steps
 
-class _Adversary:
-    """A cursor on the graph under rewrite, with the green edges explored
-    per layer that the monitors read, the ledger that checks membership
-    after each rewrite, and one count, ``prefix_checks``: the steps that
-    changed the graph, each followed by one membership check and one
-    prefix replay."""
+    @property
+    def flags(self) -> list[tuple[int, str]]:
+        return [(a.step, f) for a in self.audit for f in a.flags]
 
-    def __init__(self, graph: LabeledGraph, policy, meta: FamilyMeta):
-        self.cursor = ReplayCursor(graph, policy, source=0, gadgets=meta.gadget_labels)
-        self.meta = meta
-        self.explored_green = {i: 0 for i in range(1, meta.params.levels)}
-        self.ledger = _FamilyLedger(meta.params)
-        self.prefix_checks = 0
-
-    def commit(self) -> bool:
-        """Take the pending traversal; returns whether its edge was already
-        explored."""
-        cursor = self.cursor
-        e = edge_key(cursor.node, cursor.pending_node())
-        was_seen = e in cursor.traversed
-        cursor.commit()
-        if not was_seen:
-            kind, layer = self.meta.edge_kind(*e)
-            if kind == "green":
-                self.explored_green[layer] += 1
-        return was_seen
-
-    def rewrite(self, step: int) -> StepAudit:
-        """Rewrite the graph ahead of traversal ``step``; after a change,
-        check family membership and, by a fresh replay, the memory prefix.
-        Either failure raises."""
-        cursor = self.cursor
-        before = cursor.graph
-        audit = StepAudit(step=step)
-        _modify_step(self, audit)
-        audit.changed = cursor.graph is not before
-        if audit.changed:
-            report = validate_family_membership(
-                cursor.graph, self.meta.params, ledger=self.ledger
-            )
-            if not report.ok:
-                raise InvariantViolation(
-                    f"family membership broken at step {step}: {report.codes()}"
-                )
-            audit.prefix_ok = _replay_agrees(cursor.policy, cursor.graph, cursor.memory, step - 1)
-            self.prefix_checks += 1
-            if not audit.prefix_ok:
-                raise InvariantViolation(f"memory prefix not preserved at step {step}")
-        return audit
+    @property
+    def prefix_checks(self) -> int:
+        """The steps that changed the graph: one membership check and replay each."""
+        return sum(a.changed for a in self.audit)
 
 
 # -- the per-step modification ---------------------------------------------------
@@ -186,7 +147,7 @@ def _apply(cursor: ReplayCursor, audit: StepAudit, op: str, args: tuple, result:
     return result.changed
 
 
-def _modify_step(adv: _Adversary, audit: StepAudit) -> None:
+def _modify_step(cursor: ReplayCursor, meta: FamilyMeta, audit: StepAudit) -> None:
     """One modification round at the cursor's current prefix.
 
     Three stages, each firing only when its guards hold: repoint the pending
@@ -196,7 +157,6 @@ def _modify_step(adv: _Adversary, audit: StepAudit) -> None:
     unexplored edge below it, move a spare gadget to mint a fresh green edge
     and switch the pending edge onto its endpoint, which does.
     """
-    cursor, meta = adv.cursor, adv.meta
     g = cursor.graph
     u = cursor.node
     if cursor.pending_port() is None:
@@ -250,21 +210,19 @@ def _modify_step(adv: _Adversary, audit: StepAudit) -> None:
             for y in g.neighbors(x):
                 if meta.is_gadget(y) and meta.gadget_layer(y) == i:
                     blocked.add(y)
-        n_lo = {
-            v
-            for v in meta.level_labels(i)
-            if not any(y in blocked for y in g.neighbors(v))
-        }
-        n_hi = {
-            v
-            for v in meta.level_labels(i + 1)
-            if not any(y in blocked for y in g.neighbors(v))
-            and _unexplored_layer_neighbors(cursor, meta, v, i + 1)
-        }
         greens = [x for x in _unexplored_greens(cursor, meta, i) if x != e]
         chosen = None
-        for gadget, pair in _contract_layer(g, meta, i).items():
-            if pair[0] not in n_lo or pair[1] not in n_hi:
+        # the first gadget of the layer, in label order, whose two level
+        # nodes have no blocked neighbour and whose level-(i+1) node still
+        # has an unexplored edge below it
+        for gadget in meta._layer_gadgets(i):
+            pair = meta.gadget_level_pair(g, gadget)
+            if (
+                pair is None
+                or not blocked.isdisjoint(g.neighbors(pair[0]))
+                or not blocked.isdisjoint(g.neighbors(pair[1]))
+                or not _unexplored_layer_neighbors(cursor, meta, pair[1], i + 1)
+            ):
                 continue
             # two specific green edges would make the follow-up switch
             # collide with a gadget next to the pending edge; skip them
@@ -299,6 +257,74 @@ def _replay_agrees(policy, graph: LabeledGraph, records, t: int) -> bool:
     return not fresh.run(t) and fresh.memory == records[: t + 1]
 
 
+def _rewrite(
+    cursor: ReplayCursor, meta: FamilyMeta, ledger: _FamilyLedger | None, step: int
+) -> StepAudit:
+    """Rewrite the graph ahead of traversal ``step``; after a change, check
+    family membership (through ``ledger``) and, by a fresh replay, the
+    memory prefix.  Either failure raises."""
+    before = cursor.graph
+    audit = StepAudit(step=step)
+    _modify_step(cursor, meta, audit)
+    audit.changed = cursor.graph is not before
+    if audit.changed:
+        report = validate_family_membership(cursor.graph, meta.params, ledger=ledger)
+        if not report.ok:
+            raise InvariantViolation(f"family membership broken at step {step}: {report.codes()}")
+        audit.prefix_ok = _replay_agrees(cursor.policy, cursor.graph, cursor.memory, step - 1)
+        if not audit.prefix_ok:
+            raise InvariantViolation(f"memory prefix not preserved at step {step}")
+    return audit
+
+
+def _step(
+    cursor: ReplayCursor,
+    meta: FamilyMeta,
+    ledger: _FamilyLedger,
+    explored_green: dict[int, int],
+    step: int,
+) -> StepAudit:
+    """Rewrite ahead of traversal ``step``, take it, count a new green edge
+    in ``explored_green`` (by layer), and run the behavioral monitors.  Both
+    need the agent at a level node before its first gadget visit:
+    ``early-gadget``, with green edges left in every layer, flags a step to
+    a gadget; ``dichotomy``, with an unexplored layer edge below the agent
+    and no layer's greens over half explored, flags a new edge that does
+    not reach a deeper node with an unexplored edge below it."""
+    p = meta.params
+    u = cursor.node
+    i = meta.level_of(u)
+    before_gadget = i is not None and cursor.first_gadget_step is None
+    avoid_hyp = before_gadget and all(n < p.greens_per_layer for n in explored_green.values())
+    descent_hyp = (
+        before_gadget
+        and _unexplored_layer_neighbors(cursor, meta, u, i)
+        and all(n <= p.greens_per_layer // 2 for n in explored_green.values())
+    )
+
+    audit = _rewrite(cursor, meta, ledger, step)
+    e = edge_key(u, cursor.pending_node())
+    was_seen = e in cursor.traversed
+    cursor.commit()
+    if not was_seen:
+        kind, layer = meta.edge_kind(*e)
+        if kind == "green":
+            explored_green[layer] += 1
+
+    reached = cursor.node
+    if avoid_hyp and meta.is_gadget(reached):
+        audit.flags.append("early-gadget")
+    if descent_hyp and not was_seen:
+        deeper = (
+            i < p.levels - 1
+            and meta.level_of(reached) == i + 1
+            and _unexplored_layer_neighbors(cursor, meta, reached, i + 1)
+        )
+        if not deeper:
+            audit.flags.append("dichotomy")
+    return audit
+
+
 def adversary_behavior(
     ecc: int,
     alpha: Fraction,
@@ -318,19 +344,19 @@ def adversary_behavior(
     step but never raise: they are only promised for policies that actually
     solve the distance-constrained problem.
 
-    The run has two phases.  The *rewrite phase* runs the rewrite and the
-    behavioral monitors before every step, until the agent first visits a
-    gadget (the cursor's ``first_gadget_step`` is set) or the policy halts.
-    The *replay phase* is then one :meth:`ReplayCursor.run` call that takes
-    the policy's ports on the final graph until it halts, under the same
-    step budget and step numbering.  This gives the same run as rewriting
-    before every step, because
+    The run has two phases.  The *rewrite phase* is one :func:`_step` per
+    traversal, until the agent first visits a gadget (the cursor's
+    ``first_gadget_step`` is set) or the policy halts.  The *replay phase*
+    is then one :meth:`ReplayCursor.run` call that takes the policy's ports
+    on the final graph until it halts, under the same step budget and step
+    numbering.  This gives the same run as one :func:`_step` per traversal
+    to the halt, because
     - ``first_gadget_step`` is never reset;
     - once it is set, the first guard of ``_modify_step`` returns, so no
       surgery, stage, flag, audit entry, membership check or prefix check
       can follow;
-    - both monitor hypotheses (``avoid_hyp``, ``descent_hyp``) hold only
-      before it is set, so no flag can follow either;
+    - both monitor hypotheses hold only before it is set, so no flag can
+      follow either;
     - ``explored_green`` is read only by those hypotheses, so the replay
       phase need not keep it up to date.
 
@@ -347,59 +373,24 @@ def adversary_behavior(
         raise ParameterError(f"width must be a positive multiple of 16, got {width}")
     params = FamilyParams(family_levels(ecc, alpha), width, ecc)
     graph, meta = build_family_graph(params, seed)
-    adv = _Adversary(graph, policy, meta)
-    cursor = adv.cursor
+    cursor = ReplayCursor(graph, policy, source=0, gadgets=meta.gadget_labels)
+    ledger = _FamilyLedger(params)
+    explored_green = {i: 0 for i in range(1, params.levels)}
     if max_steps is None:
         max_steps = 50 * graph.edge_count() + 1000
 
     audits: list[StepAudit] = []
-    flags: list[tuple[int, str]] = []
-    half = params.greens_per_layer // 2
-    x = 0  # the number of steps taken
     halted = False
-    # rewrite phase: every step runs the rewrite and the behavioral monitors
     while not halted and cursor.first_gadget_step is None:
-        x += 1
-        if x > max_steps:
+        if cursor.steps >= max_steps:
             raise BudgetError(f"adversary exceeded {max_steps} steps", trace=cursor.as_trace())
-        u = cursor.node
-        i = meta.level_of(u)
-        greens_left_everywhere = all(
-            adv.explored_green[j] < params.greens_per_layer
-            for j in range(1, params.levels)
-        )
-        avoid_hyp = i is not None and greens_left_everywhere
-        descent_hyp = (
-            i is not None
-            and i <= params.levels - 1
-            and _unexplored_layer_neighbors(cursor, meta, u, i)
-            and all(
-                adv.explored_green[j] <= half for j in range(1, params.levels)
-            )
-        )
-
-        audit = adv.rewrite(x)
-        was_seen = adv.commit()
-        reached = cursor.node
-
-        if avoid_hyp and meta.is_gadget(reached):
-            audit.flags.append("early-gadget")
-        if descent_hyp and not was_seen:
-            deeper = (
-                i < params.levels - 1
-                and meta.level_of(reached) == i + 1
-                and _unexplored_layer_neighbors(cursor, meta, reached, i + 1)
-            )
-            if not deeper:
-                audit.flags.append("dichotomy")
-        for f in audit.flags:
-            flags.append((x, f))
+        audit = _step(cursor, meta, ledger, explored_green, cursor.steps + 1)
         if audit.stages or audit.flags:
             audits.append(audit)
         halted = cursor.pending_port() is None
 
     # replay phase: no rewrite or monitor can fire any more (see docstring)
-    if not cursor.run(max_steps - x) and cursor.pending_port() is not None:
+    if not cursor.run(max_steps - cursor.steps) and cursor.pending_port() is not None:
         raise BudgetError(f"adversary exceeded {max_steps} steps", trace=cursor.as_trace())
 
     final_report = validate_family_membership(cursor.graph, params)
@@ -411,9 +402,6 @@ def adversary_behavior(
         width=width,
         seed=seed,
         final_graph=cursor.graph,
-        step_count=cursor.steps,
         audit=audits,
         trace=cursor.as_trace(),
-        flags=flags,
-        prefix_checks=adv.prefix_checks,
     )

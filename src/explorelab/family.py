@@ -270,21 +270,6 @@ def build_family_graph(params: FamilyParams, seed: int = 0) -> tuple[LabeledGrap
     return LabeledGraph(assign_ports(adj, seed)), meta
 
 
-# -- layer contraction -------------------------------------------------------
-
-
-def _contract_layer(g: LabeledGraph, meta: FamilyMeta, layer: int) -> dict[int, tuple[int, int]]:
-    """The (level-i node, level-i+1 node) pair of each of the layer's
-    well-shaped gadgets, by gadget label: with the layer's green edges, the
-    level-to-level edges its gadgets subdivide."""
-    pairs: dict[int, tuple[int, int]] = {}
-    for gd in meta._layer_gadgets(layer):
-        pair = meta.gadget_level_pair(g, gd)
-        if pair is not None:
-            pairs[gd] = pair
-    return pairs
-
-
 # -- membership validation ---------------------------------------------------
 
 

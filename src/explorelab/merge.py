@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, ParameterError, StructuralError
-from .family import FamilyMeta, _contract_layer, validate_family_membership
+from .family import FamilyMeta, validate_family_membership
 from .graph import (
     LabeledGraph,
     ValidationReport,
@@ -56,6 +56,18 @@ class MergePlan:
             "merged_odd": {str(p): v for p, v in self.merged_odd.items()},
             "gadget_map": {str(k): v for k, v in self.gadget_map.items()},
         }
+
+
+def _contract_layer(g: LabeledGraph, meta: FamilyMeta, layer: int) -> dict[int, tuple[int, int]]:
+    """The (level-i node, level-i+1 node) pair of each of the layer's
+    well-shaped gadgets, by gadget label: with the layer's green edges, the
+    level-to-level edges its gadgets subdivide."""
+    pairs: dict[int, tuple[int, int]] = {}
+    for gd in meta._layer_gadgets(layer):
+        pair = meta.gadget_level_pair(g, gd)
+        if pair is not None:
+            pairs[gd] = pair
+    return pairs
 
 
 def _balanced_recolor(

@@ -171,6 +171,10 @@ class ExploredDistances:
 _UNASKED = object()
 
 
+def _port_error(port, node: int, row: list[int]) -> PolicyError:
+    return PolicyError(f"policy chose port {port!r} at node {node} of degree {len(row)}")
+
+
 class ReplayCursor:
     """Stepwise execution of a policy: :meth:`run` is the one place a
     traversal happens.
@@ -218,10 +222,15 @@ class ReplayCursor:
         return port
 
     def pending_node(self) -> int | None:
+        """The node the pending port leads to, None when the policy halts;
+        a port that :meth:`run` would reject raises the same error."""
         port = self.pending_port()
         if port is None:
             return None
-        return self.graph.neighbor(self.node, port)
+        row = self.graph._ports[self.node]
+        if not isinstance(port, int) or not 0 <= port < len(row):
+            raise _port_error(port, self.node, row)
+        return row[port]
 
     def replace_graph(self, new_graph: LabeledGraph) -> None:
         """Traverse ``new_graph`` from now on; raises if it moves a traversed
@@ -268,9 +277,7 @@ class ReplayCursor:
             row = ports[cur]
             if not isinstance(port, int) or not 0 <= port < len(row):
                 self._pending = port
-                raise PolicyError(
-                    f"policy chose port {port!r} at node {cur} of degree {len(row)}"
-                )
+                raise _port_error(port, cur, row)
             nxt = row[port]
             rec = record(MemoryRecord, (nxt, len(ports[nxt]), port, rev[nxt][cur]))
             add((cur, nxt) if cur <= nxt else (nxt, cur))

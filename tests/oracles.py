@@ -10,6 +10,9 @@ the package's one pass over the rows.  ``naive_dirty_rows`` finds the rows a
 graph changed against a member's by identity, the reference for the record
 of replaced rows that ``LabeledGraph.replace_ports`` keeps.
 
+``fuel_counting_floor`` is not an oracle of package code: it is a floor on
+the fuel penalty that holds for every algorithm, from counting alone.
+
 The last two functions are test helpers rather than oracles, kept out of the
 package because only the tests call them: ``graph_modification``, the
 adversary's per-step rewrite on its own, and ``check_eccentricity_properties``,
@@ -19,16 +22,12 @@ import random
 from collections import Counter, deque
 from fractions import Fraction
 
-from explorelab.adversary import (
-    AdversaryRun,
-    StepAudit,
-    _Adversary,
-    _unexplored_layer_neighbors,
-)
+from explorelab.adversary import AdversaryRun, StepAudit, _rewrite, _step
 from explorelab.errors import BudgetError, InvariantViolation, ParameterError
 from explorelab.family import (
     FamilyMeta,
     FamilyParams,
+    _FamilyLedger,
     build_family_graph,
     family_levels,
     validate_family_membership,
@@ -39,7 +38,7 @@ from explorelab.graph import (
     eccentricity,
     validate_consistent_labeling,
 )
-from explorelab.runtime import MemoryRecord
+from explorelab.runtime import MemoryRecord, ReplayCursor
 
 
 def adjacency(graph):
@@ -444,69 +443,74 @@ def naive_hopcroft_karp(adj):
 
 
 def naive_adversary_behavior(ecc, alpha, policy, width, *, seed=0, max_steps=None):
-    """The adversary as one loop that runs the rewrite and the behavioral
-    monitors before every step, to the policy's halt: the single-phase
-    counterpart of ``adversary_behavior``."""
+    """The adversary as one loop of its per-step function ``_step`` to the
+    policy's halt, with no replay phase: the single-phase counterpart of
+    ``adversary_behavior``.  Returns the run and the loop's own counts of
+    steps, flags and changed steps, which the run reads off its trace and
+    audit."""
     alpha = Fraction(alpha)
     params = FamilyParams(family_levels(ecc, alpha), width, ecc)
     graph, meta = build_family_graph(params, seed)
-    adv = _Adversary(graph, policy, meta)
-    cursor = adv.cursor
+    cursor = ReplayCursor(graph, policy, source=0, gadgets=meta.gadget_labels)
+    ledger = _FamilyLedger(params)
+    explored_green = {i: 0 for i in range(1, params.levels)}
     if max_steps is None:
         max_steps = 50 * graph.edge_count() + 1000
-    audits, flags = [], []
-    half = params.greens_per_layer // 2
-    x = 1
+    audits, flags, changed = [], [], 0
+    x = 0
     while True:
+        x += 1
         if x > max_steps:
             raise BudgetError(f"adversary exceeded {max_steps} steps", trace=cursor.as_trace())
-        u = cursor.node
-        i = meta.level_of(u)
-        greens_left_everywhere = all(
-            adv.explored_green[j] < params.greens_per_layer for j in range(1, params.levels)
-        )
-        avoid_hyp = i is not None and cursor.first_gadget_step is None and greens_left_everywhere
-        descent_hyp = (
-            i is not None
-            and i <= params.levels - 1
-            and cursor.first_gadget_step is None
-            and _unexplored_layer_neighbors(cursor, meta, u, i)
-            and all(adv.explored_green[j] <= half for j in range(1, params.levels))
-        )
-        audit = adv.rewrite(x)
-        was_seen = adv.commit()
-        reached = cursor.node
-        if avoid_hyp and meta.is_gadget(reached):
-            audit.flags.append("early-gadget")
-        if descent_hyp and not was_seen:
-            deeper = (
-                i < params.levels - 1
-                and meta.level_of(reached) == i + 1
-                and _unexplored_layer_neighbors(cursor, meta, reached, i + 1)
-            )
-            if not deeper:
-                audit.flags.append("dichotomy")
-        for f in audit.flags:
-            flags.append((x, f))
+        audit = _step(cursor, meta, ledger, explored_green, x)
+        flags += [(x, f) for f in audit.flags]
+        changed += audit.changed
         if audit.stages or audit.flags:
             audits.append(audit)
         if cursor.pending_port() is None:
             break
-        x += 1
     if not validate_family_membership(cursor.graph, params).ok:
         raise InvariantViolation("final graph left the family")
-    return AdversaryRun(
+    run = AdversaryRun(
         ecc=ecc,
         alpha=alpha,
         width=width,
         seed=seed,
         final_graph=cursor.graph,
-        step_count=x,
         audit=audits,
         trace=cursor.as_trace(),
-        flags=flags,
-        prefix_checks=adv.prefix_checks,
     )
+    return run, {"step_count": x, "flags": flags, "prefix_checks": changed}
+
+
+def fuel_counting_floor(params):
+    """A floor on the penalty of every complete exploration of the lollipop
+    ``params`` under the fuel constraint, by counting trips.
+
+    Fuel is refilled only on arrival at the source, and one tank pays for
+    at most ``F = floor(2 * (1 + alpha) * r)`` traversals, r being the
+    source's eccentricity.  So a run is a sequence of trips, each leaving
+    the source and returning to it, except the last, which may end
+    anywhere (the lab does not require the run to end at the source).  The
+    only way from the source into the clique is the path and the bridge,
+    r - 1 edges, so a trip that crosses a clique edge walks them out and,
+    unless it is the last, back: it crosses at most
+    ``F - 2(r - 1)`` clique edges, the last at most ``F - (r - 1)``.  Each
+    of the C clique edges is crossed at least once, so at least T trips
+    cross one, for the least T with
+    ``(T - 1)(F - 2(r - 1)) + F - (r - 1) >= C``; together they make at
+    least ``(2T - 1)(r - 1)`` path traversals.  The penalty is the number of
+    traversals beyond ``|E| = C + r - 1``, so it is at least
+    ``2(T - 1)(r - 1)``, whatever the algorithm and whether or not it
+    knows the graph.  (``F - 2(r - 1) >= 4``, since ``alpha * r >= 1``.)
+    """
+    r = params.ecc
+    tank = 2 * (1 + params.alpha) * r
+    fuel = tank.numerator // tank.denominator
+    c = params.clique_size
+    beyond_last = max(0, c * (c - 1) // 2 - (fuel - (r - 1)))
+    closed_trips = -(-beyond_last // (fuel - 2 * (r - 1)))
+    return 2 * closed_trips * (r - 1)
 
 
 def graph_modification(
@@ -524,13 +528,11 @@ def graph_modification(
     """
     ecc = eccentricity(graph, 0)
     meta = FamilyMeta(FamilyParams(family_levels(ecc, alpha), graph.degree(0), ecc))
-    adv = _Adversary(graph, policy, meta)
-    for _ in range(t):
-        if adv.cursor.pending_port() is None:
-            raise ParameterError(f"policy halted before step {t + 1}")
-        adv.commit()
-    audit = adv.rewrite(t + 1)
-    return adv.cursor.graph, audit
+    cursor = ReplayCursor(graph, policy, source=0, gadgets=meta.gadget_labels)
+    if cursor.run(t):
+        raise ParameterError(f"policy halted before step {t + 1}")
+    audit = _rewrite(cursor, meta, None, t + 1)
+    return cursor.graph, audit
 
 
 def check_eccentricity_properties(

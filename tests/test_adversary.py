@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from explorelab import (
     FamilyParams,
     Instance,
     ParameterError,
+    PolicyError,
     adversary_behavior,
     build_family_graph,
     execute,
@@ -19,6 +21,7 @@ from explorelab.adversary import _replay_agrees
 from explorelab.graph import edge_key
 from explorelab.runtime import ReplayCursor, layer_traversal_stats, penalty_before_step
 
+from conftest import ScriptPolicy
 from oracles import graph_modification, naive_adversary_behavior, naive_run
 
 ALPHA = Fraction(1, 2)
@@ -280,10 +283,20 @@ def _reroute_scenario():
 def test_reroute_stage_fires_and_reroutes():
     params, g, meta, policy, t, up, target = _reroute_scenario()
     out, audit = graph_modification(g, ALPHA, policy, t)
-    assert "reroute" in audit.stages
-    ops = [s.op for s in audit.surgeries]
-    assert "move-gadget" in ops and "switch-edges" in ops
-    assert all(s.changed for s in audit.surgeries)
+    # the gadget and the green edge the stage picks, and the switch after
+    assert audit.to_dict() == {
+        "step": 16,
+        "stages": ["reroute"],
+        "surgeries": [
+            {"op": "move-gadget", "args": [(15, 17), 163], "changed": True,
+             "reason": None, "note": None},
+            {"op": "switch-edges", "args": [31, 19, 0, 1], "changed": True,
+             "reason": None, "note": None},
+        ],
+        "changed": True,
+        "prefix_ok": True,
+        "flags": [],
+    }
     assert validate_family_membership(out, params).ok
     assert_memory_prefix_equal(policy, g, out, t)
     # the pending port now reaches a node that still has unexplored edges
@@ -356,7 +369,8 @@ def test_adversary_is_seed_deterministic():
 
 
 def run_fields(run):
-    """Every field of an AdversaryRun, in comparable form."""
+    """Every field of an AdversaryRun, and the three counts it reads off its
+    trace and audit, in comparable form."""
     out = {}
     for f in dataclasses.fields(run):
         value = getattr(run, f.name)
@@ -367,6 +381,8 @@ def run_fields(run):
         elif f.name == "trace":
             value = (value.memory, value.traversed, value.first_gadget_step)
         out[f.name] = value
+    for name in ("step_count", "flags", "prefix_checks"):
+        out[name] = getattr(run, name)
     return out
 
 
@@ -381,9 +397,14 @@ def test_two_phase_run_matches_rewriting_every_step(policy_name, k, seed):
         return behavior(6, ALPHA, policy, 16 * k, seed=seed)
 
     got = run(adversary_behavior)
-    assert run_fields(got) == run_fields(run(naive_adversary_behavior))
+    naive, counts = run(naive_adversary_behavior)
+    assert run_fields(got) == run_fields(naive)
+    assert counts == {name: getattr(got, name) for name in counts}
     # the replay phase is not empty: the policy goes on past the first gadget
-    assert got.trace.first_gadget_step < got.step_count
+    gadget_step = got.trace.first_gadget_step
+    assert gadget_step < got.step_count
+    # and no step after the first gadget visit rewrote or flagged
+    assert all(a.step <= gadget_step for a in naive.audit)
     if policy_name == "dfs":
         assert got.flags
 
@@ -392,7 +413,7 @@ def test_two_phase_run_matches_rewriting_every_step(policy_name, k, seed):
 def test_budget_error_matches_rewriting_every_step(past_gadget):
     # a budget that ends just before, at and after the first gadget visit:
     # the last two run out in the replay phase
-    full = naive_adversary_behavior(6, ALPHA, cautious(), 16, seed=0)
+    full, _ = naive_adversary_behavior(6, ALPHA, cautious(), 16, seed=0)
     budget = full.trace.first_gadget_step + past_gadget
     assert budget < full.step_count
     errors = []
@@ -410,7 +431,7 @@ def test_replay_phase_budget_error_matches_rewriting_every_step(before_halt):
     # budgets that run out deep in the replay phase, which is one
     # ReplayCursor.run call: the same message and the same partial memory as
     # rewriting before every step, and the full run's memory up to the budget
-    full = naive_adversary_behavior(6, ALPHA, cautious(), 16, seed=0)
+    full, _ = naive_adversary_behavior(6, ALPHA, cautious(), 16, seed=0)
     budget = full.step_count - before_halt
     assert budget > full.trace.first_gadget_step
     errors = []
@@ -434,6 +455,22 @@ def test_cursor_replays_with_graph_swap():
     before = list(cursor.memory)
     cursor.replace_graph(g)
     assert cursor.memory == before
+
+
+@pytest.mark.parametrize("port", [99, -1, "a"])
+def test_pending_node_rejects_bad_port_like_run(port):
+    # the adversary reads the pending node before every commit; a port that
+    # run would reject raises run's error there, not IndexError or TypeError,
+    # and -1 does not wrap round to the last neighbour
+    g, _ = build_family_graph(FamilyParams(10, 16, 6))
+    with pytest.raises(PolicyError) as by_run:
+        ReplayCursor(g, ScriptPolicy([port])).run(1)
+    message = f"policy chose port {port!r} at node 0 of degree 16"
+    assert str(by_run.value) == message
+    with pytest.raises(PolicyError, match=f"^{re.escape(message)}$"):
+        ReplayCursor(g, ScriptPolicy([port])).pending_node()
+    with pytest.raises(PolicyError, match=f"^{re.escape(message)}$"):
+        adversary_behavior(6, ALPHA, ScriptPolicy([port]), 16)
 
 
 class CountingPolicy:

@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from explorelab import InvariantViolation, ParameterError, experiments
+from explorelab import (
+    Instance,
+    InvariantViolation,
+    ParameterError,
+    execute,
+    experiments,
+    make_policy,
+)
 from explorelab.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -16,6 +23,9 @@ from explorelab.experiments import (
     run_distance_experiment,
     run_fuel_experiment,
 )
+from explorelab.family import LollipopParams, build_lollipop
+
+from oracles import fuel_counting_floor
 
 
 def test_config_validation():
@@ -119,3 +129,47 @@ def test_emit_rejects_empty_and_bad_format(tmp_path):
         report_emit(_rows(), "yaml", str(tmp_path / "x.yaml"))
     with pytest.raises(ParameterError):
         report_emit(_rows(), "csv", str(tmp_path / "no" / "dir" / "x.csv"))
+
+
+# -- the fuel bound against a floor that holds for every algorithm ------------
+
+# every lollipop (k, r, alpha) the lab runs: the default fuel sweep
+# (k = 1, 2, 3), the CI sweep at scale (k = 4, 5, 6, 8) and the tests' own
+USED_LOLLIPOPS = [(k, 2, Fraction(1)) for k in (1, 2, 3, 4, 5, 6, 8)]
+USED_LOLLIPOPS.append((1, 4, Fraction(1, 2)))
+
+
+def fuel_bound(params):
+    return Fraction(params.order) ** 2 / (8 * params.alpha)
+
+
+def test_counting_floor_reaches_the_fuel_bound_but_at_one_corner():
+    short = []
+    for alpha in (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
+        for r in range(2, 13):
+            for k in range(1, 9):
+                if alpha * r < 1:
+                    continue  # not a lollipop the lab builds
+                params = LollipopParams(k, r, alpha)
+                if fuel_counting_floor(params) < fuel_bound(params):
+                    short.append((alpha, r, k))
+    # not covered by counting: at alpha = 1/2, r = 2 the bound rests on the
+    # online argument, which this floor does not capture
+    assert short == [(Fraction(1, 2), 2, k) for k in range(1, 9)]
+    assert fuel_counting_floor(LollipopParams(1, 2, Fraction(1, 2))) == 84 < 100
+
+
+@pytest.mark.parametrize(
+    "k,r,alpha", USED_LOLLIPOPS, ids=[f"k{k}-r{r}-alpha{a}" for k, r, a in USED_LOLLIPOPS]
+)
+def test_fuel_cautious_pays_the_counting_floor(k, r, alpha):
+    params = LollipopParams(k, r, alpha)
+    floor = fuel_counting_floor(params)
+    assert floor >= fuel_bound(params)
+    graph, source = build_lollipop(params)
+    inst = Instance(graph=graph, source=source, alpha=alpha)
+    _, report = execute(
+        inst, make_policy("fuel-cautious", alpha, r), monitors=("fuel", "completion")
+    )
+    assert report.complete and not report.violations
+    assert report.penalty >= floor

@@ -16,9 +16,8 @@ from explorelab import (
     merge_gadgets,
     validate_family_membership,
 )
-from explorelab.family import _contract_layer
 from explorelab.graph import bfs_distances, eccentricity, validate_consistent_labeling
-from explorelab.merge import validate_merge_behavior
+from explorelab.merge import _contract_layer, validate_merge_behavior
 from explorelab.surgery import switch_ports
 
 from conftest import ScriptPolicy
