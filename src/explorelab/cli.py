@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .adversary import adversary_behavior
 from .errors import BudgetError, ParameterError, PolicyError, StructuralError
-from .experiments import ExperimentConfig, default_config, report_emit, run_experiment
+from .experiments import ExperimentConfig, default_config, report_emit, rows_to_csv, run_experiment
 from .explorers import POLICY_NAMES, make_policy
 from .family import (
     FamilyMeta,
@@ -85,8 +85,7 @@ def _load_graph(path: str, *, check: bool = False) -> LabeledGraph:
 
 def cmd_gen(args) -> int:
     if bool(args.family) == bool(args.lollipop):
-        print("gen: pass exactly one of --family or --lollipop", file=sys.stderr)
-        return 2
+        raise ParameterError("gen: pass exactly one of --family or --lollipop")
     if args.family:
         l, w, r = _comma_list("--family", args.family)
         graph, _ = build_family_graph(FamilyParams(l, w, r), args.seed)
@@ -215,8 +214,6 @@ def cmd_experiment(args) -> int:
     if args.json:
         report_emit(rows, "json", args.json)
     if not args.csv and not args.json:
-        from .experiments import rows_to_csv
-
         sys.stdout.write(rows_to_csv(rows).decode())
     for failure in report["failures"]:
         print(f"FAIL {failure}", file=sys.stderr)

@@ -14,7 +14,6 @@ runs are bit-reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 
 from .errors import ParameterError
 from .runtime import ExploredDistances, MemoryRecord
@@ -31,18 +30,17 @@ class ExploredView:
     ``low[v]`` is the lowest port of ``v`` that may still be unexplored:
     known ports only ever grow, so the pointer only moves up.
 
-    Two private structures serve plans from the source (see
-    :meth:`plan_to`): ``_heap``, a lazy-deletion heap of ``(distance,
-    label)`` over the frontier, built by the first such plan and kept up
-    from each new edge until a bounded plan starts elsewhere; and
-    ``_tree``, the breadth-first search tree of the levels up to the
-    farthest target such a plan has picked, the one place the view groups
-    nodes by distance: ``_tree[d]`` maps each node at distance ``d``, in
-    search order, to its parent, the parent's port to it, and its home
-    port, the smallest explored port into level ``d - 1``.
+    Plans from the source read their target and path off ``_tree`` (see
+    :meth:`plan_to`), the breadth-first search tree of the levels up to the
+    farthest target such a plan has picked, and the one place the view
+    groups nodes by distance: ``_tree[d]`` maps each node at distance
+    ``d``, in search order, to its parent, the parent's port to it, and its
+    home port, the smallest explored port into level ``d - 1``.
+    ``_ranked`` holds the deepest level's labels not yet seen out of the
+    frontier, in descending order.
     """
 
-    __slots__ = ("source", "cur", "degree", "adj", "frontier", "low", "dist", "_heap", "_tree")
+    __slots__ = ("source", "cur", "degree", "adj", "frontier", "low", "dist", "_tree", "_ranked")
 
     def __init__(self):
         self.source: int | None = None
@@ -52,15 +50,14 @@ class ExploredView:
         self.frontier: set[int] = set()
         self.low: dict[int, int] = {}
         self.dist: ExploredDistances | None = None
-        self._heap: list[tuple[int, int]] | None = None
         self._tree: list[dict[int, tuple[int | None, int | None, int | None]]] = []
+        self._ranked: list[int] = []
 
     def observe(self, rec: MemoryRecord) -> bool:
         """Feed one record; returns whether its edge was new."""
         label, deg, out_port, in_port = rec
         degree = self.degree
-        new_node = label not in degree
-        if new_node:
+        if label not in degree:
             degree[label] = deg
             self.low[label] = 0
             if deg:
@@ -70,21 +67,12 @@ class ExploredView:
             self.dist = ExploredDistances(label)
             self.adj = self.dist.adj
             self._tree = [{label: (None, None, None)}]
+            self._ranked = [label]
             return False
         prev, adj = self.cur, self.adj
         new_edge = out_port not in adj[prev]
         if new_edge:
-            moved = self.dist.add_edge(prev, out_port, label, in_port)
-            heap = self._heap
-            if heap is not None:
-                # a new node, and every node whose distance dropped, needs an
-                # entry at its current distance; the older entries go stale
-                if moved is None:
-                    moved = (label,) if new_node else ()
-                dist = self.dist.dist
-                for v in moved:
-                    if v in self.frontier:
-                        heappush(heap, (dist[v], v))
+            self.dist.add_edge(prev, out_port, label, in_port)
             if len(adj[prev]) == degree[prev]:
                 self.frontier.discard(prev)
             if len(adj[label]) == degree[label]:
@@ -124,22 +112,25 @@ class ExploredView:
         of the four cases reach the same answer without the search:
 
         - From the source, the BFS levels are the distance levels, so the
-          target is the smallest ``(distance, label)`` in the frontier: the
-          top of ``_heap`` once the entries whose node left the frontier or
-          whose distance dropped since their push are popped.  ``observe``
-          pushes a fresh entry for every new node and every node whose
-          distance drops, so each frontier node has an entry at its current
-          distance.  The path reads the ports stored along the parents of
-          ``_tree`` up from the target, and ``_tree`` is the search itself:
-          each level is built by expanding the level before in order, ports
-          ascending.  When target ``t`` at distance ``d`` is picked, no node
-          nearer than ``d`` has an unexplored port, so every edge at those
-          nodes is explored.  A later edge joins two nodes at distance ``d``
-          or more (or a new node), so every distance it sets or lowers ends
-          above ``d``.  The levels up to ``d``, the edges between consecutive
-          ones and each node's edges into the level below are therefore
-          fixed for good, and so is their part of the tree, home ports
-          included: a distance drop leaves nothing to rebuild.
+          target is the frontier node of smallest ``(distance, label)``.
+          Let ``m`` be the smallest distance of a frontier node.  Every
+          node nearer than ``m`` has all its ports explored, so a new edge
+          joins two nodes at distance ``m`` or more, or one of them and a
+          new node: no distance drops below ``m``, and ``m`` never
+          decreases.  This holds for any record stream.  Once the levels
+          below ``d`` hold no frontier node, then, level ``d`` never gains
+          or loses a node, each of its nodes keeps its edges into level
+          ``d - 1``, and a node of level ``d`` leaves the frontier for good
+          once its ports are spent.  So the levels up to the deepest one
+          still holding a frontier node are fixed, and so is their part of
+          ``_tree``, home ports included: a distance drop leaves nothing to
+          rebuild.  The target is the smallest label of that deepest level
+          still in the frontier: the end of ``_ranked`` once the labels
+          that left the frontier are popped.  When ``_ranked`` runs empty,
+          the next level is built, never past ``within``, and ranked.  The
+          path reads the ports stored along the parents of ``_tree`` up
+          from the target, and ``_tree`` is the search itself: each level
+          is built by expanding the level before in order, ports ascending.
         - Home (``within=None``): every node one level closer lies on a
           shortest path to the source, so each step takes the node's home
           port: the one stored in ``_tree`` for a node at one of its levels,
@@ -151,8 +142,7 @@ class ExploredView:
           smallest and its port.
 
         Otherwise the BFS runs as described, keeping each node's parent and
-        the port crossed from it, and ``_heap`` is dropped: a policy that
-        plans from elsewhere would keep it up for nothing.
+        the port crossed from it.
         """
         cur, dist = self.cur, self.dist.dist
         if within is None:
@@ -167,11 +157,10 @@ class ExploredView:
         if cur in frontier and dist[cur] <= within:
             return (cur, [])
         if cur == self.source:
-            target = self._nearest_frontier_node()
+            target = self._nearest_frontier_node(within)
             if target is None or dist[target] > within:
                 return None
             return (target, self._route_to(target))
-        self._heap = None
         node = None
         for p, y in self.adj[cur].items():
             if y in frontier and dist[y] <= within and (node is None or y < node):
@@ -202,30 +191,26 @@ class ExploredView:
             level = nxt
         return None
 
-    def _nearest_frontier_node(self) -> int | None:
-        """The frontier node of smallest ``(distance, label)``, or None; builds
-        ``_heap`` when there is none."""
-        heap, frontier, dist = self._heap, self.frontier, self.dist.dist
-        if heap is None:
-            heap = self._heap = [(dist[v], v) for v in frontier]
-            heapify(heap)
-        while heap:
-            d, v = heap[0]
-            if v in frontier and dist[v] == d:
-                return v
-            heappop(heap)
-        return None
-
-    def _route_to(self, target: int) -> list[int]:
-        """The port path from the source to ``target`` along ``_tree``,
-        building the levels up to ``target``'s first.  Level ``d`` is built
-        as the search reaches it: the nodes of level ``d - 1`` are expanded
-        in order over their explored rows, ports ascending, and each node at
-        distance ``d`` is kept, in the order first reached, with the node
-        that reached it as its parent, the port the search crossed from it,
-        and its home port."""
-        dist, adj, tree = self.dist.dist, self.adj, self._tree
-        for d in range(len(tree), dist[target] + 1):
+    def _nearest_frontier_node(self, within: int) -> int | None:
+        """The frontier node of smallest ``(distance, label)``, or None when
+        the levels up to ``within`` hold none: the end of ``_ranked`` once
+        the labels that left the frontier are popped, building and ranking
+        the next level of ``_tree`` each time it runs empty.  Level ``d`` is
+        built as the search reaches it: the nodes of level ``d - 1`` are
+        expanded in order over their explored rows, ports ascending, and
+        each node at distance ``d`` is kept, in the order first reached,
+        with the node that reached it as its parent, the port the search
+        crossed from it, and its home port."""
+        ranked, frontier, tree = self._ranked, self.frontier, self._tree
+        dist, adj = self.dist.dist, self.adj
+        while True:
+            while ranked and ranked[-1] not in frontier:
+                ranked.pop()
+            if ranked:
+                return ranked[-1]
+            d = len(tree)
+            if d > within:
+                return None
             level: dict[int, tuple[int, int, int]] = {}
             for x in tree[d - 1]:
                 row = adj[x]
@@ -233,9 +218,16 @@ class ExploredView:
                     y = row[p]
                     if y not in level and dist[y] == d:
                         level[y] = (x, p, self._home_port(y))
+            if not level:
+                return None
             tree.append(level)
-        ports, y = [], target
-        for d in range(dist[target], 0, -1):
+            ranked.extend(sorted(level, reverse=True))
+
+    def _route_to(self, target: int) -> list[int]:
+        """The port path from the source to ``target``, read off the
+        parents stored in ``_tree``."""
+        ports, tree, y = [], self._tree, target
+        for d in range(self.dist.dist[target], 0, -1):
             y, p, _ = tree[d][y]
             ports.append(p)
         return ports[::-1]

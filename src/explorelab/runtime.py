@@ -117,11 +117,8 @@ class ExploredDistances:
     additions.
 
     Nodes joined by added edges but not yet to the root have no distance.
-
-    :meth:`add_edge` returns None when it changed no distance or only gave
-    a new leaf its distance, and otherwise the list of every node whose
-    distance it set or lowered: the relaxation's own queue, so a caller
-    that ignores it pays nothing.
+    Callers read the distances off ``dist``: :meth:`add_edge` returns
+    nothing.
     """
 
     __slots__ = ("root", "dist", "adj")
@@ -131,7 +128,7 @@ class ExploredDistances:
         self.dist: dict[int, int] = {root: 0}
         self.adj: dict[int, dict[int, int]] = {root: {}}
 
-    def add_edge(self, a: int, pa: int, b: int, pb: int) -> list[int] | None:
+    def add_edge(self, a: int, pa: int, b: int, pb: int) -> None:
         dist, adj = self.dist, self.adj
         if a in adj:
             adj[a][pa] = b
@@ -145,18 +142,15 @@ class ExploredDistances:
         db = dist.get(b)
         if da is None:
             if db is None:
-                return None
+                return
             a, b, da, db = b, a, db, da
         elif db is not None:
             if abs(da - db) <= 1:
-                return None
+                return
             if db < da:
                 a, b, da, db = b, a, db, da
         # now da + 1 < db, or b has no distance yet
-        d = da + 1
-        dist[b] = d
-        if db is None and len(adj[b]) == 1:
-            return None  # a new leaf: nothing lies beyond it
+        dist[b] = da + 1
         queue = [b]
         for v in queue:  # visits the nodes appended below too
             d = dist[v] + 1
@@ -165,7 +159,6 @@ class ExploredDistances:
                 if du is None or du > d:
                     dist[u] = d
                     queue.append(u)
-        return queue
 
 
 _UNASKED = object()

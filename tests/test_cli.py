@@ -246,6 +246,14 @@ def test_cli_error_paths(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("kinds", [[], ["--family", "10,16,6", "--lollipop", "1,2,1"]])
+def test_gen_without_exactly_one_kind_is_a_one_line_error(tmp_path, capsys, kinds):
+    out = tmp_path / "x.json"
+    assert main(["gen", *kinds, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: gen: pass exactly one of --family or --lollipop\n"
+    assert not out.exists()
+
+
 def test_adversary_strict_flags_invalid_policy(tmp_path, capsys):
     # dfs does not respect the return cap, so the behavioral monitors flag it
     final = tmp_path / "dfs_final.json"

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,7 @@ from explorelab import (
 from explorelab.explorers import POLICY_NAMES, DfsPolicy, ExploredView
 from explorelab.family import LollipopParams, build_lollipop
 from explorelab.graph import LabeledGraph
-from explorelab.runtime import ExploredDistances, MemoryRecord, ReplayCursor
+from explorelab.runtime import MemoryRecord, ReplayCursor
 
 from conftest import engine_cases, small_graph_corpus
 from oracles import (
@@ -267,25 +268,30 @@ def walk_records(g, labels):
         yield MemoryRecord(b, g.degree(b), g.port_of(a, b), g.port_of(b, a))
 
 
+# a path 0-1-2-3-4-5-6 with a chord 3-6, a leaf 9 off 2, and leaves 7 and 8
+# off 5 and 6; every port row lists its neighbours in label order except 6's
+DROP_GRAPH = LabeledGraph(
+    {
+        0: [1],
+        1: [0, 2],
+        2: [1, 3, 9],
+        3: [2, 4, 6],
+        4: [3, 5],
+        5: [4, 6, 7],
+        6: [5, 3, 8],
+        7: [5],
+        8: [6],
+        9: [2],
+    }
+)
+
+
 def test_source_plans_across_a_distance_drop():
     # target 2 keeps its unexplored port 2 while the edge 3-6 lowers 6 from
     # distance 6 to 4: the second plan reuses the search tree ranked for the
-    # first; once 2 is spent, 6 must win over 5 (distance 5) on the entry
-    # pushed by the drop, not on its stale entry at 6
-    g = LabeledGraph(
-        {
-            0: [1],
-            1: [0, 2],
-            2: [1, 3, 9],
-            3: [2, 4, 6],
-            4: [3, 5],
-            5: [4, 6, 7],
-            6: [5, 3, 8],
-            7: [5],
-            8: [6],
-            9: [2],
-        }
-    )
+    # first; once 2 is spent, the levels built next must hold 6 at distance
+    # 4, ahead of 5 at distance 5, not where it was first reached
+    g = DROP_GRAPH
     walk = [0, 1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1, 0]  # distances 1..6 along the way
     walk += [1, 2, 3, 6, 3, 2, 1, 0]  # the drop
     walk += [1, 2, 9, 2, 1, 0]  # spends 2's last port
@@ -294,8 +300,8 @@ def test_source_plans_across_a_distance_drop():
         before = dict(view.dist.dist) if view.dist else {}
         view.observe(rec)
         dropped |= any(view.dist.dist[v] < d for v, d in before.items())
-        # only the walk home is planned away from the source: a bounded plan
-        # from elsewhere would drop the heap
+        # away from the source only the walk home is planned, as
+        # fuel-cautious does
         within = 10 if view.cur == view.source else None
         ranked = len(view._tree)
         got = view.plan_to(within)
@@ -307,27 +313,56 @@ def test_source_plans_across_a_distance_drop():
     assert view.dist.dist[6] == 4 and view.dist.dist[5] == 5
 
 
+def test_source_plan_after_a_plan_from_elsewhere_reuses_the_tree():
+    # from the spent source, a plan bounded by 1 builds level 1 only and
+    # finds nothing; the next plan builds level 2 and picks 2; a bounded
+    # plan from 1 and a walk back to the source follow, and the next plan
+    # from the source reads the same levels and ranking again
+    g = DROP_GRAPH
+    view = ExploredView()
+    records = walk_records(g, [0, 1, 2, 1, 0, 1, 2, 3, 2, 1, 0])
+    for rec in islice(records, 5):
+        view.observe(rec)
+    assert view.plan_to(1) is None and len(view._tree) == 2
+    assert view.plan_to(10) == (2, [0, 1])
+    tree, ranked = list(view._tree), list(view._ranked)
+    assert len(tree) == 3 and ranked == [2]
+    for rec in islice(records, 5):
+        view.observe(rec)
+    assert view.cur == 1 and 1 not in view.frontier
+    assert view.plan_to(10) == naive_plan_to(view, oracle_target(view, 10)) == (2, [1])
+    view.observe(next(records))
+    assert view.cur == view.source and view.source not in view.frontier
+    got = view.plan_to(10)
+    assert got == naive_plan_to(view, oracle_target(view, 10)) == (2, [0, 1])
+    assert len(view._tree) == len(tree) and all(a is b for a, b in zip(view._tree, tree))
+    assert view._ranked == ranked
+
+
 @pytest.mark.parametrize("case", ["family-10-16-6-s0", "lollipop-1-2-1", "lollipop-3-2-1"])
 def test_fuel_plans_reuse_the_search_tree_and_pop_stale_entries(case, monkeypatch):
-    # every fuel-cautious plan from the source equals the oracle's; stale heap
-    # entries are popped, the ranked levels of the search tree are reused
-    # across new edges and still match the oracle when the run ends, and no
-    # distance ever drops: each probe leaves the nearest frontier node, so
-    # every known node with an unexplored port sits at that node's distance
-    # or one more
+    # every fuel-cautious plan from the source equals the oracle's; the
+    # ranked labels are always the deepest level's in descending order, less
+    # the labels popped off the end once they left the frontier, so they
+    # only shrink between level builds; the levels of the search tree are
+    # reused across new edges and still match the oracle when the run ends;
+    # and no distance ever drops: each probe leaves the nearest frontier
+    # node, so every known node with an unexplored port sits at that node's
+    # distance or one more
     g, source, alpha, _ = PLAN_CASES[case]
     inst = Instance(graph=g, source=source, alpha=alpha)
-    plan, add_edge = ExploredView.plan_to, ExploredDistances.add_edge
+    plan, observe = ExploredView.plan_to, ExploredView.observe
     seen = Counter()
     views = set()
     edges_since = 0  # new edges since the last plan from the source
 
-    def counting_add_edge(dists, a, pa, b, pb):
+    def counting_observe(view, rec):
         nonlocal edges_since
-        moved = add_edge(dists, a, pa, b, pb)
-        edges_since += 1
-        seen["drops"] += moved is not None
-        return moved
+        before = dict(view.dist.dist) if view.dist else {}
+        new_edge = observe(view, rec)
+        edges_since += new_edge
+        seen["drops"] += sum(view.dist.dist[v] < d for v, d in before.items())
+        return new_edge
 
     def checked(view, within):
         nonlocal edges_since
@@ -335,21 +370,22 @@ def test_fuel_plans_reuse_the_search_tree_and_pop_stale_entries(case, monkeypatc
         if within is None:
             return plan(view, within)
         assert view.cur == view.source
-        dist, frontier = view.dist.dist, view.frontier
-        heap = list(view._heap or ())
-        stale = Counter(e for e in heap if e[1] not in frontier or dist[e[1]] != e[0])
-        ranked = len(view._tree)
+        levels, ranked = len(view._tree), list(view._ranked)
         got = plan(view, within)
         assert got == naive_plan_to(view, oracle_target(view, within))
-        popped = Counter(heap) - Counter(view._heap)
-        assert popped <= stale
-        seen["popped"] += popped.total()
-        if got and got[1] and len(view._tree) == ranked and edges_since:
-            seen["reused across an edge"] += 1
+        assert len(view._tree) <= within + 1  # no level is built past the bound
+        deepest = sorted(view._tree[-1], reverse=True)
+        assert view._ranked == deepest[: len(view._ranked)]
+        assert not view.frontier.intersection(deepest[len(view._ranked) :])
+        if len(view._tree) == levels:
+            assert view._ranked == ranked[: len(view._ranked)]
+            seen["popped"] += len(ranked) - len(view._ranked)
+            if got and got[1] and edges_since:
+                seen["reused across an edge"] += 1
         edges_since = 0
         return got
 
-    monkeypatch.setattr(ExploredDistances, "add_edge", counting_add_edge)
+    monkeypatch.setattr(ExploredView, "observe", counting_observe)
     monkeypatch.setattr(ExploredView, "plan_to", checked)
     _, report = execute(inst, make_policy("fuel-cautious", inst.alpha, inst.ecc), monitors=("completion",))
     assert report.complete
@@ -414,8 +450,10 @@ def test_port_pointers_match_port_scans_on_any_walk(name, choices):
             assert view.plan_to(within) == naive_plan_to(view, oracle_target(view, within))
         # the ranked levels of the search tree hold the nodes at their
         # distance, each with its parent's port to it and its smallest
-        # explored port into the level below
+        # explored port into the level below; the deepest level's labels
+        # are ranked in descending order, less those popped off the end
         levels = naive_levels(naive_view_distances(view))
+        assert view._ranked == sorted(view._tree[-1], reverse=True)[: len(view._ranked)]
         for d in range(1, len(view._tree)):
             level = view._tree[d]
             assert set(level) == levels[d]
