@@ -380,14 +380,12 @@ def adversary_behavior(
         max_steps = 50 * graph.edge_count() + 1000
 
     audits: list[StepAudit] = []
-    halted = False
-    while not halted and cursor.first_gadget_step is None:
+    while cursor.first_gadget_step is None and cursor.pending_port() is not None:
         if cursor.steps >= max_steps:
             raise BudgetError(f"adversary exceeded {max_steps} steps", trace=cursor.as_trace())
         audit = _step(cursor, meta, ledger, explored_green, cursor.steps + 1)
         if audit.stages or audit.flags:
             audits.append(audit)
-        halted = cursor.pending_port() is None
 
     # replay phase: no rewrite or monitor can fire any more (see docstring)
     if not cursor.run(max_steps - cursor.steps) and cursor.pending_port() is not None:

@@ -84,7 +84,9 @@ class Trace:
         return {self.edge_at(i) for i in range(1, len(self.memory))}
 
     def edge_at(self, i: int) -> tuple[int, int]:
-        """The edge of the i-th traversal (1-based)."""
+        """The edge of the i-th traversal, for ``i`` in ``1..steps``."""
+        if not 0 < i < len(self.memory):
+            raise ParameterError(f"traversal {i} outside 1..{self.steps}")
         return edge_key(self.memory[i - 1].label, self.memory[i].label)
 
 
@@ -410,9 +412,9 @@ def layer_traversal_stats(trace: Trace, meta: FamilyMeta) -> dict[int, tuple[int
 
 def penalty_before_step(trace: Trace, cutoff: int) -> int:
     """Number of the first ``cutoff`` traversals that re-cross an edge
-    already traversed at that moment."""
-    if cutoff > trace.steps:
-        raise ParameterError(f"cutoff {cutoff} exceeds trace steps {trace.steps}")
+    already traversed at that moment, for ``cutoff`` in ``0..steps``."""
+    if not 0 <= cutoff <= trace.steps:
+        raise ParameterError(f"cutoff {cutoff} outside 0..{trace.steps}")
     seen: set[tuple[int, int]] = set()
     repeats = 0
     for i in range(1, cutoff + 1):

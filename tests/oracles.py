@@ -10,6 +10,10 @@ the package's one pass over the rows.  ``naive_dirty_rows`` finds the rows a
 graph changed against a member's by identity, the reference for the record
 of replaced rows that ``LabeledGraph.replace_ports`` keeps.
 
+``naive_merge_behavior`` is the merge-behaviour check as five comparisons,
+three of which follow from the other two: the reference for
+``validate_merge_behavior``.
+
 ``fuel_counting_floor`` is not an oracle of package code: it is a floor on
 the fuel penalty that holds for every algorithm, from counting alone.
 
@@ -36,9 +40,10 @@ from explorelab.graph import (
     LabeledGraph,
     ValidationReport,
     eccentricity,
+    edge_key,
     validate_consistent_labeling,
 )
-from explorelab.runtime import MemoryRecord, ReplayCursor
+from explorelab.runtime import Instance, MemoryRecord, ReplayCursor, execute, penalty_before_step
 
 
 def adjacency(graph):
@@ -458,7 +463,7 @@ def naive_adversary_behavior(ecc, alpha, policy, width, *, seed=0, max_steps=Non
         max_steps = 50 * graph.edge_count() + 1000
     audits, flags, changed = [], [], 0
     x = 0
-    while True:
+    while cursor.pending_port() is not None:
         x += 1
         if x > max_steps:
             raise BudgetError(f"adversary exceeded {max_steps} steps", trace=cursor.as_trace())
@@ -467,8 +472,6 @@ def naive_adversary_behavior(ecc, alpha, policy, width, *, seed=0, max_steps=Non
         changed += audit.changed
         if audit.stages or audit.flags:
             audits.append(audit)
-        if cursor.pending_port() is None:
-            break
     if not validate_family_membership(cursor.graph, params).ok:
         raise InvariantViolation("final graph left the family")
     run = AdversaryRun(
@@ -481,6 +484,67 @@ def naive_adversary_behavior(ecc, alpha, policy, width, *, seed=0, max_steps=Non
         trace=cursor.as_trace(),
     )
     return run, {"step_count": x, "flags": flags, "prefix_checks": changed}
+
+
+def naive_merge_behavior(g, merged, plan, meta, policy_factory, alpha):
+    """``validate_merge_behavior`` as five comparisons before the first
+    gadget visit: the first gadget step, the memory records, the records'
+    labels pushed through the merge map, the traversed edges pushed through
+    it, and the penalty.  The package judges only the first two, from which
+    the other three follow."""
+
+    def map_label(v):
+        return plan.gadget_map.get(v, v)
+
+    report = ValidationReport()
+    gadgets = set(meta.gadget_labels)
+    merged_gadgets = set(plan.merged_even.values()) | set(plan.merged_odd.values())
+
+    inst = Instance(graph=g, source=meta.source_label, alpha=alpha)
+    policy = policy_factory(inst.alpha, inst.ecc)
+    trace, run = execute(inst, policy, gadget_set=gadgets, monitors=("completion",))
+    inst2 = Instance(graph=merged, source=meta.source_label, alpha=alpha)
+    policy2 = policy_factory(inst2.alpha, inst2.ecc)
+    trace2, run2 = execute(inst2, policy2, gadget_set=merged_gadgets, monitors=("completion",))
+
+    t = trace.first_gadget_step
+    if t is None:
+        report.add("no-gadget-visit", "original run never visited a gadget")
+        return report, {}
+    if trace2.first_gadget_step != t:
+        report.add(
+            "first-gadget-step",
+            f"original visits a gadget at {t}, merged at {trace2.first_gadget_step}",
+        )
+    upto = min(t, trace2.steps + 1)
+    for i in range(upto):
+        if trace.memory[i] != trace2.memory[i]:
+            report.add("memory-prefix", f"records differ at index {i}")
+            break
+        if map_label(trace.memory[i].label) != trace2.memory[i].label:
+            report.add("node-map", f"merge map broken at index {i}")
+            break
+    edges_g = {edge_key(*map(map_label, trace.edge_at(i))) for i in range(1, upto)}
+    edges_m = {trace2.edge_at(i) for i in range(1, upto)}
+    if edges_g != edges_m:
+        report.add("traversed-map", "mapped traversed sets differ before the gadget visit")
+    pen = penalty_before_step(trace, t)
+    pen2 = penalty_before_step(trace2, min(t, trace2.steps))
+    if pen != pen2:
+        report.add("penalty", f"penalty before gadget differs: {pen} vs {pen2}")
+
+    details = {
+        "first_gadget_step": t,
+        "penalty_before_gadget": pen,
+        "penalty_before_gadget_merged": pen2,
+        "total_steps": trace.steps,
+        "total_steps_merged": trace2.steps,
+        "total_penalty": run.penalty,
+        "total_penalty_merged": run2.penalty,
+        "complete": run.complete,
+        "complete_merged": run2.complete,
+    }
+    return report, details
 
 
 def fuel_counting_floor(params):

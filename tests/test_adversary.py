@@ -445,6 +445,19 @@ def test_replay_phase_budget_error_matches_rewriting_every_step(before_halt):
     assert run.step_count == full.step_count
 
 
+def test_policy_that_halts_at_once_makes_a_zero_step_run():
+    # like execute, the adversary returns the empty run of a policy that
+    # never moves: no step, no audit, the fresh member unchanged
+    fresh, _ = build_family_graph(FamilyParams(10, 16, 6), seed=0)
+    run = adversary_behavior(6, ALPHA, ScriptPolicy([]), 16, seed=0)
+    naive, counts = naive_adversary_behavior(6, ALPHA, ScriptPolicy([]), 16, seed=0)
+    for r in (run, naive):
+        assert r.step_count == 0
+        assert r.audit == []
+        assert r.final_graph == fresh
+    assert counts == {"step_count": 0, "flags": [], "prefix_checks": 0}
+
+
 def test_cursor_replays_with_graph_swap():
     g, meta = build_family_graph(FamilyParams(10, 16, 6))
     cursor = ReplayCursor(g, cautious(), source=0, gadgets=meta.gadget_labels)

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from explorelab import (
     FamilyMeta,
     FamilyParams,
+    Instance,
     ParameterError,
     StructuralError,
     adversary_behavior,
     build_family_graph,
+    execute,
     make_policy,
     merge_gadgets,
     validate_family_membership,
@@ -21,6 +23,7 @@ from explorelab.merge import _contract_layer, validate_merge_behavior
 from explorelab.surgery import switch_ports
 
 from conftest import ScriptPolicy
+from oracles import naive_merge_behavior
 
 ALPHA = Fraction(1, 2)
 
@@ -108,7 +111,7 @@ def test_merge_port_preservation(fresh):
         assert merged.degree(v) == g.degree(v)
         for port in range(g.degree(v)):
             old = g.neighbor(v, port)
-            assert merged.neighbor(v, port) == plan.map_label(old)
+            assert merged.neighbor(v, port) == plan.gadget_map.get(old, old)
 
 
 def test_merge_each_class_nonempty_and_disjoint(fresh):
@@ -140,7 +143,7 @@ def test_merge_distance_contraction(fresh):
     for _ in range(40):
         u, v = rng.sample(labels, 2)
         d_old = bfs_distances(g, u)[v]
-        d_new = bfs_distances(merged, plan.map_label(u))[plan.map_label(v)]
+        d_new = bfs_distances(merged, plan.gadget_map.get(u, u))[plan.gadget_map.get(v, v)]
         assert d_new <= d_old
 
 
@@ -194,6 +197,63 @@ def test_merge_behavior_exact_on_fresh_members(seed, k):
     merged, plan = merge_gadgets(g, meta, k)
     report, _ = validate_merge_behavior(g, merged, plan, meta, cautious, ALPHA)
     assert report.ok, report.codes()
+
+
+@given(
+    member=st.sampled_from(["fresh", "adversary"]),
+    seed=st.integers(0, 2**16),
+    k=st.just(1),
+    where=st.sampled_from(["none", "source", "level", "merged", "critical"]),
+    pick=st.integers(0, 2**16),
+    p1=st.integers(0, 2**16),
+    p2=st.integers(0, 2**16),
+)
+@example(member="fresh", seed=1, k=2, where="none", pick=0, p1=0, p2=0)
+@example(member="fresh", seed=2, k=2, where="source", pick=0, p1=0, p2=1)
+# the merged run leaves the original one at its first gadget step
+@example(member="fresh", seed=3, k=2, where="level", pick=1, p1=0, p2=1)
+@example(member="fresh", seed=4, k=2, where="merged", pick=5, p1=0, p2=2)
+@example(member="fresh", seed=5, k=2, where="critical", pick=0, p1=1, p2=3)
+# a memory-prefix failure the oracle also reports as traversed-map and penalty
+@example(member="adversary", seed=0, k=1, where="level", pick=6, p1=3, p2=0)
+@settings(max_examples=25, deadline=None)
+def test_merge_behavior_matches_the_five_comparisons(
+    adversary_final, member, seed, k, where, pick, p1, p2
+):
+    # a fresh member or the adversary's k = 1 graph, merged, then maybe two
+    # ports switched at one node of the merged graph: the package's two
+    # comparisons give the oracle's verdict and details, and no code the
+    # oracle does not
+    if member == "fresh":
+        g, meta = build_family_graph(FamilyParams(10, 16 * k, 6), seed=seed)
+    else:
+        k, g, meta = 1, adversary_final.final_graph, FamilyMeta(adversary_final.params)
+    merged, plan = merge_gadgets(g, meta, k)
+    if where != "none":
+        trace, _ = execute(
+            Instance(graph=g, source=meta.source_label, alpha=ALPHA),
+            cautious(ALPHA, meta.params.ecc),
+            gadget_set=set(meta.gadget_labels),
+        )
+        nodes = {
+            "source": [meta.source_label],
+            # the level nodes the run stands on before its first gadget visit
+            "level": [
+                r.label
+                for r in trace.memory[: trace.first_gadget_step]
+                if meta.level_of(r.label) is not None
+            ],
+            "merged": sorted(set(plan.gadget_map.values())),
+            "critical": [meta.critical_label],
+        }[where]
+        v = nodes[pick % len(nodes)]
+        deg = merged.degree(v)
+        merged = switch_ports(merged, v, p1 % deg, p2 % deg).graph
+    report, info = validate_merge_behavior(g, merged, plan, meta, cautious, ALPHA)
+    oracle, oracle_info = naive_merge_behavior(g, merged, plan, meta, cautious, ALPHA)
+    assert report.ok == oracle.ok
+    assert info == oracle_info
+    assert report.codes() <= oracle.codes()
 
 
 def test_merge_behavior_flags_a_moved_port(fresh):

@@ -174,8 +174,21 @@ def test_penalty_before_step():
     assert penalty_before_step(trace, 0) == 0
     assert penalty_before_step(trace, 2) == 1  # the immediate re-cross
     assert penalty_before_step(trace, 4) == 2
-    with pytest.raises(ParameterError):
-        penalty_before_step(trace, 99)
+    for cutoff in (99, -5):
+        with pytest.raises(ParameterError):
+            penalty_before_step(trace, cutoff)
+
+
+def test_edge_at_rejects_traversals_outside_the_run():
+    # index 0 would join the last record to the first, and index steps + 1
+    # is past the memory
+    g = LabeledGraph({0: [1], 1: [0, 2], 2: [1]})
+    inst = Instance(graph=g, source=0, alpha=Fraction(1))
+    trace, _ = execute(inst, port_script(g, [0, 1, 2]))
+    assert [trace.edge_at(i) for i in (1, 2)] == [(0, 1), (1, 2)]
+    for i in (0, -1, 3):
+        with pytest.raises(ParameterError):
+            trace.edge_at(i)
 
 
 def test_conservation_at_completion(triangle):
