@@ -23,7 +23,6 @@ from .graph import (
     LabeledGraph,
     ValidationReport,
     circulant_pairs,
-    is_connected,
     validate_consistent_labeling,
 )
 
@@ -281,7 +280,24 @@ def validate_family_membership(
 
     After the labeling and label-range checks, the full check is one pass of
     :meth:`_FamilyLedger._add_row` over every row.  It names each misshapen
-    row, each sum off its target and a disconnected graph.
+    row and each sum off its target, which is all the ledger checks too.
+
+    Once the labeling is consistent and every row and sum is on target, two
+    more family properties follow, so neither check tests them:
+
+    - *No green edge's ends share a gadget.*  A well-shaped gadget of layer
+      i lists exactly one level pair; were that pair also a green edge of
+      the lower row, the contraction would hold the edge twice.
+    - *Connectivity.*  Level-1 nodes are the source's neighbours.  Every
+      level-(i+1) node has ``layer_degree >= 1`` contracted edges down to
+      level i, each a green edge or a gadget joined to both of its level
+      nodes.  Every gadget touches a level node and the critical node; the
+      critical node lists the first tail node; and the tail chain has every
+      link.
+
+    A gadget row with a level pair but no critical node needs no term of
+    its own either: the critical row then still lists the gadget
+    (``asymmetric-edge``) or lacks its shape (``critical-shape``).
 
     With a ``ledger`` for the same parameters (the adversary keeps one
     across its rewrites), a graph the ledger admits gets the empty report
@@ -306,11 +322,7 @@ def validate_family_membership(
     for v, row in g._ports.items():
         for code, detail in terms._add_row(v, row, 1, sums):
             report.add(code, detail)
-    terms._report_sums(g, sums, report)
-
-    # a search would follow a listed neighbor that has no row
-    if "unknown-neighbor" not in report.codes() and not is_connected(g):
-        report.add("disconnected", "graph is not connected")
+    terms._report_sums(sums, report)
     if ledger is not None and report.ok:
         ledger.rows, ledger.diff, ledger.sums = g._ports, g._diff, sums
     return report
@@ -332,8 +344,6 @@ class _FamilyLedger:
     - ``("green", i)`` and ``("red", i)``: layer i's green edges and the
       gadgets of layer i that its level rows list, ``greens_per_layer`` and
       ``reds_per_layer`` in a member;
-    - ``("stray", a, b)``: adjacent-level nodes listed by a gadget row that
-      is not its level pair and the critical node, none in a member;
     - ``("degree",)``: the total degree, twice the edge count.
 
     The rows of the source, the critical node, the tail and each gadget
@@ -348,22 +358,8 @@ class _FamilyLedger:
     shape.  Any doubt answers False and leaves the ledger as it was; the
     caller then runs the full check, whose report is the only one given.
 
-    Once the labeling is consistent and every row and sum is on target, two
-    more family properties follow, so the ledger does not check them:
-
-    - *No green edge's ends share a gadget.*  A gadget next to a level-i and
-      a level-(i+1) node is well shaped only in layer i, with exactly that
-      pair, so the contraction would hold the green edge twice.  The full
-      check names ``green-gadget-overlap`` for such an edge and for a green
-      stray pair.  It reads a gadget's level nodes from the gadget's row, so
-      where a gadget and a level row disagree (``asymmetric-edge``) its
-      overlaps may differ from those the level rows give.
-    - *Connectivity.*  Level-1 nodes are the source's neighbours.  Every
-      level-(i+1) node has ``layer_degree >= 1`` contracted edges down to
-      level i, each a green edge or a gadget joined to both of its level
-      nodes.  Every gadget touches a level node and the critical node; the
-      critical node lists the first tail node; and the tail chain has every
-      link.  The full check still runs its search.
+    The properties these checks leave out follow from them; see
+    :func:`validate_family_membership`.
     """
 
     def __init__(self, params: FamilyParams):
@@ -411,8 +407,6 @@ class _FamilyLedger:
         kind = key[0]
         if kind == "edge":
             return total <= 1
-        if kind == "stray":
-            return total == 0
         if kind == "degree":
             return total // 2 == self.meta.params.edge_total
         return total == self._want[kind]
@@ -444,17 +438,11 @@ class _FamilyLedger:
             return []
         if meta.is_gadget(v):
             pair = meta._row_level_pair(v, row)
-            if pair is not None:
-                for key in (("edge", *pair), ("up", pair[0]), ("down", pair[1])):
-                    sums[key] += sign
-                if meta.critical_label in row:
-                    return []
-            levels = [(meta.level_of(u), u) for u in row]
-            for i, a in levels:
-                for k, b in levels:
-                    if i is not None and k == i + 1:
-                        sums["stray", a, b] += sign
-            return [] if pair else [("gadget-shape", f"gadget {v} lacks the degree-3 shape")]
+            if pair is None:
+                return [("gadget-shape", f"gadget {v} lacks the degree-3 shape")]
+            for key in (("edge", *pair), ("up", pair[0]), ("down", pair[1])):
+                sums[key] += sign
+            return []
         if v == meta.source_label:
             if sorted(row) == list(meta.level_labels(1)):
                 return []
@@ -472,10 +460,8 @@ class _FamilyLedger:
             links = [v + 1] if want == 2 else []
         return out + [("tail", f"missing tail edge ({v},{u})") for u in links if u not in row]
 
-    def _report_sums(self, g: LabeledGraph, sums: Counter, report: ValidationReport) -> None:
-        """Add to ``report`` each sum of a full pass that is off target, and
-        ``green-gadget-overlap`` for each green edge whose two ends one
-        gadget row lists."""
+    def _report_sums(self, sums: Counter, report: ValidationReport) -> None:
+        """Add to ``report`` each sum of a full pass that is off target."""
         meta, p, on = self.meta, self.meta.params, self._on_target
         if not on(("degree",), sums["degree",]):
             report.add("edge-count", f"expected {p.edge_total}, got {sums['degree',] // 2}")
@@ -494,14 +480,6 @@ class _FamilyLedger:
                     "layer-contraction",
                     f"layer {i}: nodes {bad[:8]} off {p.layer_degree}-regularity",
                 )
-        # a gadget's level pair held more often than the lower row lists it
-        # as green, or a stray pair that the lower row lists
-        listed = g.neighbors
-        overlaps = {e for e in doubled if 0 < listed(e[0]).count(e[1]) < sums[("edge", *e)]}
-        strays = [k[1:] for k, n in sums.items() if k[0] == "stray" and n]
-        overlaps.update((lo, hi) for lo, hi in strays if hi in listed(lo))
-        for lo, hi in sorted(overlaps):
-            report.add("green-gadget-overlap", f"green ({lo},{hi}) has both ends on one gadget")
 
 
 # -- lollipop graphs ------------------------------------------------------------

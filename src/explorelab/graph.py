@@ -217,13 +217,6 @@ def bfs_distances(g: LabeledGraph, a: int) -> dict[int, int]:
     return dist
 
 
-def is_connected(g: LabeledGraph) -> bool:
-    if len(g) == 0:
-        return True
-    start = next(iter(g.labels()))
-    return len(bfs_distances(g, start)) == len(g)
-
-
 def eccentricity(g: LabeledGraph, a: int) -> int:
     """Maximum BFS distance from ``a``; requires a connected graph."""
     dist = bfs_distances(g, a)

@@ -192,6 +192,8 @@ class ReplayCursor:
         source: int = 0,
         gadgets: Container[int] | None = None,
     ):
+        if source not in graph:
+            raise ParameterError(f"source {source} not in graph")
         self.graph = graph
         self.policy = policy
         self.state = policy.start()
@@ -315,6 +317,8 @@ def execute(
     carrying the partial trace.
     """
     g = inst.graph
+    if isinstance(monitors, str):
+        raise ParameterError(f"monitors={monitors!r}: pass a collection of monitor names")
     for m in monitors:
         if m not in MONITOR_KINDS:
             raise ParameterError(f"unknown monitor {m!r}")

@@ -50,6 +50,19 @@ def test_instance_rejects_bad_source(path3):
         Instance(graph=path3, source=9, alpha=Fraction(1))
 
 
+def test_cursor_rejects_bad_source(path3):
+    with pytest.raises(ParameterError) as err:
+        ReplayCursor(path3, ScriptPolicy([]), source=5)
+    assert str(err.value) == "source 5 not in graph"
+
+
+def test_execute_rejects_a_monitor_name_as_string(path3):
+    inst = Instance(graph=path3, source=1, alpha=Fraction(1))
+    with pytest.raises(ParameterError) as err:
+        execute(inst, ScriptPolicy([]), monitors="distance")
+    assert str(err.value) == "monitors='distance': pass a collection of monitor names"
+
+
 def test_instance_rejects_disconnected_graph():
     g = LabeledGraph({0: [1], 1: [0], 2: [3], 3: [2]})
     with pytest.raises(StructuralError) as err:
