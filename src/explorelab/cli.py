@@ -201,10 +201,10 @@ def cmd_experiment(args) -> int:
     base = default_config(args.variant)
     cfg = ExperimentConfig(
         variant=args.variant,
-        k_values=_comma_list("--k", args.k) if args.k else base.k_values,
+        k_values=_comma_list("--k", args.k) if args.k is not None else base.k_values,
         ecc=args.r if args.r is not None else base.ecc,
         alpha=args.alpha if args.alpha is not None else base.alpha,
-        policy=args.policy or base.policy,
+        policy=args.policy if args.policy is not None else base.policy,
         seed=args.seed,
         timing=args.timing,
     )

@@ -21,11 +21,13 @@ from .runtime import ExploredDistances, MemoryRecord
 
 class ExploredView:
     """The subgraph an agent can reconstruct from its memory sequence: known
-    degrees, which nodes still own unexplored ports, and ``dist``, the
-    explored edges and the exact distances from the source over them (every
-    known node has one: it was reached over an explored edge).  ``adj`` is
-    ``dist.adj``, the one copy of the explored port rows; plans carry each
-    port from the search that crossed it, so no reverse map is kept.
+    degrees and ``dist``, the explored edges and the exact distances from
+    the source over them (every known node has one: it was reached over an
+    explored edge).  ``adj`` is ``dist.adj``, the one copy of the explored
+    port rows; plans carry each port from the search that crossed it, so no
+    reverse map is kept.  A known node ``v`` still owns an unexplored port
+    exactly when ``len(adj[v]) < degree[v]``, so no frontier set is kept:
+    the frontier is read off the rows.
 
     ``low[v]`` is the lowest port of ``v`` that may still be unexplored:
     known ports only ever grow, so the pointer only moves up.
@@ -40,14 +42,13 @@ class ExploredView:
     frontier, in descending order.
     """
 
-    __slots__ = ("source", "cur", "degree", "adj", "frontier", "low", "dist", "_tree", "_ranked")
+    __slots__ = ("source", "cur", "degree", "adj", "low", "dist", "_tree", "_ranked")
 
     def __init__(self):
         self.source: int | None = None
         self.cur: int | None = None
         self.degree: dict[int, int] = {}
         self.adj: dict[int, dict[int, int]] = {}
-        self.frontier: set[int] = set()
         self.low: dict[int, int] = {}
         self.dist: ExploredDistances | None = None
         self._tree: list[dict[int, tuple[int | None, int | None, int | None]]] = []
@@ -60,8 +61,6 @@ class ExploredView:
         if label not in degree:
             degree[label] = deg
             self.low[label] = 0
-            if deg:
-                self.frontier.add(label)
         if out_port == -1:
             self.source = self.cur = label
             self.dist = ExploredDistances(label)
@@ -73,10 +72,6 @@ class ExploredView:
         new_edge = out_port not in adj[prev]
         if new_edge:
             self.dist.add_edge(prev, out_port, label, in_port)
-            if len(adj[prev]) == degree[prev]:
-                self.frontier.discard(prev)
-            if len(adj[label]) == degree[label]:
-                self.frontier.discard(label)
         self.cur = label
         return new_edge
 
@@ -153,8 +148,8 @@ class ExploredView:
                 ports.append(port)
                 cur = self.adj[cur][port]
             return (cur, ports)
-        frontier = self.frontier
-        if cur in frontier and dist[cur] <= within:
+        adj, degree = self.adj, self.degree
+        if len(adj[cur]) < degree[cur] and dist[cur] <= within:
             return (cur, [])
         if cur == self.source:
             target = self._nearest_frontier_node(within)
@@ -162,8 +157,8 @@ class ExploredView:
                 return None
             return (target, self._route_to(target))
         node = None
-        for p, y in self.adj[cur].items():
-            if y in frontier and dist[y] <= within and (node is None or y < node):
+        for p, y in adj[cur].items():
+            if len(adj[y]) < degree[y] and dist[y] <= within and (node is None or y < node):
                 node, port = y, p
         if node is not None:
             return (node, [port])
@@ -173,13 +168,13 @@ class ExploredView:
             nxt: list[int] = []
             found: list[int] = []
             for x in level:
-                row = self.adj[x]
+                row = adj[x]
                 for p in sorted(row):
                     y = row[p]
                     if y not in parent:
                         parent[y] = (x, p)
                         nxt.append(y)
-                        if y in frontier and dist[y] <= within:
+                        if len(adj[y]) < degree[y] and dist[y] <= within:
                             found.append(y)
             if found:
                 node = y = min(found)
@@ -201,10 +196,10 @@ class ExploredView:
         each node at distance ``d`` is kept, in the order first reached,
         with the node that reached it as its parent, the port the search
         crossed from it, and its home port."""
-        ranked, frontier, tree = self._ranked, self.frontier, self._tree
+        ranked, tree, degree = self._ranked, self._tree, self.degree
         dist, adj = self.dist.dist, self.adj
         while True:
-            while ranked and ranked[-1] not in frontier:
+            while ranked and len(adj[ranked[-1]]) == degree[ranked[-1]]:
                 ranked.pop()
             if ranked:
                 return ranked[-1]

@@ -118,35 +118,29 @@ class ExploredDistances:
     then runs a decrease-only relaxation, so lookups stay O(1) between
     additions.
 
-    Nodes joined by added edges but not yet to the root have no distance.
-    Callers read the distances off ``dist``: :meth:`add_edge` returns
-    nothing.
+    :meth:`add_edge` requires ``a`` to have a distance already.  Both
+    callers, the explorer's view and the distance monitor, add the edge the
+    walker just crossed, from a node it had already reached, so the nodes
+    of ``adj`` are exactly the nodes with a distance.  Callers read the
+    distances off ``dist``: :meth:`add_edge` returns nothing.
     """
 
-    __slots__ = ("root", "dist", "adj")
+    __slots__ = ("dist", "adj")
 
     def __init__(self, root: int):
-        self.root = root
         self.dist: dict[int, int] = {root: 0}
         self.adj: dict[int, dict[int, int]] = {root: {}}
 
     def add_edge(self, a: int, pa: int, b: int, pb: int) -> None:
         dist, adj = self.dist, self.adj
-        if a in adj:
-            adj[a][pa] = b
-        else:
-            adj[a] = {pa: b}
+        adj[a][pa] = b  # a has a distance, so it has a row
         if b in adj:
             adj[b][pb] = a
         else:
             adj[b] = {pb: a}
-        da = dist.get(a)
+        da = dist[a]
         db = dist.get(b)
-        if da is None:
-            if db is None:
-                return
-            a, b, da, db = b, a, db, da
-        elif db is not None:
+        if db is not None:
             if abs(da - db) <= 1:
                 return
             if db < da:
@@ -157,8 +151,7 @@ class ExploredDistances:
         for v in queue:  # visits the nodes appended below too
             d = dist[v] + 1
             for u in adj[v].values():
-                du = dist.get(u)
-                if du is None or du > d:
+                if dist[u] > d:
                     dist[u] = d
                     queue.append(u)
 
@@ -319,6 +312,7 @@ def execute(
     g = inst.graph
     if isinstance(monitors, str):
         raise ParameterError(f"monitors={monitors!r}: pass a collection of monitor names")
+    monitors = frozenset(monitors)  # tested more than once below; an iterator would run dry
     for m in monitors:
         if m not in MONITOR_KINDS:
             raise ParameterError(f"unknown monitor {m!r}")
@@ -386,8 +380,8 @@ def _fuel_and_distance_violations(
         if dists is not None:
             if out_port not in adj[prev]:
                 dists.add_edge(prev, out_port, cur, in_port)
-            d = dist.get(cur)
-            if d is None or d > cap:
+            d = dist[cur]
+            if d > cap:
                 detail = f"known return distance {d} > {cap}"
                 out.append({"kind": "distance", "step": step, "detail": detail})
         prev = cur

@@ -329,6 +329,21 @@ def naive_explored_rows(records):
     return rows
 
 
+def naive_open_nodes(records):
+    """After each record of a memory sequence, the known nodes that still
+    own a port the walk has neither left nor entered by, rebuilt from the
+    records alone: the slow counterpart of ``ExploredView``'s rule that a
+    node's explored row is shorter than its degree."""
+    unexplored, prev = {}, None
+    for rec in records:
+        unexplored.setdefault(rec.label, set(range(rec.degree)))
+        if rec.out_port != -1:
+            unexplored[prev].discard(rec.out_port)
+            unexplored[rec.label].discard(rec.in_port)
+        prev = rec.label
+        yield {v for v, ports in unexplored.items() if ports}
+
+
 def naive_levels(dist):
     """The nodes of a distance map grouped by distance: entry ``d`` holds
     the nodes at distance ``d``, up to the largest one."""
@@ -557,23 +572,31 @@ def fuel_counting_floor(params):
     the source and returning to it, except the last, which may end
     anywhere (the lab does not require the run to end at the source).  The
     only way from the source into the clique is the path and the bridge,
-    r - 1 edges, so a trip that crosses a clique edge walks them out and,
-    unless it is the last, back: it crosses at most
-    ``F - 2(r - 1)`` clique edges, the last at most ``F - (r - 1)``.  Each
-    of the C clique edges is crossed at least once, so at least T trips
-    cross one, for the least T with
-    ``(T - 1)(F - 2(r - 1)) + F - (r - 1) >= C``; together they make at
-    least ``(2T - 1)(r - 1)`` path traversals.  The penalty is the number of
-    traversals beyond ``|E| = C + r - 1``, so it is at least
-    ``2(T - 1)(r - 1)``, whatever the algorithm and whether or not it
-    knows the graph.  (``F - 2(r - 1) >= 4``, since ``alpha * r >= 1``.)
+    r - 1 edges, ending at the bridge node ``b``; every other clique node
+    is entered from the rest of the graph only through one of ``b``'s
+    ``c - 1`` clique edges.  So a trip that crosses one of the
+    ``(c - 1)(c - 2) / 2`` clique edges away from ``b`` walks the path out,
+    leaves ``b`` by one of its clique edges and, unless it is the last,
+    comes back to ``b`` over one of them and walks the path back:
+    it crosses at most ``F - 2(r - 1) - 2`` edges away from ``b``, the last
+    at most ``F - (r - 1) - 1``.  Each edge away from ``b`` is crossed at
+    least once, so at least T trips cross one, for the least T with
+    ``(T - 1)(F - 2(r - 1) - 2) + F - (r - 1) - 1 >= (c - 1)(c - 2) / 2``
+    (if the last trip is not among them, T trips of the smaller capacity
+    need more of them); together they make at least ``(2T - 1)(r - 1)``
+    path traversals.  Every clique edge is crossed at least once besides,
+    so the penalty, the number of traversals beyond
+    ``|E| = c(c - 1) / 2 + r - 1``, is at least ``2(T - 1)(r - 1)``,
+    whatever the algorithm and whether or not it knows the graph.
+    (``F - 2(r - 1) - 2 >= 2``, since ``alpha * r >= 1``.)
     """
     r = params.ecc
     tank = 2 * (1 + params.alpha) * r
     fuel = tank.numerator // tank.denominator
     c = params.clique_size
-    beyond_last = max(0, c * (c - 1) // 2 - (fuel - (r - 1)))
-    closed_trips = -(-beyond_last // (fuel - 2 * (r - 1)))
+    away = (c - 1) * (c - 2) // 2
+    beyond_last = max(0, away - (fuel - (r - 1) - 1))
+    closed_trips = -(-beyond_last // (fuel - 2 * (r - 1) - 2))
     return 2 * closed_trips * (r - 1)
 
 

@@ -227,6 +227,23 @@ def test_experiment_is_strict_unless_observing(tmp_path, capsys, observe, code):
     assert all(line.startswith("FAIL ") for line in err.splitlines())
 
 
+@pytest.mark.parametrize("variant", ["distance", "fuel"])
+@pytest.mark.parametrize(
+    "option, error",
+    [
+        ("--k", "--k expects a comma list of integers, got ''"),
+        ("--policy", "unknown policy ''; known: cautious-bfs, dfs, fuel-cautious"),
+    ],
+    ids=["k", "policy"],
+)
+def test_experiment_refuses_an_empty_option(tmp_path, capsys, variant, option, error):
+    # an empty value is a value, not the option left out
+    out = tmp_path / "x.csv"
+    assert main(["experiment", "--variant", variant, option, "", "--csv", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
 def test_cli_error_paths(tmp_path, capsys):
     assert main(["gen", "--out", str(tmp_path / "x.json")]) == 2
     assert (

@@ -133,10 +133,11 @@ def test_emit_rejects_empty_and_bad_format(tmp_path):
 
 # -- the fuel bound against a floor that holds for every algorithm ------------
 
-# every lollipop (k, r, alpha) the lab runs but CI's sweep at alpha = 1/2,
-# r = 2, where the floor falls short of the bound: the default fuel sweep
-# (k = 1, 2, 3), the CI sweep at scale (k = 4, 5, 6, 8) and the tests' own
+# every lollipop (k, r, alpha) the lab runs: the default fuel sweep
+# (k = 1, 2, 3), the CI sweeps at scale (k = 4, 5, 6, 8) and at alpha = 1/2,
+# r = 2 (k = 1..4), and the tests' own
 USED_LOLLIPOPS = [(k, 2, Fraction(1)) for k in (1, 2, 3, 4, 5, 6, 8)]
+USED_LOLLIPOPS += [(k, 2, Fraction(1, 2)) for k in (1, 2, 3, 4)]
 USED_LOLLIPOPS.append((1, 4, Fraction(1, 2)))
 
 
@@ -144,7 +145,19 @@ def fuel_bound(params):
     return Fraction(params.order) ** 2 / (8 * params.alpha)
 
 
-def test_counting_floor_reaches_the_fuel_bound_but_at_one_corner():
+def path_only_floor(params):
+    """The counting floor without the bridge node's edges: a closed trip
+    crosses at most ``F - 2(r - 1)`` clique edges, the last at most
+    ``F - (r - 1)``, of all ``c(c - 1) / 2``."""
+    r = params.ecc
+    tank = 2 * (1 + params.alpha) * r
+    fuel = tank.numerator // tank.denominator
+    c = params.clique_size
+    beyond_last = max(0, c * (c - 1) // 2 - (fuel - (r - 1)))
+    return 2 * -(-beyond_last // (fuel - 2 * (r - 1))) * (r - 1)
+
+
+def test_counting_floor_reaches_the_fuel_bound_on_the_whole_grid():
     short = []
     for alpha in (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
         for r in range(2, 13):
@@ -152,12 +165,16 @@ def test_counting_floor_reaches_the_fuel_bound_but_at_one_corner():
                 if alpha * r < 1:
                     continue  # not a lollipop the lab builds
                 params = LollipopParams(k, r, alpha)
-                if fuel_counting_floor(params) < fuel_bound(params):
+                floor = fuel_counting_floor(params)
+                assert floor >= path_only_floor(params), (alpha, r, k)
+                if floor < fuel_bound(params):
                     short.append((alpha, r, k))
-    # not covered by counting: at alpha = 1/2, r = 2 the bound rests on the
-    # online argument, which this floor does not capture
-    assert short == [(Fraction(1, 2), 2, k) for k in range(1, 9)]
-    assert fuel_counting_floor(LollipopParams(1, 2, Fraction(1, 2))) == 84 < 100
+    assert short == []
+    # the corner that counting the path alone leaves uncovered
+    corner = LollipopParams(1, 2, Fraction(1, 2))
+    assert path_only_floor(corner) == 84 < fuel_bound(corner) == 100
+    assert fuel_counting_floor(corner) == 150
+    assert fuel_counting_floor(LollipopParams(4, 2, Fraction(1, 2))) == 3000 >= 1600
 
 
 @pytest.mark.parametrize(

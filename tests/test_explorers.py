@@ -24,6 +24,7 @@ from oracles import (
     naive_dfs_next_action,
     naive_explored_rows,
     naive_levels,
+    naive_open_nodes,
     naive_plan_to,
     naive_smallest_unexplored_port,
     naive_view_distances,
@@ -261,6 +262,49 @@ def test_plans_match_bfs_oracle(case, policy_name, monkeypatch):
         assert steps["home by scan"] > 0 and steps["home by tree"] > 0, steps
 
 
+OPEN_PORT_CASES = {
+    f"family-10-16-6-s{seed}": (
+        build_family_graph(FamilyParams(10, 16, 6), seed=seed)[0], 0, Fraction(1, 2)
+    )
+    for seed in (0, 1)
+}
+OPEN_PORT_CASES["lollipop-1-2-1"] = (*build_lollipop(LollipopParams(1, 2, 1)), Fraction(1))
+
+
+@pytest.mark.parametrize("case", sorted(OPEN_PORT_CASES))
+@pytest.mark.parametrize("policy_name", ["cautious-bfs", "fuel-cautious"])
+def test_open_ports_and_distances_read_off_the_rows_match_the_memory(case, policy_name, monkeypatch):
+    # at every step the nodes whose explored row is shorter than their
+    # degree are exactly the known nodes the memory shows a port unused
+    # at, every node of the rows has a distance, and every bounded plan
+    # walks to the nearest such node, as a search for those nodes finds it
+    g, source, alpha = OPEN_PORT_CASES[case]
+    inst = Instance(graph=g, source=source, alpha=alpha)
+    trace, _ = execute(inst, make_policy(policy_name, inst.alpha, inst.ecc))
+    plan = ExploredView.plan_to
+    open_nodes: set[int] = set()  # the oracle's answer for the record being observed
+    plans = 0
+
+    def checked(view, within):
+        nonlocal plans
+        got = plan(view, within)
+        if within is not None:
+            dist = view.dist.dist
+            want = naive_plan_to(view, lambda v: v in open_nodes and dist[v] <= within)
+            assert got == want, (plans, within)
+            plans += 1
+        return got
+
+    monkeypatch.setattr(ExploredView, "plan_to", checked)
+    state = make_policy(policy_name, inst.alpha, inst.ecc).start()
+    view = state.view
+    for step, (rec, open_nodes) in enumerate(zip(trace.memory, naive_open_nodes(trace.memory))):
+        state.observe(rec)
+        assert {v for v, row in view.adj.items() if len(row) < view.degree[v]} == open_nodes, step
+        assert view.adj.keys() == view.degree.keys() == view.dist.dist.keys(), step
+    assert not open_nodes and plans > 0
+
+
 def walk_records(g, labels):
     """The memory records of the walk through ``labels``."""
     yield MemoryRecord(labels[0], g.degree(labels[0]), -1, -1)
@@ -329,10 +373,10 @@ def test_source_plan_after_a_plan_from_elsewhere_reuses_the_tree():
     assert len(tree) == 3 and ranked == [2]
     for rec in islice(records, 5):
         view.observe(rec)
-    assert view.cur == 1 and 1 not in view.frontier
+    assert view.cur == 1 and len(view.adj[1]) == view.degree[1]
     assert view.plan_to(10) == naive_plan_to(view, oracle_target(view, 10)) == (2, [1])
     view.observe(next(records))
-    assert view.cur == view.source and view.source not in view.frontier
+    assert view.cur == view.source and len(view.adj[view.source]) == view.degree[view.source]
     got = view.plan_to(10)
     assert got == naive_plan_to(view, oracle_target(view, 10)) == (2, [0, 1])
     assert len(view._tree) == len(tree) and all(a is b for a, b in zip(view._tree, tree))
@@ -376,7 +420,7 @@ def test_fuel_plans_reuse_the_search_tree_and_pop_stale_entries(case, monkeypatc
         assert len(view._tree) <= within + 1  # no level is built past the bound
         deepest = sorted(view._tree[-1], reverse=True)
         assert view._ranked == deepest[: len(view._ranked)]
-        assert not view.frontier.intersection(deepest[len(view._ranked) :])
+        assert all(len(view.adj[v]) == view.degree[v] for v in deepest[len(view._ranked) :])
         if len(view._tree) == levels:
             assert view._ranked == ranked[: len(view._ranked)]
             seen["popped"] += len(ranked) - len(view._ranked)

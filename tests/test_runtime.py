@@ -63,6 +63,19 @@ def test_execute_rejects_a_monitor_name_as_string(path3):
     assert str(err.value) == "monitors='distance': pass a collection of monitor names"
 
 
+def test_execute_reads_monitor_names_from_an_iterator():
+    # the names are checked before the run and tested after it: an iterator
+    # must not be spent by the check
+    g, source = build_lollipop(LollipopParams(1, 2, Fraction(1)))
+    inst = Instance(graph=g, source=source, alpha=Fraction(1))
+    reports = [
+        execute(inst, make_policy("dfs", inst.alpha, inst.ecc), monitors=names)[1]
+        for names in (("fuel", "completion"), iter(["fuel", "completion"]))
+    ]
+    assert reports[0].to_dict() == reports[1].to_dict()
+    assert reports[1].complete and len(reports[1].violations) == 696
+
+
 def test_instance_rejects_disconnected_graph():
     g = LabeledGraph({0: [1], 1: [0], 2: [3], 3: [2]})
     with pytest.raises(StructuralError) as err:
@@ -291,16 +304,21 @@ def test_explored_distances_incremental_updates():
 
 
 @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30))
-@example([(1, 2), (2, 3), (0, 3), (0, 1)])
+@example([(0, 1), (1, 2), (2, 3), (0, 3)])
 @settings(max_examples=200, deadline=None)
-def test_explored_distances_match_bfs_on_any_edge_sequence(pairs):
-    # edges may join two nodes with no distance yet, and a later edge may
-    # join them to the root, or shortcut a long path to it
+def test_explored_distances_match_bfs_on_any_rooted_edge_sequence(pairs):
+    # each edge is added from an end that has a distance, as a walker adds
+    # the edge it just crossed; an edge with neither end reached yet is
+    # skipped.  A later edge may shortcut a long path to the root
     dists = ExploredDistances(0)
     edges = {0: []}
     for a, b in pairs:
         if a == b or b in edges.get(a, ()):
             continue
+        if a not in dists.dist:
+            if b not in dists.dist:
+                continue
+            a, b = b, a
         dists.add_edge(a, b, b, a)
         edges.setdefault(a, []).append(b)
         edges.setdefault(b, []).append(a)
