@@ -132,10 +132,19 @@ def _unexplored_layer_neighbors(
     return out
 
 
-def _unexplored_greens(cursor: ReplayCursor, meta: FamilyMeta, layer: int) -> list[tuple[int, int]]:
-    return [
-        e for e in meta.green_edges(cursor.graph, layer) if edge_key(*e) not in cursor.traversed
-    ]
+def _first_unexplored_green(cursor: ReplayCursor, meta: FamilyMeta, layer: int, skip=()):
+    """The first green edge of ``layer`` in ``meta.green_edges`` order that
+    is neither traversed nor in ``skip``, or None."""
+    done, neighbors = cursor.traversed, cursor.graph.neighbors
+    # level layer + 1 is lo < u <= hi; a chained comparison beats range's `in`
+    lo, hi = meta.width * layer, meta.width * (layer + 1)
+    for v in meta.level_labels(layer):
+        ends = [
+            u for u in neighbors(v) if lo < u <= hi and (v, u) not in done and (v, u) not in skip
+        ]
+        if ends:
+            return (v, min(ends))
+    return None
 
 
 def _apply(cursor: ReplayCursor, audit: StepAudit, op: str, args: tuple, result: SurgeryResult) -> bool:
@@ -188,12 +197,12 @@ def _modify_step(cursor: ReplayCursor, meta: FamilyMeta, audit: StepAudit) -> No
     # same layer, which turns the pending port into a green descent
     kind, klayer = meta.edge_kind(*e)
     if kind == "red":
-        greens = _unexplored_greens(cursor, meta, klayer)
-        if greens:
+        green = _first_unexplored_green(cursor, meta, klayer)
+        if green:
             gadget = cursor.pending_node()
             audit.stages.append(STAGE_DIVERT_GADGET)
-            res = move_gadget(g, meta, greens[0], gadget)
-            if not _apply(cursor, audit, "move-gadget", (greens[0], gadget), res):
+            res = move_gadget(g, meta, green, gadget)
+            if not _apply(cursor, audit, "move-gadget", (green, gadget), res):
                 audit.flags.append("divert-gadget-noop")
             g = cursor.graph
             e = edge_key(u, cursor.pending_node())
@@ -210,8 +219,6 @@ def _modify_step(cursor: ReplayCursor, meta: FamilyMeta, audit: StepAudit) -> No
             for y in g.neighbors(x):
                 if meta.is_gadget(y) and meta.gadget_layer(y) == i:
                     blocked.add(y)
-        greens = [x for x in _unexplored_greens(cursor, meta, i) if x != e]
-        chosen = None
         # the first gadget of the layer, in label order, whose two level
         # nodes have no blocked neighbour and whose level-(i+1) node still
         # has an unexplored edge below it
@@ -224,29 +231,26 @@ def _modify_step(cursor: ReplayCursor, meta: FamilyMeta, audit: StepAudit) -> No
                 or not _unexplored_layer_neighbors(cursor, meta, pair[1], i + 1)
             ):
                 continue
-            # two specific green edges would make the follow-up switch
-            # collide with a gadget next to the pending edge; skip them
-            banned = {edge_key(u, pair[1]), edge_key(pair[0], reached)}
-            for h in greens:
-                if edge_key(*h) not in banned:
-                    chosen = (h, gadget, pair)
-                    break
-            if chosen:
+            # besides the pending edge, two specific green edges would make
+            # the follow-up switch collide with a gadget next to the pending
+            # edge; skip them
+            banned = {e, edge_key(u, pair[1]), edge_key(pair[0], reached)}
+            h = _first_unexplored_green(cursor, meta, i, banned)
+            if h:
                 break
-        if chosen:
-            h, gadget, (lo, hi) = chosen
-            res = move_gadget(g, meta, h, gadget)
-            if not _apply(cursor, audit, "move-gadget", (h, gadget), res):
-                audit.flags.append("reroute-move-noop")
-                return
-            g = cursor.graph
-            p_reached = g.port_of(reached, u)
-            p_hi = g.port_of(hi, lo)
-            res = switch_edges(g, meta, reached, hi, p_reached, p_hi)
-            if not _apply(
-                cursor, audit, "switch-edges", (reached, hi, p_reached, p_hi), res
-            ):
-                audit.flags.append("reroute-switch-noop")
+        else:
+            return
+        lo, hi = pair
+        res = move_gadget(g, meta, h, gadget)
+        if not _apply(cursor, audit, "move-gadget", (h, gadget), res):
+            audit.flags.append("reroute-move-noop")
+            return
+        g = cursor.graph
+        p_reached = g.port_of(reached, u)
+        p_hi = g.port_of(hi, lo)
+        res = switch_edges(g, meta, reached, hi, p_reached, p_hi)
+        if not _apply(cursor, audit, "switch-edges", (reached, hi, p_reached, p_hi), res):
+            audit.flags.append("reroute-switch-noop")
 
 
 def _replay_agrees(policy, graph: LabeledGraph, records, t: int) -> bool:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .adversary import adversary_behavior
 from .errors import BudgetError, ParameterError, PolicyError, StructuralError
-from .experiments import ExperimentConfig, default_config, report_emit, rows_to_csv, run_experiment
+from .experiments import ExperimentConfig, default_config, rows_to_csv, rows_to_json, run_experiment
 from .explorers import POLICY_NAMES, make_policy
 from .family import (
     FamilyMeta,
@@ -31,6 +31,14 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text}") from exc
+
+
+def _nonempty(text: str) -> str:
+    """An option naming a file or a family; an empty value is an error, not
+    the option left out."""
+    if not text:
+        raise argparse.ArgumentTypeError("expects a non-empty value")
+    return text
 
 
 # comma-list option -> (its expected form, the converter of each part, or
@@ -210,9 +218,9 @@ def cmd_experiment(args) -> int:
     )
     rows, report = run_experiment(cfg)
     if args.csv:
-        report_emit(rows, "csv", args.csv)
+        _write(args.csv, rows_to_csv(rows).decode())
     if args.json:
-        report_emit(rows, "json", args.json)
+        _write(args.json, rows_to_json(rows).decode())
     if not args.csv and not args.json:
         sys.stdout.write(rows_to_csv(rows).decode())
     for failure in report["failures"]:
@@ -230,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a family member or lollipop graph")
-    p.add_argument("--family", help="levels,width,ecc")
-    p.add_argument("--lollipop", help="k,ecc,alpha")
+    p.add_argument("--family", type=_nonempty, help="levels,width,ecc")
+    p.add_argument("--lollipop", type=_nonempty, help="k,ecc,alpha")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
@@ -247,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_fraction, required=True)
     p.add_argument("--policy", choices=POLICY_NAMES, default="cautious-bfs")
     p.add_argument("--monitors", default="", help="comma list: distance,fuel,completion")
-    p.add_argument("--family", help="levels,width,ecc for gadget statistics")
-    p.add_argument("--report")
+    p.add_argument("--family", type=_nonempty, help="levels,width,ecc for gadget statistics")
+    p.add_argument("--report", type=_nonempty)
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_run)
 
@@ -259,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=POLICY_NAMES, default="cautious-bfs")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--audit")
+    p.add_argument("--audit", type=_nonempty)
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_adversary)
 
@@ -267,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--alpha", type=_fraction, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--plan")
+    p.add_argument("--plan", type=_nonempty)
     p.add_argument("--check-behavior", action="store_true")
     p.add_argument("--policy", choices=POLICY_NAMES, default="cautious-bfs")
     p.add_argument("--strict", action="store_true")
@@ -280,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_fraction)
     p.add_argument("--policy", default=None, help="defaults to the variant's explorer")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--csv")
-    p.add_argument("--json", dest="json")
+    p.add_argument("--csv", type=_nonempty)
+    p.add_argument("--json", type=_nonempty)
     p.add_argument("--observe", action="store_true")
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_experiment)

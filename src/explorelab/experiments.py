@@ -250,18 +250,3 @@ def rows_to_json(rows: list[ExperimentRow]) -> bytes:
         raise ParameterError("no rows to emit")
     return json.dumps([r.to_dict() for r in rows], indent=2).encode() + b"\n"
 
-
-def report_emit(rows: list[ExperimentRow], fmt: str, path: str) -> bytes:
-    """Write rows to ``path`` in csv or json format; returns the bytes written."""
-    if fmt == "csv":
-        data = rows_to_csv(rows)
-    elif fmt == "json":
-        data = rows_to_json(rows)
-    else:
-        raise ParameterError(f"format must be csv or json, got {fmt}")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(data)
-    except OSError as exc:
-        raise ParameterError(f"cannot write {path}: {exc}") from exc
-    return data

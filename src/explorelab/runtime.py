@@ -218,7 +218,7 @@ class ReplayCursor:
         if port is None:
             return None
         row = self.graph._ports[self.node]
-        if not isinstance(port, int) or not 0 <= port < len(row):
+        if type(port) is not int or not 0 <= port < len(row):
             raise _port_error(port, self.node, row)
         return row[port]
 
@@ -265,7 +265,7 @@ class ReplayCursor:
             if port is None:
                 break
             row = ports[cur]
-            if not isinstance(port, int) or not 0 <= port < len(row):
+            if type(port) is not int or not 0 <= port < len(row):
                 self._pending = port
                 raise _port_error(port, cur, row)
             nxt = row[port]

@@ -159,6 +159,12 @@ def naive_gadget_level_pair(g, meta, gadget):
     return (lo, hi)
 
 
+def naive_unexplored_greens(g, meta, layer, traversed, skip=()):
+    """Every green edge of ``layer`` that is neither traversed nor in
+    ``skip``, sorted by (level-i label, level-(i+1) label)."""
+    return [e for e in meta.green_edges(g, layer) if e not in traversed and e not in skip]
+
+
 def naive_contract_layer(g, meta, layer):
     """Layer ``layer`` with its gadgets contracted back into level-to-level
     edges: (the green edges then one pair per well-shaped gadget, the

@@ -17,12 +17,17 @@ from explorelab import (
     make_policy,
     validate_family_membership,
 )
-from explorelab.adversary import _replay_agrees
+from explorelab.adversary import _first_unexplored_green, _replay_agrees
 from explorelab.graph import edge_key
 from explorelab.runtime import ReplayCursor, layer_traversal_stats, penalty_before_step
 
 from conftest import ScriptPolicy
-from oracles import graph_modification, naive_adversary_behavior, naive_run
+from oracles import (
+    graph_modification,
+    naive_adversary_behavior,
+    naive_run,
+    naive_unexplored_greens,
+)
 
 ALPHA = Fraction(1, 2)
 
@@ -280,6 +285,25 @@ def _reroute_scenario():
     return params, g, meta, port_script(g, walk), len(walk) - 2, up, target
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_first_unexplored_green_is_the_sorted_layers_first(seed):
+    # the adversary's one-scan pick against the whole layer's green edges,
+    # sorted and filtered, along a run that traverses greens of every layer;
+    # seed 1 shuffles every port row
+    params = FamilyParams(10, 16, 6)
+    g, _ = build_family_graph(params, seed)
+    meta = FamilyMeta(params)
+    cursor = ReplayCursor(g, cautious())
+    for _ in range(12):
+        cursor.run(40)
+        for layer in range(1, params.levels):
+            greens = naive_unexplored_greens(g, meta, layer, cursor.traversed)
+            assert _first_unexplored_green(cursor, meta, layer) == (greens or [None])[0]
+            skip = set(greens[:2])
+            rest = naive_unexplored_greens(g, meta, layer, cursor.traversed, skip)
+            assert _first_unexplored_green(cursor, meta, layer, skip) == (rest or [None])[0]
+
+
 def test_reroute_stage_fires_and_reroutes():
     params, g, meta, policy, t, up, target = _reroute_scenario()
     out, audit = graph_modification(g, ALPHA, policy, t)
@@ -470,11 +494,12 @@ def test_cursor_replays_with_graph_swap():
     assert cursor.memory == before
 
 
-@pytest.mark.parametrize("port", [99, -1, "a"])
+@pytest.mark.parametrize("port", [99, -1, "a", True])
 def test_pending_node_rejects_bad_port_like_run(port):
     # the adversary reads the pending node before every commit; a port that
     # run would reject raises run's error there, not IndexError or TypeError,
-    # and -1 does not wrap round to the last neighbour
+    # -1 does not wrap round to the last neighbour, and True, an int to
+    # isinstance, is not taken through port 1
     g, _ = build_family_graph(FamilyParams(10, 16, 6))
     with pytest.raises(PolicyError) as by_run:
         ReplayCursor(g, ScriptPolicy([port])).run(1)

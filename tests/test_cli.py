@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import tempfile
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from explorelab import FamilyMeta, FamilyParams, build_family_graph, merge_gadgets
+from explorelab import cli
 from explorelab.cli import main
+from explorelab.experiments import default_config, rows_to_csv, rows_to_json, run_experiment
 from explorelab.family import LollipopParams, build_lollipop
 from explorelab.graph import LabeledGraph
 
@@ -242,6 +245,68 @@ def test_experiment_refuses_an_empty_option(tmp_path, capsys, variant, option, e
     assert main(["experiment", "--variant", variant, option, "", "--csv", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
     assert not out.exists()
+
+
+def test_experiment_writes_the_emitted_bytes(tmp_path):
+    csv_path, json_path = tmp_path / "rows.csv", tmp_path / "rows.json"
+    argv = ["experiment", "--variant", "fuel", "--k", "1,2"]
+    assert main(argv + ["--csv", str(csv_path), "--json", str(json_path)]) == 0
+    rows, _ = run_experiment(dataclasses.replace(default_config("fuel"), k_values=(1, 2)))
+    assert csv_path.read_bytes() == rows_to_csv(rows)
+    assert json_path.read_bytes() == rows_to_json(rows)
+
+
+@pytest.mark.parametrize("option", ["--csv", "--json"])
+def test_experiment_unwritable_output_is_an_error_line(tmp_path, capsys, option):
+    path = tmp_path / "no" / "dir" / "rows"
+    assert main(["experiment", "--variant", "fuel", "--k", "1", option, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error: ")
+    assert not (tmp_path / "no").exists()
+
+
+# the options that name a file or a family, each given an empty value in a
+# command that is otherwise valid
+EMPTY_VALUE_COMMANDS = {
+    "gen --family": ["gen", "--family", "", "--lollipop", "1,2,1", "--out", "{out}"],
+    "gen --lollipop": ["gen", "--lollipop", "", "--family", "10,16,6", "--out", "{out}"],
+    "run --family": ["run", "--instance", "{member}", "--alpha", "1/2", "--family", ""],
+    "run --report": ["run", "--instance", "{member}", "--alpha", "1/2", "--report", ""],
+    "adversary --audit": [
+        "adversary", "--r", "6", "--alpha", "1/2", "--k", "1", "--out", "{out}", "--audit", "",
+    ],
+    "merge --plan": ["merge", "--in", "{member}", "--alpha", "1/2", "--out", "{out}", "--plan", ""],
+    "experiment --csv": ["experiment", "--variant", "fuel", "--k", "1", "--csv", ""],
+    "experiment --json": ["experiment", "--variant", "fuel", "--k", "1", "--json", ""],
+}
+
+
+@pytest.mark.parametrize("name", list(EMPTY_VALUE_COMMANDS))
+def test_an_empty_file_or_family_value_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, name
+):
+    # an empty value is a value, not the option left out: parsing refuses it
+    # with exit code 2, before anything is built, run or written
+    member = tmp_path / "member.json"
+    member.write_text(build_family_graph(FamilyParams(10, 16, 6))[0].to_json())
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{name} \"\" did work")
+
+    work = ("build_family_graph", "build_lollipop", "execute", "adversary_behavior")
+    for function in work + ("merge_gadgets", "run_experiment"):
+        monkeypatch.setattr(cli, function, must_not_run)
+    fill = {"member": str(member), "out": str(tmp_path / "out.json")}
+    argv = [arg.format(**fill) for arg in EMPTY_VALUE_COMMANDS[name]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    option = name.split()[1]
+    assert captured.err.endswith(f"error: argument {option}: expects a non-empty value\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["member.json"]
 
 
 def test_cli_error_paths(tmp_path, capsys):

@@ -17,7 +17,6 @@ from explorelab.experiments import (
     ExperimentConfig,
     ExperimentRow,
     default_config,
-    report_emit,
     rows_to_csv,
     rows_to_json,
     run_distance_experiment,
@@ -91,20 +90,17 @@ def _rows():
     ]
 
 
-def test_csv_emission_shape(tmp_path):
-    path = tmp_path / "rows.csv"
-    data = report_emit(_rows(), "csv", str(path))
-    lines = data.decode().splitlines()
+def test_csv_emission_shape():
+    lines = rows_to_csv(_rows()).decode().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 3
     assert lines[1].startswith("2,2341,341,64,4,")
     assert lines[2] == "3,5021,,,,,99,1,0.250"
-    assert path.read_bytes() == data
 
 
-def test_json_emission_shape(tmp_path):
-    path = tmp_path / "rows.json"
-    data = report_emit(_rows(), "json", str(path))
+def test_json_emission_shape():
+    data = rows_to_json(_rows())
+    assert data.endswith(b"]\n")
     loaded = json.loads(data)
     assert [set(obj) for obj in loaded] == [set(CSV_COLUMNS)] * 2
     assert loaded[0]["penalty_before_gadget"] == "64"
@@ -122,13 +118,10 @@ def test_fuel_experiment_csv_bytes_are_reproducible():
     assert rows_to_csv(rows1) == rows_to_csv(rows2)
 
 
-def test_emit_rejects_empty_and_bad_format(tmp_path):
-    with pytest.raises(ParameterError):
-        report_emit([], "csv", str(tmp_path / "x.csv"))
-    with pytest.raises(ParameterError):
-        report_emit(_rows(), "yaml", str(tmp_path / "x.yaml"))
-    with pytest.raises(ParameterError):
-        report_emit(_rows(), "csv", str(tmp_path / "no" / "dir" / "x.csv"))
+def test_emission_rejects_no_rows():
+    for emit in (rows_to_csv, rows_to_json):
+        with pytest.raises(ParameterError, match="^no rows to emit$"):
+            emit([])
 
 
 # -- the fuel bound against a floor that holds for every algorithm ------------
