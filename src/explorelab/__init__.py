@@ -13,13 +13,12 @@ from .errors import (
     StructuralError,
 )
 from .explorers import make_policy
-from .family import FamilyMeta, FamilyParams, build_family_graph, validate_family_membership
+from .family import FamilyParams, build_family_graph, validate_family_membership
 from .merge import merge_gadgets
 from .runtime import Instance, ReplayCursor, execute
 
 __all__ = [
     "BudgetError",
-    "FamilyMeta",
     "FamilyParams",
     "Instance",
     "InvariantViolation",

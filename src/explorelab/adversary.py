@@ -87,19 +87,13 @@ class StepAudit:
 @dataclass
 class AdversaryRun:
     """A finished run.  The audit lists each step that ran a stage or raised
-    a flag; the step count, flags and prefix checks are read off it and the trace."""
+    a flag; the step count, flags and prefix checks are read off it and the trace.
+    ``meta`` describes the family the run's graphs belong to."""
 
-    ecc: int
-    alpha: Fraction
-    width: int
-    seed: int
+    meta: FamilyMeta
     final_graph: LabeledGraph
     audit: list[StepAudit]
     trace: Trace
-
-    @property
-    def params(self) -> FamilyParams:
-        return FamilyParams(family_levels(self.ecc, self.alpha), self.width, self.ecc)
 
     @property
     def step_count(self) -> int:
@@ -118,18 +112,19 @@ class AdversaryRun:
 # -- the per-step modification ---------------------------------------------------
 
 
-def _unexplored_layer_neighbors(
-    cursor: ReplayCursor, meta: FamilyMeta, v: int, layer: int
-) -> list[int]:
-    """The neighbours of ``v`` across unexplored green or red edges of
-    ``layer``."""
-    traversed = cursor.traversed
-    out = []
-    for u in cursor.graph.neighbors(v):
-        kind, klayer = meta.edge_kind(v, u)
-        if klayer == layer and kind in ("green", "red") and edge_key(v, u) not in traversed:
-            out.append(u)
-    return out
+def _unexplored_layer_neighbors(cursor: ReplayCursor, meta: FamilyMeta, v: int) -> list[int]:
+    """The neighbours of level node ``v`` across unexplored edges of the
+    layer below it: green edges to the next level and red edges to that
+    layer's gadgets."""
+    j = meta.level_of(v)
+    # level_labels(levels + 1) would be gadget labels
+    down = meta.level_labels(j + 1) if j < meta.params.levels else ()
+    gadgets, traversed = meta._layer_gadgets(j), cursor.traversed
+    return [
+        u
+        for u in cursor.graph.neighbors(v)
+        if (u in down or u in gadgets) and edge_key(v, u) not in traversed
+    ]
 
 
 def _first_unexplored_green(cursor: ReplayCursor, meta: FamilyMeta, layer: int, skip=()):
@@ -177,29 +172,27 @@ def _modify_step(cursor: ReplayCursor, meta: FamilyMeta, audit: StepAudit) -> No
     if cursor.first_gadget_step is not None or e in cursor.traversed or i is None or i >= levels:
         return
 
-    # repoint the pending port onto the descending layer when it aims elsewhere
-    kind, klayer = meta.edge_kind(*e)
-    in_layer = kind in ("green", "red") and klayer == i
-    if not in_layer:
-        candidates = _unexplored_layer_neighbors(cursor, meta, u, i)
-        if candidates:
-            target = min(candidates)
-            pending = cursor.pending_port()
-            new_port = g.port_of(u, target)
-            res = switch_ports(g, u, pending, new_port)
-            audit.stages.append(STAGE_DIVERT_PORT)
-            if not _apply(cursor, audit, "switch-ports", (u, pending, new_port), res):
-                audit.flags.append("divert-port-noop")
-            g = cursor.graph
-            e = edge_key(u, cursor.pending_node())
+    # repoint the pending port onto the descending layer when it aims
+    # elsewhere; the pending edge is unexplored, so it descends exactly when
+    # its end is a candidate
+    candidates = _unexplored_layer_neighbors(cursor, meta, u)
+    if candidates and cursor.pending_node() not in candidates:
+        target = min(candidates)
+        pending = cursor.pending_port()
+        new_port = g.port_of(u, target)
+        res = switch_ports(g, u, pending, new_port)
+        audit.stages.append(STAGE_DIVERT_PORT)
+        if not _apply(cursor, audit, "switch-ports", (u, pending, new_port), res):
+            audit.flags.append("divert-port-noop")
+        g = cursor.graph
+        e = edge_key(u, cursor.pending_node())
 
     # a pending red edge: move its gadget onto an unexplored green edge of the
     # same layer, which turns the pending port into a green descent
-    kind, klayer = meta.edge_kind(*e)
-    if kind == "red":
-        green = _first_unexplored_green(cursor, meta, klayer)
+    gadget = cursor.pending_node()
+    if meta.is_gadget(gadget):
+        green = _first_unexplored_green(cursor, meta, meta.gadget_layer(gadget))
         if green:
-            gadget = cursor.pending_node()
             audit.stages.append(STAGE_DIVERT_GADGET)
             res = move_gadget(g, meta, green, gadget)
             if not _apply(cursor, audit, "move-gadget", (green, gadget), res):
@@ -211,7 +204,7 @@ def _modify_step(cursor: ReplayCursor, meta: FamilyMeta, audit: StepAudit) -> No
     if (
         i < levels - 1
         and meta.level_of(reached) == i + 1
-        and not _unexplored_layer_neighbors(cursor, meta, reached, i + 1)
+        and not _unexplored_layer_neighbors(cursor, meta, reached)
     ):
         audit.stages.append(STAGE_REROUTE)
         blocked = {u, reached}
@@ -228,7 +221,7 @@ def _modify_step(cursor: ReplayCursor, meta: FamilyMeta, audit: StepAudit) -> No
                 pair is None
                 or not blocked.isdisjoint(g.neighbors(pair[0]))
                 or not blocked.isdisjoint(g.neighbors(pair[1]))
-                or not _unexplored_layer_neighbors(cursor, meta, pair[1], i + 1)
+                or not _unexplored_layer_neighbors(cursor, meta, pair[1])
             ):
                 continue
             # besides the pending edge, two specific green edges would make
@@ -302,7 +295,7 @@ def _step(
     avoid_hyp = before_gadget and all(n < p.greens_per_layer for n in explored_green.values())
     descent_hyp = (
         before_gadget
-        and _unexplored_layer_neighbors(cursor, meta, u, i)
+        and _unexplored_layer_neighbors(cursor, meta, u)
         and all(n <= p.greens_per_layer // 2 for n in explored_green.values())
     )
 
@@ -311,8 +304,8 @@ def _step(
     was_seen = e in cursor.traversed
     cursor.commit()
     if not was_seen:
-        kind, layer = meta.edge_kind(*e)
-        if kind == "green":
+        layer = meta.green_layer(*e)
+        if layer is not None:
             explored_green[layer] += 1
 
     reached = cursor.node
@@ -322,7 +315,7 @@ def _step(
         deeper = (
             i < p.levels - 1
             and meta.level_of(reached) == i + 1
-            and _unexplored_layer_neighbors(cursor, meta, reached, i + 1)
+            and _unexplored_layer_neighbors(cursor, meta, reached)
         )
         if not deeper:
             audit.flags.append("dichotomy")
@@ -370,7 +363,6 @@ def adversary_behavior(
     it has not explored: the first red edge explored and the first gadget
     visit are the same step.
     """
-    alpha = Fraction(alpha)
     if ecc < 6:
         raise ParameterError(f"ecc must be >= 6, got {ecc}")
     if width < 16 or width % 16 != 0:
@@ -398,12 +390,4 @@ def adversary_behavior(
     final_report = validate_family_membership(cursor.graph, params)
     if not final_report.ok:
         raise InvariantViolation(f"final graph left the family: {final_report.codes()}")
-    return AdversaryRun(
-        ecc=ecc,
-        alpha=alpha,
-        width=width,
-        seed=seed,
-        final_graph=cursor.graph,
-        audit=audits,
-        trace=cursor.as_trace(),
-    )
+    return AdversaryRun(meta, cursor.graph, audits, cursor.as_trace())

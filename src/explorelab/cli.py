@@ -230,8 +230,17 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals are one ``error: ...`` line and exit code 2,
+    like every other refusal of the CLI; its subcommand parsers are of the
+    same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="explorelab",
         description="Constrained mobile-agent graph exploration lab",
     )

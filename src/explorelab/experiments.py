@@ -25,7 +25,7 @@ from fractions import Fraction
 from .adversary import adversary_behavior
 from .errors import InvariantViolation, ParameterError
 from .explorers import make_policy
-from .family import FamilyMeta, LollipopParams, build_lollipop
+from .family import LollipopParams, build_lollipop
 from .merge import merge_gadgets, validate_merge_behavior
 from .runtime import Instance, execute, penalty_before_step
 
@@ -114,7 +114,7 @@ def run_distance_experiment(cfg: ExperimentConfig) -> tuple[list[ExperimentRow],
         t0 = time.perf_counter()
         policy = make_policy(cfg.policy, cfg.alpha, cfg.ecc)
         run = adversary_behavior(cfg.ecc, cfg.alpha, policy, 16 * k, seed=cfg.seed)
-        meta = FamilyMeta(run.params)
+        meta = run.meta
         inst = Instance(graph=run.final_graph, source=0, alpha=cfg.alpha)
         trace, report = execute(
             inst,

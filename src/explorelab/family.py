@@ -109,7 +109,6 @@ class FamilyMeta:
         self._gadget_top = self._level_top + p.gadget_count
         self.critical_label = self._gadget_top + 1
         self.tail_labels = [self.critical_label + d for d in range(1, p.ecc - 2)]
-        self._tail_chain = frozenset(self.tail_labels) | {self.critical_label}
 
     # -- label geometry ------------------------------------------------------
 
@@ -150,26 +149,13 @@ class FamilyMeta:
 
     # -- edge roles ------------------------------------------------------------
 
-    def edge_kind(self, a: int, b: int) -> tuple[str, int | None]:
-        """Classify edge {a, b}: green/red (with layer), source, critical,
-        tail, or other."""
+    def green_layer(self, a: int, b: int) -> int | None:
+        """The layer of green edge {a, b}: the lower level when a and b are
+        level nodes on adjacent levels, else None."""
         la, lb = self.level_of(a), self.level_of(b)
-        if la is not None and lb is not None:
-            if abs(la - lb) == 1:
-                return ("green", min(la, lb))
-            return ("other", None)
-        for x, lx, y in ((a, la, b), (b, lb, a)):
-            if self.is_gadget(x):
-                if lx is None and self.level_of(y) is not None:
-                    return ("red", self.gadget_layer(x))
-                if y == self.critical_label:
-                    return ("critical", self.gadget_layer(x))
-                return ("other", None)
-        if a == self.source_label or b == self.source_label:
-            return ("source", None)
-        if a in self._tail_chain and b in self._tail_chain:
-            return ("tail", None)
-        return ("other", None)
+        if la is None or lb is None or abs(la - lb) != 1:
+            return None
+        return min(la, lb)
 
     def green_edges(self, g: LabeledGraph, layer: int) -> list[tuple[int, int]]:
         """Green edges of one layer, sorted by (level-i label, level-i+1 label)."""

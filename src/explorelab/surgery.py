@@ -58,9 +58,8 @@ def switch_edges(
         return SurgeryResult.unchanged(g, "nodes are not on one level")
     far1 = g.neighbor(v1, p1)
     far2 = g.neighbor(v2, p2)
-    kind1 = meta.edge_kind(v1, far1)
-    kind2 = meta.edge_kind(v2, far2)
-    if kind1[0] != "green" or kind1 != kind2:
+    layer = meta.green_layer(v1, far1)
+    if layer is None or layer != meta.green_layer(v2, far2):
         return SurgeryResult.unchanged(g, "ports are not on green edges of one layer")
     if g.has_edge(v2, far1) or g.has_edge(v1, far2):
         return SurgeryResult.unchanged(g, "would duplicate an edge")
@@ -100,8 +99,8 @@ def move_gadget(
     a, b = edge
     if a not in g or b not in g or not g.has_edge(a, b):
         return SurgeryResult.unchanged(g, f"no edge {{{a},{b}}} in graph")
-    kind, layer = meta.edge_kind(a, b)
-    if kind != "green":
+    layer = meta.green_layer(a, b)
+    if layer is None:
         return SurgeryResult.unchanged(g, f"edge {{{a},{b}}} is not green")
     if gadget not in g or not meta.is_gadget(gadget) or meta.gadget_layer(gadget) != layer:
         return SurgeryResult.unchanged(g, f"{gadget} is not a gadget of layer {layer}")

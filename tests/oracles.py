@@ -495,15 +495,7 @@ def naive_adversary_behavior(ecc, alpha, policy, width, *, seed=0, max_steps=Non
             audits.append(audit)
     if not validate_family_membership(cursor.graph, params).ok:
         raise InvariantViolation("final graph left the family")
-    run = AdversaryRun(
-        ecc=ecc,
-        alpha=alpha,
-        width=width,
-        seed=seed,
-        final_graph=cursor.graph,
-        audit=audits,
-        trace=cursor.as_trace(),
-    )
+    run = AdversaryRun(meta, cursor.graph, audits, cursor.as_trace())
     return run, {"step_count": x, "flags": flags, "prefix_checks": changed}
 
 

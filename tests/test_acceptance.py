@@ -12,7 +12,6 @@ from fractions import Fraction
 import pytest
 
 from explorelab import (
-    FamilyMeta,
     FamilyParams,
     Instance,
     adversary_behavior,
@@ -58,7 +57,7 @@ def adversary_runs():
 def final_replays(adversary_runs):
     replays = {}
     for k, run in adversary_runs.items():
-        meta = FamilyMeta(run.params)
+        meta = run.meta
         inst = Instance(graph=run.final_graph, source=0, alpha=ALPHA)
         replays[k] = execute(
             inst,
@@ -147,7 +146,7 @@ def test_criterion_6_merge_correctness(adversary_runs):
     measured = {}
     for k in (1, 2):
         run = adversary_runs[k]
-        meta = FamilyMeta(run.params)
+        meta = run.meta
         merged, plan = merge_gadgets(run.final_graph, meta, k)
         assert len(merged) == 8 * k * 21 + 5
         assert eccentricity(merged, 0) == 6
@@ -230,7 +229,7 @@ def test_supporting_invariants_adversary_monitors(adversary_runs):
     for k in (1, 2, 3):
         run = adversary_runs[k]
         assert run.flags == [], f"k={k}: {run.flags[:5]}"
-        meta = FamilyMeta(run.params)
+        meta = run.meta
         lam, layer = half_exploration_moment(run.trace, meta)
         assert lam is not None
         first_gadget = run.trace.first_gadget_step

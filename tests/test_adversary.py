@@ -6,7 +6,6 @@ import pytest
 
 from explorelab import (
     BudgetError,
-    FamilyMeta,
     FamilyParams,
     Instance,
     ParameterError,
@@ -17,8 +16,13 @@ from explorelab import (
     make_policy,
     validate_family_membership,
 )
-from explorelab.adversary import _first_unexplored_green, _replay_agrees
-from explorelab.graph import edge_key
+from explorelab.adversary import (
+    _first_unexplored_green,
+    _replay_agrees,
+    _unexplored_layer_neighbors,
+)
+from explorelab.family import FamilyMeta, family_levels
+from explorelab.graph import LabeledGraph, edge_key
 from explorelab.runtime import ReplayCursor, layer_traversal_stats, penalty_before_step
 
 from conftest import ScriptPolicy
@@ -141,7 +145,7 @@ def test_adversary_rejects_bad_width():
 
 
 def test_adversary_final_graph_in_family(k1_run):
-    assert validate_family_membership(k1_run.final_graph, k1_run.params).ok
+    assert validate_family_membership(k1_run.final_graph, k1_run.meta.params).ok
 
 
 def test_adversary_no_behavioral_flags(k1_run):
@@ -166,10 +170,10 @@ def test_adversary_trace_matches_fresh_replay(k1_run):
 
 
 def test_adversary_green_counts_conserved(k1_run):
-    meta = FamilyMeta(k1_run.params)
-    for layer in range(1, k1_run.params.levels):
+    meta = k1_run.meta
+    for layer in range(1, meta.params.levels):
         greens = meta.green_edges(k1_run.final_graph, layer)
-        assert len(greens) == k1_run.params.greens_per_layer
+        assert len(greens) == meta.params.greens_per_layer
 
 
 def half_exploration_moment(trace, meta):
@@ -181,8 +185,8 @@ def half_exploration_moment(trace, meta):
     for i in range(1, trace.steps + 1):
         a = trace.memory[i - 1].label
         b = trace.memory[i].label
-        kind, layer = meta.edge_kind(a, b)
-        if kind == "green":
+        layer = meta.green_layer(a, b)
+        if layer is not None:
             per[layer].add(edge_key(a, b))
             if len(per[layer]) == half:
                 return i, layer
@@ -190,7 +194,7 @@ def half_exploration_moment(trace, meta):
 
 
 def test_down_up_balance_until_half_moment(k1_run):
-    meta = FamilyMeta(k1_run.params)
+    meta = k1_run.meta
     lam, layer = half_exploration_moment(k1_run.trace, meta)
     assert lam is not None
     assert k1_run.trace.first_gadget_step is None or k1_run.trace.first_gadget_step > lam
@@ -207,9 +211,9 @@ def test_down_up_balance_until_half_moment(k1_run):
 
 
 def test_layer_stats_of_adversary_trace(k1_run):
-    meta = FamilyMeta(k1_run.params)
+    meta = k1_run.meta
     stats = layer_traversal_stats(k1_run.trace, meta)
-    assert set(stats) == set(range(1, k1_run.params.levels))
+    assert set(stats) == set(range(1, meta.params.levels))
     assert any(d > 0 for d, _ in stats.values())
 
 
@@ -234,16 +238,13 @@ def _reroute_scenario():
     params = FamilyParams(10, 16, 6)
     g, meta = build_family_graph(params)
 
-    def greens_at(v, layer):
-        return [
-            u for u in g.neighbors(v) if meta.edge_kind(v, u) == ("green", layer)
-        ]
-
+    # a level-2 node whose every edge into layer 2 is green
+    below, gadgets = meta.level_labels(3), meta._layer_gadgets(2)
     target = up = None
     for v in meta.level_labels(2):
-        downs = [u for u in g.neighbors(v) if meta.edge_kind(v, u)[1] == 2]
-        ups = greens_at(v, 1)
-        if ups and all(meta.edge_kind(v, u) == ("green", 2) for u in downs):
+        downs = [u for u in g.neighbors(v) if u in below or u in gadgets]
+        ups = [u for u in g.neighbors(v) if meta.green_layer(v, u) == 1]
+        if ups and all(u in below for u in downs):
             target, up, down_nodes = v, ups[0], downs
             break
     assert target is not None
@@ -253,7 +254,7 @@ def _reroute_scenario():
         (a, b)
         for a in g.labels()
         for b in g.neighbors(a)
-        if meta.edge_kind(a, b)[0] in ("green", "source")
+        if meta.green_layer(a, b) is not None or meta.source_label in (a, b)
     }
     allowed.discard((up, target))
     allowed.discard((target, up))
@@ -335,9 +336,9 @@ def test_adversary_against_dfs_flags_or_pays():
     # graph or still pays the gadget penalty; both are consistent outcomes
     policy = make_policy("dfs", ALPHA, 6)
     run = adversary_behavior(6, ALPHA, policy, 16, seed=0)
-    assert validate_family_membership(run.final_graph, run.params).ok
+    assert validate_family_membership(run.final_graph, run.meta.params).ok
     inst = Instance(graph=run.final_graph, source=0, alpha=ALPHA)
-    meta = FamilyMeta(run.params)
+    meta = run.meta
     trace, report = execute(
         inst,
         make_policy("dfs", ALPHA, 6),
@@ -356,7 +357,7 @@ def test_adversary_against_dfs_flags_or_pays():
 def test_adversary_other_seeds(seed):
     run = adversary_behavior(6, ALPHA, cautious(), 16, seed=seed)
     assert run.flags == []
-    assert validate_family_membership(run.final_graph, run.params).ok
+    assert validate_family_membership(run.final_graph, run.meta.params).ok
     lam = run.trace.first_gadget_step
     assert lam is not None
     assert penalty_before_step(run.trace, lam) >= 1
@@ -371,7 +372,7 @@ def test_adversary_k2_alternate_seed_still_pays():
         inst,
         cautious(),
         monitors=("distance", "completion"),
-        gadget_set=set(FamilyMeta(run.params).gadget_labels),
+        gadget_set=set(run.meta.gadget_labels),
     )
     assert report.complete and not report.violations
     assert penalty_before_step(trace, trace.first_gadget_step) >= 4
@@ -389,6 +390,72 @@ def test_adversary_is_seed_deterministic():
     assert other.final_graph.to_json() != runs[0].final_graph.to_json()
 
 
+# -- the role questions against their definitions ----------------------------------
+
+
+def brute_green_layer(meta, a, b):
+    """Layer i when {a, b} joins a level-i node to a level-(i+1) node, else None."""
+    la, lb = meta.level_of(a), meta.level_of(b)
+    for i in range(1, meta.params.levels):
+        if {la, lb} == {i, i + 1}:
+            return i
+    return None
+
+
+def brute_descends(meta, v, w):
+    """Whether {v, w} leads down from level-j node v: to level j+1 or to a
+    gadget of layer j."""
+    j = meta.level_of(v)
+    return meta.level_of(w) == j + 1 or (meta.is_gadget(w) and meta.gadget_layer(w) == j)
+
+
+def assert_roles_match(meta, graph, steps=0):
+    """green_layer on every edge of ``graph``, and each level node's
+    descending neighbours off the edges a cautious-bfs run leaves unexplored
+    after ``steps`` steps, against the brute-force definitions."""
+    for a, b in graph.edges():
+        assert meta.green_layer(a, b) == meta.green_layer(b, a) == brute_green_layer(meta, a, b)
+    cursor = ReplayCursor(graph, ScriptPolicy([]) if steps == 0 else cautious())
+    cursor.run(steps)
+    levels = meta.params.levels
+    for v in range(1, meta.params.width * levels + 1):
+        want = [
+            w
+            for w in graph.neighbors(v)
+            if brute_descends(meta, v, w) and edge_key(v, w) not in cursor.traversed
+        ]
+        assert _unexplored_layer_neighbors(cursor, meta, v) == want
+
+
+def test_role_questions_on_every_label_pair():
+    # every pair of labels of a member, the source and the tail included: a
+    # complete graph on its labels makes each pair an edge; the last level
+    # descends nowhere, though level_labels(levels + 1) holds gadget labels
+    meta = FamilyMeta(FamilyParams(4, 8, 7))
+    labels = sorted(meta.expected_labels())
+    for a in labels:
+        for b in labels:
+            assert meta.green_layer(a, b) == brute_green_layer(meta, a, b)
+    complete = LabeledGraph({v: [w for w in labels if w != v] for v in labels})
+    assert_roles_match(meta, complete)
+    cursor = ReplayCursor(complete, ScriptPolicy([]))
+    assert all(not _unexplored_layer_neighbors(cursor, meta, v) for v in meta.level_labels(4))
+    assert meta.green_layer(meta.source_label, 1) is None
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("steps", [0, 60])
+def test_role_questions_on_every_member_edge(seed, steps):
+    g, meta = build_family_graph(FamilyParams(10, 16, 6), seed)
+    assert_roles_match(meta, g, steps)
+
+
+@pytest.mark.parametrize("steps", [0, 60])
+def test_role_questions_on_the_adversary_graph(k1_run, steps):
+    assert k1_run.meta.params == FamilyParams(family_levels(6, ALPHA), 16, 6)
+    assert_roles_match(k1_run.meta, k1_run.final_graph, steps)
+
+
 # -- the two phases against the single loop that rewrites before every step -------
 
 
@@ -398,7 +465,9 @@ def run_fields(run):
     out = {}
     for f in dataclasses.fields(run):
         value = getattr(run, f.name)
-        if f.name == "final_graph":
+        if f.name == "meta":
+            value = value.params
+        elif f.name == "final_graph":
             value = value.to_json()
         elif f.name == "audit":
             value = [a.to_dict() for a in value]

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from explorelab import FamilyMeta, FamilyParams, build_family_graph, merge_gadgets
+from explorelab import FamilyParams, build_family_graph, merge_gadgets
 from explorelab import cli
 from explorelab.cli import main
 from explorelab.experiments import default_config, rows_to_csv, rows_to_json, run_experiment
-from explorelab.family import LollipopParams, build_lollipop
+from explorelab.family import FamilyMeta, LollipopParams, build_lollipop
 from explorelab.graph import LabeledGraph
 
 
@@ -546,3 +546,44 @@ def test_malformed_comma_list_is_a_one_line_error(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err == f"error: {option} expects {COMMA_LIST_FORMS[option]}, got {text!r}\n"
     assert not out.exists()
+
+
+# argv -> the start of the one error line argparse's refusal prints; the
+# rest of the line varies between Python versions
+PARSE_ERRORS = {
+    "empty --csv": (
+        ["experiment", "--variant", "fuel", "--csv", ""],
+        "error: argument --csv: expects a non-empty value",
+    ),
+    "--alpha abc": (
+        ["run", "--instance", "g.json", "--alpha", "abc"],
+        "error: argument --alpha: not a rational number: abc",
+    ),
+    "missing --instance": (
+        ["run", "--alpha", "1/2"],
+        "error: the following arguments are required: --instance",
+    ),
+    "unknown run --policy": (
+        ["run", "--instance", "g.json", "--alpha", "1/2", "--policy", "nope"],
+        "error: argument --policy: invalid choice: ",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PARSE_ERRORS))
+def test_a_parse_error_is_one_error_line(capsys, name):
+    argv, start = PARSE_ERRORS[name]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(start)
+    assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: explorelab run ")

@@ -3,13 +3,12 @@ from fractions import Fraction
 import pytest
 
 from explorelab import (
-    FamilyMeta,
     FamilyParams,
     ParameterError,
     build_family_graph,
     validate_family_membership,
 )
-from explorelab.family import LollipopParams, build_lollipop
+from explorelab.family import FamilyMeta, LollipopParams, build_lollipop
 from explorelab.graph import eccentricity
 from oracles import (
     adjacency,
@@ -209,17 +208,25 @@ def test_lollipop_deterministic_ports():
 
 
 def test_edge_identity_matches_counts():
+    # the five edge roles, counted from degrees and green edges: the level
+    # rows hold the source edges, both ends of each green edge and the red
+    # edges; the critical row a gadget each and the first tail link; the
+    # tail rows each tail link twice but the first
     for p in (FamilyParams(4, 8, 7), FamilyParams(10, 16, 6)):
         g, meta = build_family_graph(p)
-        kinds = {}
-        for a, b in g.edges():
-            kinds.setdefault(meta.edge_kind(a, b)[0], 0)
-            kinds[meta.edge_kind(a, b)[0]] += 1
+
+        def degrees(labels):
+            return sum(g.degree(v) for v in labels)
+
         layers = p.levels - 1
-        assert kinds["source"] == p.width
-        assert kinds["green"] == layers * p.greens_per_layer
-        assert kinds["red"] == layers * p.reds_per_layer
-        assert kinds["critical"] == p.gadget_count
-        assert kinds["tail"] == p.ecc - 3
-        assert "other" not in kinds
-        assert g.edge_count() == p.edge_total
+        source = g.degree(meta.source_label)
+        green = sum(len(meta.green_edges(g, i)) for i in range(1, p.levels))
+        red = degrees(range(1, p.width * p.levels + 1)) - source - 2 * green
+        critical = g.degree(meta.critical_label) - 1
+        tail = (degrees(meta.tail_labels) + 1) // 2
+        assert source == p.width
+        assert green == layers * p.greens_per_layer
+        assert red == layers * p.reds_per_layer
+        assert critical == p.gadget_count
+        assert tail == p.ecc - 3
+        assert source + green + red + critical + tail == g.edge_count() == p.edge_total

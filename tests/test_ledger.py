@@ -90,7 +90,7 @@ def test_ledger_matches_full_validator_on_adversary_runs(monkeypatch, k, seed):
     run = adversary_behavior(6, ALPHA, policy, 16 * k, seed=seed)
     assert len(verdicts) == run.prefix_checks - 1 > 10
     assert all(admitted == ok for admitted, ok in verdicts)
-    assert_rebuilt_gets_the_full_check(ledgers[0], run.final_graph, run.params)
+    assert_rebuilt_gets_the_full_check(ledgers[0], run.final_graph, run.meta.params)
 
 
 def test_ledger_matches_full_validator_on_surgery_chain():

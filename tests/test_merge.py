@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from explorelab import (
-    FamilyMeta,
     FamilyParams,
     Instance,
     ParameterError,
@@ -86,11 +85,11 @@ def test_contract_layer_rejects_rewired_gadget(fresh):
 
 def test_contract_layer_post_adversary(adversary_final):
     run = adversary_final
-    meta = FamilyMeta(run.params)
-    for layer in range(1, run.params.levels):
+    meta = run.meta
+    for layer in range(1, meta.params.levels):
         pairs = _contract_layer(run.final_graph, meta, layer)
-        assert len(pairs) == run.params.gadgets_per_layer
-        assert len(meta.green_edges(run.final_graph, layer)) + len(pairs) == run.params.beta
+        assert len(pairs) == meta.params.gadgets_per_layer
+        assert len(meta.green_edges(run.final_graph, layer)) + len(pairs) == meta.params.beta
 
 
 def test_merge_fresh_member(fresh):
@@ -166,7 +165,7 @@ def test_merge_rejects_non_member(fresh):
 
 def test_merge_behavior_on_adversary_final(adversary_final):
     run = adversary_final
-    meta = FamilyMeta(run.params)
+    meta = run.meta
     merged, plan = merge_gadgets(run.final_graph, meta, 1)
     report, info = validate_merge_behavior(
         run.final_graph,
@@ -227,7 +226,7 @@ def test_merge_behavior_matches_the_five_comparisons(
     if member == "fresh":
         g, meta = build_family_graph(FamilyParams(10, 16 * k, 6), seed=seed)
     else:
-        k, g, meta = 1, adversary_final.final_graph, FamilyMeta(adversary_final.params)
+        k, g, meta = 1, adversary_final.final_graph, adversary_final.meta
     merged, plan = merge_gadgets(g, meta, k)
     if where != "none":
         trace, _ = execute(
@@ -279,10 +278,10 @@ def test_merge_behavior_needs_a_gadget_visit(fresh):
 
 def test_merged_graph_is_a_valid_instance(adversary_final):
     run = adversary_final
-    meta = FamilyMeta(run.params)
+    meta = run.meta
     merged, _ = merge_gadgets(run.final_graph, meta, 1)
     assert validate_consistent_labeling(merged).ok
-    assert eccentricity(merged, 0) == run.params.ecc
+    assert eccentricity(merged, 0) == meta.params.ecc
 
 
 def test_merged_labels_are_smallest_unused(fresh):

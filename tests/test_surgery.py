@@ -207,7 +207,7 @@ def test_move_gadget_rejects_parallel_edge_hazard():
     # hand-built shape outside the family: the gadget's level pair is already
     # joined by a green edge different from the one being split, so the move
     # would create a parallel edge and must refuse
-    from explorelab import FamilyMeta as Meta
+    from explorelab.family import FamilyMeta as Meta
 
     params = FamilyParams(2, 4, 6)
     meta = Meta(params)
