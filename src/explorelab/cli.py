@@ -4,13 +4,14 @@ experiment.  All artifacts are JSON; experiment tables are CSV."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
 
 from .adversary import adversary_behavior
 from .errors import BudgetError, ParameterError, PolicyError, StructuralError
-from .experiments import ExperimentConfig, default_config, rows_to_csv, rows_to_json, run_experiment
+from .experiments import default_config, rows_to_csv, rows_to_json, run_experiment
 from .explorers import POLICY_NAMES, make_policy
 from .family import (
     FamilyMeta,
@@ -23,7 +24,7 @@ from .family import (
 )
 from .graph import LabeledGraph, eccentricity, validate_consistent_labeling
 from .merge import merge_gadgets, validate_merge_behavior
-from .runtime import Instance, execute, layer_traversal_stats, penalty_before_step
+from .runtime import MONITOR_KINDS, Instance, execute, layer_traversal_stats, penalty_before_step
 
 
 def _fraction(text: str) -> Fraction:
@@ -34,36 +35,42 @@ def _fraction(text: str) -> Fraction:
 
 
 def _nonempty(text: str) -> str:
-    """An option naming a file or a family; an empty value is an error, not
-    the option left out."""
+    """An option naming a file; an empty value is an error, not the option
+    left out."""
     if not text:
         raise argparse.ArgumentTypeError("expects a non-empty value")
     return text
 
 
-# comma-list option -> (its expected form, the converter of each part, or
-# None for any number of integers)
-COMMA_LISTS = {
-    "--family": ("levels,width,ecc (three integers)", (int, int, int)),
-    "--lollipop": ("k,ecc,alpha (two integers and a rational)", (int, int, Fraction)),
-    "--k": ("a comma list of integers", None),
-}
+def _comma_list(form: str, kinds):
+    """The argparse type of a comma-list option: ``kinds`` is one converter
+    per part, or a single converter for any number of parts.  A wrong count
+    or a part that does not convert is refused with the option's expected
+    form."""
+
+    def convert(text: str) -> tuple:
+        parts = text.split(",")
+        each = kinds if isinstance(kinds, tuple) else (kinds,) * len(parts)
+        if len(parts) == len(each):
+            try:
+                return tuple(kind(part) for kind, part in zip(each, parts))
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise argparse.ArgumentTypeError(f"expects {form}, got {text!r}")
+
+    return convert
 
 
-def _comma_list(option: str, text: str) -> tuple:
-    """Split a comma-list option and convert its parts; a wrong count or a
-    part that does not convert is a one-line error naming the option and
-    its expected form."""
-    form, kinds = COMMA_LISTS[option]
-    parts = text.split(",")
-    if kinds is None:
-        kinds = (int,) * len(parts)
-    if len(parts) == len(kinds):
-        try:
-            return tuple(kind(part) for kind, part in zip(kinds, parts))
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ParameterError(f"{option} expects {form}, got {text!r}")
+def _monitor(name: str) -> str:
+    if name not in MONITOR_KINDS:
+        raise ValueError(name)
+    return name
+
+
+_family = _comma_list("levels,width,ecc (three integers)", (int, int, int))
+_lollipop = _comma_list("k,ecc,alpha (two integers and a rational)", (int, int, Fraction))
+_k_values = _comma_list("a comma list of integers", int)
+_monitors = _comma_list(f"a comma list of monitors ({', '.join(MONITOR_KINDS)})", _monitor)
 
 
 def _write(path: str, text: str) -> None:
@@ -92,23 +99,17 @@ def _load_graph(path: str, *, check: bool = False) -> LabeledGraph:
 
 
 def cmd_gen(args) -> int:
-    if bool(args.family) == bool(args.lollipop):
-        raise ParameterError("gen: pass exactly one of --family or --lollipop")
     if args.family:
-        l, w, r = _comma_list("--family", args.family)
-        graph, _ = build_family_graph(FamilyParams(l, w, r), args.seed)
+        graph, _ = build_family_graph(FamilyParams(*args.family), args.seed)
     else:
-        k, r, alpha = _comma_list("--lollipop", args.lollipop)
-        params = LollipopParams(scale=k, ecc=r, alpha=alpha)
-        graph, _ = build_lollipop(params, args.seed)
+        graph, _ = build_lollipop(LollipopParams(*args.lollipop), args.seed)
     _write(args.out, graph.to_json())
     return 0
 
 
 def cmd_validate(args) -> int:
-    l, w, r = _comma_list("--family", args.family)
     graph = _load_graph(args.graph)
-    report = validate_family_membership(graph, FamilyParams(l, w, r))
+    report = validate_family_membership(graph, FamilyParams(*args.family))
     print(json.dumps(report.to_dict(), indent=2))
     return 0 if report.ok else 1
 
@@ -118,7 +119,7 @@ def cmd_run(args) -> int:
     meta = gadget_set = None
     if args.family:
         # the gadget set and layer statistics hold only for a member
-        l, w, r = _comma_list("--family", args.family)
+        l, w, r = args.family
         params = FamilyParams(l, w, r)
         membership = validate_family_membership(graph, params)
         if not membership.ok:
@@ -133,8 +134,7 @@ def cmd_run(args) -> int:
     except (ParameterError, StructuralError) as exc:
         raise type(exc)(f"{args.instance}: {exc}") from None
     policy = make_policy(args.policy, inst.alpha, inst.ecc)
-    monitors = tuple(m for m in args.monitors.split(",") if m) if args.monitors else ()
-    trace, report = execute(inst, policy, monitors=monitors, gadget_set=gadget_set)
+    trace, report = execute(inst, policy, monitors=args.monitors, gadget_set=gadget_set)
     out = report.to_dict()
     out["first_gadget_step"] = trace.first_gadget_step
     if meta is not None:
@@ -151,9 +151,7 @@ def cmd_run(args) -> int:
         _write(args.report, text)
     else:
         print(text)
-    if args.strict and report.violations:
-        return 1
-    return 0
+    return 1 if report.violations else 0
 
 
 def cmd_adversary(args) -> int:
@@ -169,9 +167,7 @@ def cmd_adversary(args) -> int:
             "entries": [a.to_dict() for a in run.audit],
         }
         _write(args.audit, json.dumps(audit, indent=2))
-    if args.strict and run.flags:
-        return 1
-    return 0
+    return 1 if run.flags else 0
 
 
 def cmd_merge(args) -> int:
@@ -195,26 +191,22 @@ def cmd_merge(args) -> int:
     _write(args.out, merged.to_json())
     if args.plan:
         _write(args.plan, json.dumps(plan.to_dict(), indent=2))
-    if args.check_behavior:
-        report, info = validate_merge_behavior(
-            graph, merged, plan, meta, lambda a, r: make_policy(args.policy, a, r), args.alpha
-        )
-        print(json.dumps({"behavior": report.to_dict(), "details": info}, indent=2))
-        if args.strict and not report.ok:
-            return 1
-    return 0
+    if not args.check_behavior:
+        return 0
+    report, info = validate_merge_behavior(
+        graph, merged, plan, meta, lambda a, r: make_policy(args.policy, a, r), args.alpha
+    )
+    print(json.dumps({"behavior": report.to_dict(), "details": info}, indent=2))
+    return 0 if report.ok else 1
 
 
 def cmd_experiment(args) -> int:
-    base = default_config(args.variant)
-    cfg = ExperimentConfig(
-        variant=args.variant,
-        k_values=_comma_list("--k", args.k) if args.k is not None else base.k_values,
-        ecc=args.r if args.r is not None else base.ecc,
-        alpha=args.alpha if args.alpha is not None else base.alpha,
-        policy=args.policy if args.policy is not None else base.policy,
+    given = {"k_values": args.k, "ecc": args.r, "alpha": args.alpha, "policy": args.policy}
+    cfg = dataclasses.replace(
+        default_config(args.variant),
         seed=args.seed,
         timing=args.timing,
+        **{field: value for field, value in given.items() if value is not None},
     )
     rows, report = run_experiment(cfg)
     if args.csv:
@@ -225,9 +217,7 @@ def cmd_experiment(args) -> int:
         sys.stdout.write(rows_to_csv(rows).decode())
     for failure in report["failures"]:
         print(f"FAIL {failure}", file=sys.stderr)
-    if report["failures"] and not args.observe:
-        return 1
-    return 0
+    return 1 if report["failures"] else 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -247,26 +237,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a family member or lollipop graph")
-    p.add_argument("--family", type=_nonempty, help="levels,width,ecc")
-    p.add_argument("--lollipop", type=_nonempty, help="k,ecc,alpha")
+    kind = p.add_mutually_exclusive_group(required=True)
+    kind.add_argument("--family", type=_family, help="levels,width,ecc")
+    kind.add_argument("--lollipop", type=_lollipop, help="k,ecc,alpha")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_nonempty, required=True)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("validate", help="check family membership of a graph file")
-    p.add_argument("--family", required=True, help="levels,width,ecc")
-    p.add_argument("graph")
+    p.add_argument("--family", type=_family, required=True, help="levels,width,ecc")
+    p.add_argument("graph", type=_nonempty)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("run", help="run a policy on an instance")
-    p.add_argument("--instance", required=True)
+    p.add_argument("--instance", type=_nonempty, required=True)
     p.add_argument("--source", type=int, default=0)
     p.add_argument("--alpha", type=_fraction, required=True)
     p.add_argument("--policy", choices=POLICY_NAMES, default="cautious-bfs")
-    p.add_argument("--monitors", default="", help="comma list: distance,fuel,completion")
-    p.add_argument("--family", type=_nonempty, help="levels,width,ecc for gadget statistics")
+    p.add_argument(
+        "--monitors", type=_monitors, default=(), help="comma list: distance,fuel,completion"
+    )
+    p.add_argument("--family", type=_family, help="levels,width,ecc for gadget statistics")
     p.add_argument("--report", type=_nonempty)
-    p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("adversary", help="run the adversary against a policy")
@@ -275,31 +267,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--policy", choices=POLICY_NAMES, default="cautious-bfs")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_nonempty, required=True)
     p.add_argument("--audit", type=_nonempty)
-    p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_adversary)
 
     p = sub.add_parser("merge", help="merge the gadgets of a family member")
-    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--in", dest="infile", type=_nonempty, required=True)
     p.add_argument("--alpha", type=_fraction, required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_nonempty, required=True)
     p.add_argument("--plan", type=_nonempty)
     p.add_argument("--check-behavior", action="store_true")
     p.add_argument("--policy", choices=POLICY_NAMES, default="cautious-bfs")
-    p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_merge)
 
     p = sub.add_parser("experiment", help="penalty-bound experiment sweep")
     p.add_argument("--variant", choices=("distance", "fuel"), required=True)
-    p.add_argument("--k", help="comma list of width multipliers")
+    p.add_argument("--k", type=_k_values, help="comma list of width multipliers")
     p.add_argument("--r", type=int)
     p.add_argument("--alpha", type=_fraction)
-    p.add_argument("--policy", default=None, help="defaults to the variant's explorer")
+    p.add_argument("--policy", choices=POLICY_NAMES, help="defaults to the variant's explorer")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", type=_nonempty)
     p.add_argument("--json", type=_nonempty)
-    p.add_argument("--observe", action="store_true")
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_experiment)
 

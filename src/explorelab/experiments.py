@@ -9,8 +9,7 @@ compares the total penalty with |V|^2 / (8 * alpha).
 
 Inequalities are asserted for the parameter ranges where they provably hold
 (k >= 2 for the distance bounds); out-of-range rows are still measured and
-reported.  In observe mode failures are recorded instead of failing the
-process, which is how incorrect policies can be studied.
+reported.
 """
 
 from __future__ import annotations

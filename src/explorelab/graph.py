@@ -207,13 +207,17 @@ def bfs_distances(g: LabeledGraph, a: int) -> dict[int, int]:
         raise ParameterError(f"label {a} not in graph")
     dist = {a: 0}
     queue = deque([a])
-    while queue:
-        v = queue.popleft()
-        dv = dist[v]
-        for u in g.neighbors(v):
-            if u not in dist:
-                dist[u] = dv + 1
-                queue.append(u)
+    try:
+        while queue:
+            v = queue.popleft()
+            dv = dist[v]
+            for u in g.neighbors(v):
+                if u not in dist:
+                    dist[u] = dv + 1
+                    queue.append(u)
+    except KeyError:
+        # a port names a label that has no row
+        raise StructuralError(f"neighbor label {v} not in graph") from None
     return dist
 
 

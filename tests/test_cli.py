@@ -13,7 +13,16 @@ from explorelab import cli
 from explorelab.cli import main
 from explorelab.experiments import default_config, rows_to_csv, rows_to_json, run_experiment
 from explorelab.family import FamilyMeta, LollipopParams, build_lollipop
-from explorelab.graph import LabeledGraph
+from explorelab.graph import LabeledGraph, ValidationReport
+
+
+def exit_code(argv) -> int:
+    """main's exit code, whether the command returns it or the parser exits
+    with it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_gen_and_validate_family(tmp_path, capsys):
@@ -129,7 +138,6 @@ def test_adversary_merge_pipeline(tmp_path, capsys):
             str(final),
             "--audit",
             str(audit),
-            "--strict",
         ]
     )
     assert code == 0
@@ -217,33 +225,86 @@ def test_experiment_fuel_csv(tmp_path):
     assert lines[1].split(",")[1] == "28"
 
 
-@pytest.mark.parametrize("observe, code", [(False, 1), (True, 0)])
-def test_experiment_is_strict_unless_observing(tmp_path, capsys, observe, code):
-    # dfs ignores the return cap, so its distance row fails its checks
-    argv = ["experiment", "--variant", "distance", "--policy", "dfs", "--k", "1"]
-    argv += ["--csv", str(tmp_path / "d.csv")]
-    if observe:
-        argv.append("--observe")
-    assert main(argv) == code
-    err = capsys.readouterr().err
-    assert err.startswith("FAIL k=1: ")
-    assert all(line.startswith("FAIL ") for line in err.splitlines())
+# command -> (an argv whose check fails, an argv whose check passes); {member}
+# is a family member's file, {broken} the member less one edge, {lollipop} a
+# lollipop's file, and {out} and {log} files each run writes
+EXIT_RULE = {
+    # dfs ignores the fuel tank, fuel-cautious never runs it dry
+    "run": [
+        ["run", "--instance", "{lollipop}", "--alpha", "1", "--monitors", "fuel", "--policy", p]
+        + ["--report", "{out}"]
+        for p in ("dfs", "fuel-cautious")
+    ],
+    # dfs ignores the return cap, so the adversary's behavioral monitors flag it
+    "adversary": [
+        ["adversary", "--r", "6", "--alpha", "1/2", "--k", "1", "--policy", p]
+        + ["--out", "{out}", "--audit", "{log}"]
+        for p in ("dfs", "cautious-bfs")
+    ],
+    # the same merge twice; the first run's check is made to fail below
+    "merge": [
+        ["merge", "--in", "{member}", "--alpha", "1/2", "--out", "{out}", "--check-behavior"]
+    ]
+    * 2,
+    # dfs's distance row fails its checks; the fuel row passes
+    "experiment": [
+        ["experiment", "--variant", "distance", "--policy", "dfs", "--k", "1", "--csv", "{out}"],
+        ["experiment", "--variant", "fuel", "--k", "1", "--csv", "{out}"],
+    ],
+    "validate": [["validate", "--family", "10,16,6", g] for g in ("{broken}", "{member}")],
+}
+
+
+@pytest.mark.parametrize("command", list(EXIT_RULE))
+def test_a_failed_check_exits_1_and_a_clean_input_0(tmp_path, capsys, monkeypatch, command):
+    # one exit rule, no flag: 1 when a check the command ran failed, 0 when
+    # every check passed; the outputs are written either way
+    member, _ = build_family_graph(FamilyParams(10, 16, 6))
+    a, b = next(iter(member.edges()))
+    rows = {v: [x for x in member.neighbors(v) if x not in (a, b)] for v in (a, b)}
+    files = {
+        "member": member,
+        "broken": member.replace_ports(rows),
+        "lollipop": build_lollipop(LollipopParams(1, 2, 1), 0)[0],
+    }
+    for name, graph in files.items():
+        (tmp_path / f"{name}.json").write_text(graph.to_json())
+    fill = {name: tmp_path / f"{name}.json" for name in (*files, "out", "log")}
+    if command == "merge":
+        merge_check = cli.validate_merge_behavior
+
+        def failing_check(*args):
+            report, info = merge_check(*args)
+            report.add("memory-prefix", "made to fail")
+            return report, info
+
+        monkeypatch.setattr(cli, "validate_merge_behavior", failing_check)
+    for argv, code in zip(EXIT_RULE[command], (1, 0)):
+        assert main([arg.format(**fill) for arg in argv]) == code
+        monkeypatch.undo()
+        err = capsys.readouterr().err
+        assert bool(err) == (command == "experiment" and code == 1)
+        assert all(line.startswith("FAIL ") for line in err.splitlines())
+        for written in ("out", "log"):
+            if "{%s}" % written in argv:
+                fill[written].unlink()  # fails unless the run wrote it
 
 
 @pytest.mark.parametrize("variant", ["distance", "fuel"])
 @pytest.mark.parametrize(
     "option, error",
     [
-        ("--k", "--k expects a comma list of integers, got ''"),
-        ("--policy", "unknown policy ''; known: cautious-bfs, dfs, fuel-cautious"),
+        ("--k", "error: argument --k: expects a comma list of integers, got ''\n"),
+        ("--policy", "error: argument --policy: invalid choice: ''"),
     ],
     ids=["k", "policy"],
 )
 def test_experiment_refuses_an_empty_option(tmp_path, capsys, variant, option, error):
     # an empty value is a value, not the option left out
     out = tmp_path / "x.csv"
-    assert main(["experiment", "--variant", variant, option, "", "--csv", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {error}\n"
+    assert exit_code(["experiment", "--variant", variant, option, "", "--csv", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(error) and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -266,97 +327,125 @@ def test_experiment_unwritable_output_is_an_error_line(tmp_path, capsys, option)
     assert not (tmp_path / "no").exists()
 
 
-# the options that name a file or a family, each given an empty value in a
-# command that is otherwise valid
-EMPTY_VALUE_COMMANDS = {
-    "gen --family": ["gen", "--family", "", "--lollipop", "1,2,1", "--out", "{out}"],
-    "gen --lollipop": ["gen", "--lollipop", "", "--family", "10,16,6", "--out", "{out}"],
-    "run --family": ["run", "--instance", "{member}", "--alpha", "1/2", "--family", ""],
-    "run --report": ["run", "--instance", "{member}", "--alpha", "1/2", "--report", ""],
-    "adversary --audit": [
-        "adversary", "--r", "6", "--alpha", "1/2", "--k", "1", "--out", "{out}", "--audit", "",
-    ],
-    "merge --plan": ["merge", "--in", "{member}", "--alpha", "1/2", "--out", "{out}", "--plan", ""],
-    "experiment --csv": ["experiment", "--variant", "fuel", "--k", "1", "--csv", ""],
-    "experiment --json": ["experiment", "--variant", "fuel", "--k", "1", "--json", ""],
+# command lines that are valid but for one option -> the start of the one
+# error line the parser refuses them with; {member} is a family member's
+# file, {out} a file that must not be written, {missing} a path with no file
+EMPTY = "expects a non-empty value"
+FAMILY_FORM = "expects levels,width,ecc (three integers), got"
+MONITOR_FORM = "expects a comma list of monitors (distance, fuel, completion), got"
+REFUSED_COMMANDS = {
+    "gen --family": (
+        ["gen", "--family", "", "--lollipop", "1,2,1", "--out", "{out}"],
+        f"argument --family: {FAMILY_FORM} ''",
+    ),
+    "gen --lollipop": (
+        ["gen", "--lollipop", "", "--family", "10,16,6", "--out", "{out}"],
+        "argument --lollipop: expects k,ecc,alpha (two integers and a rational), got ''",
+    ),
+    "gen both kinds": (
+        ["gen", "--family", "10,16,6", "--lollipop", "1,2,1", "--out", "{out}"],
+        "argument --lollipop: not allowed with argument --family",
+    ),
+    "gen neither kind": (
+        ["gen", "--out", "{out}"],
+        "one of the arguments --family --lollipop is required",
+    ),
+    "gen --out": (["gen", "--family", "10,16,6", "--out", ""], f"argument --out: {EMPTY}"),
+    "validate graph": (["validate", "--family", "10,16,6", ""], f"argument graph: {EMPTY}"),
+    "run --instance": (
+        ["run", "--instance", "", "--alpha", "1/2"],
+        f"argument --instance: {EMPTY}",
+    ),
+    "run --family": (
+        ["run", "--instance", "{member}", "--alpha", "1/2", "--family", ""],
+        f"argument --family: {FAMILY_FORM} ''",
+    ),
+    "run --family, no instance file": (
+        ["run", "--instance", "{missing}", "--alpha", "1/2", "--family", "10,16"],
+        f"argument --family: {FAMILY_FORM} '10,16'",
+    ),
+    "run --monitors unknown": (
+        ["run", "--instance", "{member}", "--alpha", "1/2", "--monitors", "distance,bogus"],
+        f"argument --monitors: {MONITOR_FORM} 'distance,bogus'",
+    ),
+    "run --monitors ,": (
+        ["run", "--instance", "{member}", "--alpha", "1/2", "--monitors", ","],
+        f"argument --monitors: {MONITOR_FORM} ','",
+    ),
+    "run --report": (
+        ["run", "--instance", "{member}", "--alpha", "1/2", "--report", ""],
+        f"argument --report: {EMPTY}",
+    ),
+    "adversary --audit": (
+        ["adversary", "--r", "6", "--alpha", "1/2", "--k", "1", "--out", "{out}", "--audit", ""],
+        f"argument --audit: {EMPTY}",
+    ),
+    "adversary --out": (
+        ["adversary", "--r", "6", "--alpha", "1/2", "--k", "1", "--out", ""],
+        f"argument --out: {EMPTY}",
+    ),
+    "merge --in": (
+        ["merge", "--in", "", "--alpha", "1/2", "--out", "{out}"],
+        f"argument --in: {EMPTY}",
+    ),
+    "merge --plan": (
+        ["merge", "--in", "{member}", "--alpha", "1/2", "--out", "{out}", "--plan", ""],
+        f"argument --plan: {EMPTY}",
+    ),
+    "merge --out": (
+        ["merge", "--in", "{member}", "--alpha", "1/2", "--out", ""],
+        f"argument --out: {EMPTY}",
+    ),
+    "experiment --csv": (
+        ["experiment", "--variant", "fuel", "--k", "1", "--csv", ""],
+        f"argument --csv: {EMPTY}",
+    ),
+    "experiment --json": (
+        ["experiment", "--variant", "fuel", "--k", "1", "--json", ""],
+        f"argument --json: {EMPTY}",
+    ),
+    "experiment --policy unknown": (
+        ["experiment", "--variant", "fuel", "--policy", "bogus"],
+        "argument --policy: invalid choice: 'bogus'",
+    ),
 }
 
 
-@pytest.mark.parametrize("name", list(EMPTY_VALUE_COMMANDS))
+@pytest.mark.parametrize("name", list(REFUSED_COMMANDS))
 def test_an_empty_file_or_family_value_is_refused_before_any_work(
     tmp_path, capsys, monkeypatch, name
 ):
-    # an empty value is a value, not the option left out: parsing refuses it
-    # with exit code 2, before anything is built, run or written
+    # every option is checked when it is parsed: a malformed, empty or
+    # conflicting value is refused with one error line and exit code 2,
+    # before any file is read or written and before anything is built or run
     member = tmp_path / "member.json"
     member.write_text(build_family_graph(FamilyParams(10, 16, 6))[0].to_json())
 
     def must_not_run(*args, **kwargs):
-        raise AssertionError(f"{name} \"\" did work")
+        raise AssertionError(f"{name} did work")
 
     work = ("build_family_graph", "build_lollipop", "execute", "adversary_behavior")
-    for function in work + ("merge_gadgets", "run_experiment"):
+    for function in work + ("merge_gadgets", "run_experiment", "_load_graph", "_write"):
         monkeypatch.setattr(cli, function, must_not_run)
-    fill = {"member": str(member), "out": str(tmp_path / "out.json")}
-    argv = [arg.format(**fill) for arg in EMPTY_VALUE_COMMANDS[name]]
+    fill = {"member": member, "out": tmp_path / "out.json", "missing": tmp_path / "no.json"}
+    argv, error = REFUSED_COMMANDS[name]
+    argv = [arg.format(**fill) for arg in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    option = name.split()[1]
-    assert captured.err.endswith(f"error: argument {option}: expects a non-empty value\n")
+    assert captured.err.startswith(f"error: {error}")
+    assert captured.err.endswith("\n") and captured.err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["member.json"]
 
 
 def test_cli_error_paths(tmp_path, capsys):
-    assert main(["gen", "--out", str(tmp_path / "x.json")]) == 2
-    assert (
-        main(
-            [
-                "gen",
-                "--family",
-                "1,8,7",
-                "--out",
-                str(tmp_path / "x.json"),
-            ]
-        )
-        == 2
-    )
-    assert main(["gen", "--family", "a,b,c", "--out", str(tmp_path / "x.json")]) == 2
-    assert main(["validate", "--family", "4,8,7", str(tmp_path / "missing.json")]) == 2
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("kinds", [[], ["--family", "10,16,6", "--lollipop", "1,2,1"]])
-def test_gen_without_exactly_one_kind_is_a_one_line_error(tmp_path, capsys, kinds):
-    out = tmp_path / "x.json"
-    assert main(["gen", *kinds, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: gen: pass exactly one of --family or --lollipop\n"
-    assert not out.exists()
-
-
-def test_adversary_strict_flags_invalid_policy(tmp_path, capsys):
-    # dfs does not respect the return cap, so the behavioral monitors flag it
-    final = tmp_path / "dfs_final.json"
-    code = main(
-        [
-            "adversary",
-            "--r",
-            "6",
-            "--alpha",
-            "0.5",
-            "--k",
-            "1",
-            "--policy",
-            "dfs",
-            "--out",
-            str(final),
-            "--strict",
-        ]
-    )
-    assert code == 1
-    assert main(["validate", "--family", "10,16,6", str(final)]) == 0
+    out = str(tmp_path / "x.json")
+    assert exit_code(["gen", "--out", out]) == 2
+    assert exit_code(["gen", "--family", "1,8,7", "--out", out]) == 2
+    assert exit_code(["gen", "--family", "a,b,c", "--out", out]) == 2
+    assert exit_code(["validate", "--family", "4,8,7", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
 
 
@@ -542,9 +631,9 @@ def test_malformed_comma_list_is_a_one_line_error(tmp_path, capsys, name):
     graph.write_text(build_family_graph(FamilyParams(10, 16, 6))[0].to_json())
     out = tmp_path / "out.json"
     argv = [a.format(graph=graph, out=out) for a in argv]
-    assert main(argv) == 2
+    assert exit_code(argv) == 2
     err = capsys.readouterr().err
-    assert err == f"error: {option} expects {COMMA_LIST_FORMS[option]}, got {text!r}\n"
+    assert err == f"error: argument {option}: expects {COMMA_LIST_FORMS[option]}, got {text!r}\n"
     assert not out.exists()
 
 

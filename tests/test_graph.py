@@ -16,6 +16,7 @@ from explorelab.graph import (
     hopcroft_karp,
     validate_consistent_labeling,
 )
+from explorelab.runtime import Instance
 
 from oracles import (
     adjacency,
@@ -112,6 +113,25 @@ def test_bfs_unreachable():
     assert 3 not in bfs_distances(g, 0)
     with pytest.raises(StructuralError):
         eccentricity(g, 0)
+
+
+@pytest.mark.parametrize(
+    "rows, missing",
+    [({0: [1]}, 1), ({0: [1, 2], 1: [0], 2: [0, 3]}, 3)],
+    ids=["source-row", "deeper-row"],
+)
+def test_bfs_names_a_neighbor_without_a_row(rows, missing):
+    # a port that names a label with no row is a one-line structural error,
+    # not a bare KeyError, in the BFS and in everything built on it
+    g = LabeledGraph(rows)
+    message = f"neighbor label {missing} not in graph"
+    for call in (bfs_distances, eccentricity):
+        with pytest.raises(StructuralError) as err:
+            call(g, 0)
+        assert str(err.value) == message
+    with pytest.raises(StructuralError) as err:
+        Instance(graph=g, source=0, alpha=1)
+    assert str(err.value) == message
 
 
 def test_eccentricity_single_node():
