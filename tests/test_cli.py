@@ -290,6 +290,21 @@ def test_a_failed_check_exits_1_and_a_clean_input_0(tmp_path, capsys, monkeypatc
                 fill[written].unlink()  # fails unless the run wrote it
 
 
+@pytest.mark.parametrize("clean, code", [(False, 1), (True, 0)])
+def test_experiment_is_strict_unless_observing(tmp_path, capsys, clean, code):
+    # a failing row exits 1 and no flag turns that off; an incorrect policy
+    # is still observed through the CSV and one FAIL line per failed check.
+    # dfs ignores the return cap, so its distance row fails its checks
+    policy = "cautious-bfs" if clean else "dfs"
+    csv_path = tmp_path / "d.csv"
+    argv = ["experiment", "--variant", "distance", "--policy", policy, "--k", "1"]
+    assert main(argv + ["--csv", str(csv_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("" if clean else "FAIL k=1: ")
+    assert all(line.startswith("FAIL k=1: ") for line in err.splitlines())
+    assert len(csv_path.read_text().splitlines()) == 2
+
+
 @pytest.mark.parametrize("variant", ["distance", "fuel"])
 @pytest.mark.parametrize(
     "option, error",
