@@ -83,10 +83,9 @@ def _write(path: str, text: str) -> None:
 def _load_graph(path: str, *, check: bool = False) -> LabeledGraph:
     """Read a graph file; with ``check``, reject one that is not
     consistently labeled."""
-    with open(path) as fh:
-        text = fh.read()
     try:
-        graph = LabeledGraph.from_json(text)
+        with open(path) as fh:
+            graph = LabeledGraph.from_json(fh.read())
     except ValueError as exc:
         raise ParameterError(f"{path}: {exc}") from exc
     if check:

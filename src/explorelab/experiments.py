@@ -1,11 +1,13 @@
 """Experiment sweeps that measure exploration penalties against the proven
 lower bounds, with CSV/JSON emission.
 
-The distance sweep runs the adversary per width multiplier k, replays the
-policy on the final graph, merges its gadgets, and compares the penalty paid
-before the first gadget visit with the k^2 bound and with the merged-order
-bound.  The fuel sweep runs the tank-safe explorer on lollipop graphs and
-compares the total penalty with |V|^2 / (8 * alpha).
+Each variant is one row function behind one sweep loop, which runs it once
+per k, times it and prefixes its failures with k.  The distance row runs the
+adversary with width multiplier k, replays the policy on the final graph,
+merges its gadgets, and compares the penalty paid before the first gadget
+visit with the k^2 bound and with the merged-order bound.  The fuel row runs
+the tank-safe explorer on a lollipop graph and compares the total penalty
+with |V|^2 / (8 * alpha).
 
 Inequalities are asserted for the parameter ranges where they provably hold
 (k >= 2 for the distance bounds); out-of-range rows are still measured and
@@ -17,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,7 +79,7 @@ class ExperimentRow:
     thm1_bound: Fraction | None
     total_penalty: int
     violations: int
-    seconds: float
+    seconds: float = 0.0
 
     def cells(self) -> list[str]:
         return [
@@ -95,142 +98,131 @@ class ExperimentRow:
         return dict(zip(CSV_COLUMNS, self.cells()))
 
 
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 def default_config(variant: str) -> ExperimentConfig:
     if variant == "distance":
         return ExperimentConfig("distance", (2, 3, 4), 6, Fraction(1, 2), "cautious-bfs")
     return ExperimentConfig("fuel", (1, 2, 3), 2, Fraction(1), "fuel-cautious")
 
 
-def run_distance_experiment(cfg: ExperimentConfig) -> tuple[list[ExperimentRow], dict]:
-    rows: list[ExperimentRow] = []
-    failures: list[str] = []
-    details: list[dict] = []
+def _distance_row(cfg: ExperimentConfig, k: int) -> tuple[ExperimentRow, dict, list[str]]:
+    policy = make_policy(cfg.policy, cfg.alpha, cfg.ecc)
+    run = adversary_behavior(cfg.ecc, cfg.alpha, policy, 16 * k, seed=cfg.seed)
+    meta = run.meta
+    trace, report = execute(
+        Instance(graph=run.final_graph, source=0, alpha=cfg.alpha),
+        make_policy(cfg.policy, cfg.alpha, cfg.ecc),
+        monitors=("distance", "completion"),
+        gadget_set=set(meta.gadget_labels),
+    )
+    if trace.memory != run.trace.memory:
+        raise InvariantViolation(f"k={k}: the final replay departs from the adversary's run")
+    first = trace.first_gadget_step
+    pen_gadget = None if first is None else penalty_before_step(trace, first)
+    del trace  # equal to run.trace: one copy of the memory is enough
+    merged, plan = merge_gadgets(run.final_graph, meta, k)
+    behavior, merge_info = validate_merge_behavior(
+        run.final_graph,
+        merged,
+        plan,
+        meta,
+        lambda a, r: make_policy(cfg.policy, a, r),
+        cfg.alpha,
+    )
+    denom = 16 * (2 * (meta.params.levels - 1) + 3)
+    thm1 = Fraction(len(merged), denom) ** 2
+    row = ExperimentRow(
+        k=k,
+        order=len(run.final_graph),
+        merged_order=len(merged),
+        penalty_before_gadget=pen_gadget,
+        k_squared_bound=k * k,
+        thm1_bound=thm1,
+        total_penalty=report.penalty,
+        violations=len(report.violations),
+    )
+    detail = {
+        "k": k,
+        "adversary_steps": run.step_count,
+        "adversary_flags": run.flags,
+        "prefix_checks": run.prefix_checks,
+        "merge_behavior_ok": behavior.ok,
+        "merge_behavior": merge_info,
+        "thm1_bound": str(thm1),
+    }
+    failures = []
+    if report.violations:
+        failures.append(f"{len(report.violations)} monitor violations in the final replay")
+    if not report.complete:
+        failures.append("replay on the final graph did not complete exploration")
+    if run.flags:
+        failures.append(f"adversary behavioral flags: {run.flags[:4]}")
+    if not behavior.ok:
+        failures.append(f"merge behavior checks failed: {behavior.codes()}")
+    if pen_gadget is None:
+        failures.append("no gadget was ever visited")
+    elif k >= 2:
+        if pen_gadget < k * k:
+            failures.append(f"penalty before gadget {pen_gadget} < k^2 = {k * k}")
+        if merge_info and merge_info["penalty_before_gadget_merged"] < math.ceil(thm1):
+            failures.append(
+                f"merged penalty {merge_info['penalty_before_gadget_merged']}"
+                f" < ceil(thm1 bound) = {math.ceil(thm1)}"
+            )
+    return row, detail, failures
+
+
+def _fuel_row(cfg: ExperimentConfig, k: int) -> tuple[ExperimentRow, dict, list[str]]:
+    params = LollipopParams(scale=k, ecc=cfg.ecc, alpha=cfg.alpha)
+    graph, source = build_lollipop(params, cfg.seed)
+    inst = Instance(graph=graph, source=source, alpha=cfg.alpha)
+    policy = make_policy(cfg.policy, cfg.alpha, cfg.ecc)
+    _, report = execute(inst, policy, monitors=("fuel", "completion"))
+    bound = Fraction(len(graph)) ** 2 / (8 * cfg.alpha)
+    row = ExperimentRow(
+        k=k,
+        order=len(graph),
+        merged_order=None,
+        penalty_before_gadget=None,
+        k_squared_bound=None,
+        thm1_bound=bound,
+        total_penalty=report.penalty,
+        violations=len(report.violations),
+    )
+    failures = []
+    if report.violations_of("fuel"):
+        failures.append("fuel violations")
+    if not report.complete:
+        failures.append("exploration incomplete")
+    if report.penalty < bound:
+        failures.append(f"penalty {report.penalty} below bound {bound}")
+    return row, {"k": k, "order": len(graph), "bound": str(bound)}, failures
+
+
+def _sweep(cfg: ExperimentConfig, row_of) -> tuple[list[ExperimentRow], dict]:
+    """One row per k, each timed when ``cfg.timing``; every failure is
+    prefixed with its row's k."""
+    rows, details, failures = [], [], []
     for k in cfg.k_values:
         t0 = time.perf_counter()
-        policy = make_policy(cfg.policy, cfg.alpha, cfg.ecc)
-        run = adversary_behavior(cfg.ecc, cfg.alpha, policy, 16 * k, seed=cfg.seed)
-        meta = run.meta
-        inst = Instance(graph=run.final_graph, source=0, alpha=cfg.alpha)
-        trace, report = execute(
-            inst,
-            make_policy(cfg.policy, cfg.alpha, cfg.ecc),
-            monitors=("distance", "completion"),
-            gadget_set=set(meta.gadget_labels),
-        )
-        if trace.memory != run.trace.memory:
-            raise InvariantViolation(f"k={k}: the final replay departs from the adversary's run")
-        pen_gadget = (
-            penalty_before_step(trace, trace.first_gadget_step)
-            if trace.first_gadget_step is not None
-            else None
-        )
-        del trace  # equal to run.trace: one copy of the memory is enough
-        merged, plan = merge_gadgets(run.final_graph, meta, k)
-        behavior, merge_info = validate_merge_behavior(
-            run.final_graph,
-            merged,
-            plan,
-            meta,
-            lambda a, r: make_policy(cfg.policy, a, r),
-            cfg.alpha,
-        )
-        denom = 16 * (2 * (meta.params.levels - 1) + 3)
-        thm1 = Fraction(len(merged), denom) ** 2
-        seconds = time.perf_counter() - t0 if cfg.timing else 0.0
-        rows.append(
-            ExperimentRow(
-                k=k,
-                order=len(run.final_graph),
-                merged_order=len(merged),
-                penalty_before_gadget=pen_gadget,
-                k_squared_bound=k * k,
-                thm1_bound=thm1,
-                total_penalty=report.penalty,
-                violations=len(report.violations),
-                seconds=seconds,
-            )
-        )
-        details.append(
-            {
-                "k": k,
-                "adversary_steps": run.step_count,
-                "adversary_flags": run.flags,
-                "prefix_checks": run.prefix_checks,
-                "merge_behavior_ok": behavior.ok,
-                "merge_behavior": merge_info,
-                "thm1_bound": str(thm1),
-            }
-        )
+        row, detail, row_failures = row_of(cfg, k)
+        if cfg.timing:
+            row.seconds = time.perf_counter() - t0
+        rows.append(row)
+        details.append(detail)
+        failures += (f"k={k}: {msg}" for msg in row_failures)
+    return rows, {"variant": cfg.variant, "failures": failures, "runs": details}
 
-        def fail(msg: str) -> None:
-            failures.append(f"k={k}: {msg}")
 
-        if report.violations:
-            fail(f"{len(report.violations)} monitor violations in the final replay")
-        if not report.complete:
-            fail("replay on the final graph did not complete exploration")
-        if run.flags:
-            fail(f"adversary behavioral flags: {run.flags[:4]}")
-        if not behavior.ok:
-            fail(f"merge behavior checks failed: {behavior.codes()}")
-        if pen_gadget is None:
-            fail("no gadget was ever visited")
-        elif k >= 2:
-            if pen_gadget < k * k:
-                fail(f"penalty before gadget {pen_gadget} < k^2 = {k * k}")
-            if merge_info and merge_info["penalty_before_gadget_merged"] < _ceil(thm1):
-                fail(
-                    f"merged penalty {merge_info['penalty_before_gadget_merged']}"
-                    f" < ceil(thm1 bound) = {_ceil(thm1)}"
-                )
-    return rows, {"variant": "distance", "failures": failures, "runs": details}
+def run_distance_experiment(cfg: ExperimentConfig) -> tuple[list[ExperimentRow], dict]:
+    return _sweep(cfg, _distance_row)
 
 
 def run_fuel_experiment(cfg: ExperimentConfig) -> tuple[list[ExperimentRow], dict]:
-    rows: list[ExperimentRow] = []
-    failures: list[str] = []
-    details: list[dict] = []
-    for k in cfg.k_values:
-        t0 = time.perf_counter()
-        params = LollipopParams(scale=k, ecc=cfg.ecc, alpha=cfg.alpha)
-        graph, source = build_lollipop(params, cfg.seed)
-        inst = Instance(graph=graph, source=source, alpha=cfg.alpha)
-        policy = make_policy(cfg.policy, cfg.alpha, cfg.ecc)
-        trace, report = execute(inst, policy, monitors=("fuel", "completion"))
-        bound = Fraction(len(graph)) ** 2 / (8 * cfg.alpha)
-        seconds = time.perf_counter() - t0 if cfg.timing else 0.0
-        rows.append(
-            ExperimentRow(
-                k=k,
-                order=len(graph),
-                merged_order=None,
-                penalty_before_gadget=None,
-                k_squared_bound=None,
-                thm1_bound=bound,
-                total_penalty=report.penalty,
-                violations=len(report.violations),
-                seconds=seconds,
-            )
-        )
-        details.append({"k": k, "order": len(graph), "bound": str(bound)})
-
-        if report.violations_of("fuel"):
-            failures.append(f"k={k}: fuel violations")
-        if not report.complete:
-            failures.append(f"k={k}: exploration incomplete")
-        if report.penalty < bound:
-            failures.append(f"k={k}: penalty {report.penalty} below bound {bound}")
-    return rows, {"variant": "fuel", "failures": failures, "runs": details}
+    return _sweep(cfg, _fuel_row)
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[ExperimentRow], dict]:
-    if cfg.variant == "distance":
-        return run_distance_experiment(cfg)
-    return run_fuel_experiment(cfg)
+    return _sweep(cfg, _distance_row if cfg.variant == "distance" else _fuel_row)
 
 
 def rows_to_csv(rows: list[ExperimentRow]) -> bytes:

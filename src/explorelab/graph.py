@@ -181,7 +181,10 @@ class LabeledGraph:
         """Parse :meth:`to_json` output.  Labels and ports must be JSON
         integers (not floats, strings or booleans), each row a list, and
         each label listed once; anything else raises :class:`ParameterError`."""
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError as exc:
+            raise ParameterError(f"malformed graph JSON: {exc}") from exc
         try:
             ports = {}
             for n in data["nodes"]:

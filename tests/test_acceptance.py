@@ -33,6 +33,7 @@ from oracles import (
     naive_eccentricity,
     naive_return_distance,
 )
+from test_ledger import full_check, seeded_ledger
 from test_surgery import random_surgery
 
 ALPHA = Fraction(1, 2)
@@ -102,21 +103,26 @@ def test_criterion_2_eccentricity_properties():
 
 
 def test_criterion_3_surgery_closure():
+    # each changed graph is checked three ways: the full check, the per-layer
+    # oracle (inside full_check) and the adversary's ledger following the chain
     params = FamilyParams(10, 16, 6)
     g, meta = build_family_graph(params, seed=0)
+    ledger = seeded_ledger(g, params)
     rng = random.Random(1009)
     changed = unchanged = 0
     for i in range(1000):
         res = random_surgery(g, meta, rng)
         if res.changed:
             changed += 1
-            report = validate_family_membership(res.graph, params)
+            report = full_check(res.graph, params)
             assert report.ok, f"op {i} broke membership: {report.codes()}"
+            assert ledger.admits(res.graph), f"op {i}"
             g = res.graph
         else:
             unchanged += 1
             assert res.graph is g
             assert res.graph.to_json() == g.to_json()
+    assert changed > 300
     note(3, changed + unchanged == 1000, f"{changed} changed, {unchanged} no-ops, all closed")
 
 

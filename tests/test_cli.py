@@ -548,6 +548,31 @@ def test_unusable_graph_file_is_refused_by_name(tmp_path, capsys, name, command)
     assert capsys.readouterr().err == f"error: {path}: {refusals[command]}\n"
 
 
+# graph files that no JSON value comes out of: one nested past every Python's
+# parser depth limit (1000 levels pass on 3.12 and later), one not UTF-8
+UNREADABLE = {
+    "deeply-nested": b'{"nodes":' + b"[" * 10**5 + b"]" * 10**5 + b"}",
+    "not-utf-8": b"\xff\xfe",
+}
+GRAPH_COMMANDS = {
+    "run": ["run", "--instance", "{path}", "--alpha", "1"],
+    "validate": ["validate", "--family", "3,8,6", "{path}"],
+    "merge": ["merge", "--in", "{path}", "--alpha", "1", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+@pytest.mark.parametrize("command", sorted(GRAPH_COMMANDS))
+def test_an_unreadable_graph_file_is_refused_by_name(tmp_path, capsys, name, command):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(UNREADABLE[name])
+    out = tmp_path / "out.json"
+    assert main([arg.format(path=path, out=out) for arg in GRAPH_COMMANDS[command]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_merge_refuses_a_width_that_is_not_a_multiple_of_16(tmp_path, capsys):
     path = tmp_path / "w20.json"
     assert main(["gen", "--family", "10,20,6", "--out", str(path)]) == 0

@@ -20,6 +20,7 @@ from explorelab.experiments import (
     rows_to_csv,
     rows_to_json,
     run_distance_experiment,
+    run_experiment,
     run_fuel_experiment,
 )
 from explorelab.family import LollipopParams, build_lollipop
@@ -116,6 +117,22 @@ def test_fuel_experiment_csv_bytes_are_reproducible():
     rows1, _ = run_fuel_experiment(cfg)
     rows2, _ = run_fuel_experiment(cfg)
     assert rows_to_csv(rows1) == rows_to_csv(rows2)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ExperimentConfig("fuel", (1, 2), 2, Fraction(1), "fuel-cautious"),
+        ExperimentConfig("distance", (1,), 6, Fraction(1, 2)),
+    ],
+    ids=["fuel", "distance"],
+)
+def test_timing_changes_only_the_seconds_column(cfg):
+    untimed_rows, untimed = run_experiment(cfg)
+    timed_rows, timed = run_experiment(dataclasses.replace(cfg, timing=True))
+    assert timed == untimed
+    assert all(row.seconds > 0 for row in timed_rows)
+    assert [dataclasses.replace(row, seconds=0.0) for row in timed_rows] == untimed_rows
 
 
 def test_emission_rejects_no_rows():

@@ -93,23 +93,6 @@ def test_ledger_matches_full_validator_on_adversary_runs(monkeypatch, k, seed):
     assert_rebuilt_gets_the_full_check(ledgers[0], run.final_graph, run.meta.params)
 
 
-def test_ledger_matches_full_validator_on_surgery_chain():
-    # criterion 3's chain, with the ledger following every changed surgery
-    params = FamilyParams(10, 16, 6)
-    g, meta = build_family_graph(params, seed=0)
-    ledger = seeded_ledger(g, params)
-    rng = random.Random(1009)
-    changed = 0
-    for i in range(1000):
-        res = random_surgery(g, meta, rng)
-        if res.changed:
-            changed += 1
-            ok = full_check(res.graph, params).ok
-            assert ledger.admits(res.graph) == ok, f"op {i}"
-            g = res.graph
-    assert changed > 300
-
-
 # -- mutants: one corruption of a member per report code ------------------------------
 #
 # Each builds its graph from the member's rows, so the rows it leaves alone
