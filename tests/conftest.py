@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -109,3 +110,34 @@ def engine_cases():
 @pytest.fixture(scope="session")
 def graph_corpus():
     return small_graph_corpus()
+
+
+@pytest.fixture(scope="session")
+def surgery_chain():
+    """Criterion 3's chain of 1000 random surgeries on member 10,16,6 at seed
+    0, run once for the two tests that judge it. Returns ``(changed,
+    unchanged)``: ``(i, report, admits)`` for each op that changed the graph,
+    where ``report`` is the full check's (itself held to the per-layer
+    oracle) and ``admits`` the verdict of a ledger following the chain, and
+    ``(i, same_object, same_json)`` for each op that did not. The chain stops
+    at the first changed graph that either check refuses."""
+    from test_ledger import full_check, seeded_ledger
+    from test_surgery import random_surgery
+
+    params = FamilyParams(10, 16, 6)
+    g, meta = build_family_graph(params, seed=0)
+    ledger = seeded_ledger(g, params)
+    rng = random.Random(1009)
+    changed, unchanged = [], []
+    for i in range(1000):
+        res = random_surgery(g, meta, rng)
+        if res.changed:
+            report = full_check(res.graph, params)
+            admits = ledger.admits(res.graph)
+            changed.append((i, report, admits))
+            if not (report.ok and admits):
+                break
+            g = res.graph
+        else:
+            unchanged.append((i, res.graph is g, res.graph.to_json() == g.to_json()))
+    return changed, unchanged

