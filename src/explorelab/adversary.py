@@ -249,7 +249,9 @@ def _modify_step(cursor: ReplayCursor, meta: FamilyMeta, audit: StepAudit) -> No
 def _replay_agrees(policy, graph: LabeledGraph, records, t: int) -> bool:
     """Whether a fresh replay of ``policy`` on ``graph`` from the first
     record's label, ``t`` steps long, gives ``records`` through index ``t``.
-    A halt before step ``t`` counts as disagreement."""
+    A halt before step ``t`` counts as disagreement.  ``run`` also reports
+    a halt right after step ``t``, which cannot come with agreeing records:
+    the caller's policy, fed the same records, has a port pending."""
     fresh = ReplayCursor(graph, policy, source=records[0].label)
     return not fresh.run(t) and fresh.memory == records[: t + 1]
 
@@ -384,7 +386,7 @@ def adversary_behavior(
             audits.append(audit)
 
     # replay phase: no rewrite or monitor can fire any more (see docstring)
-    if not cursor.run(max_steps - cursor.steps) and cursor.pending_port() is not None:
+    if not cursor.run(max_steps - cursor.steps):
         raise BudgetError(f"adversary exceeded {max_steps} steps", trace=cursor.as_trace())
 
     final_report = validate_family_membership(cursor.graph, params)

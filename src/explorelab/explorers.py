@@ -1,10 +1,10 @@
 """Reference deterministic exploration policies.
 
 A policy is a stateless descriptor; :meth:`start` creates the per-run state,
-which is fed memory records through ``observe`` and queried for the next
-action through ``next_action`` (a port number, or None to halt).  Run states
-keep derived structures for speed, but every decision is a pure function of
-the record sequence seen so far: replaying the same records always reproduces
+which answers each memory record fed to ``observe`` with the next action (a
+port number, or None to halt); ``next_action`` re-reads it.  Run states keep
+derived structures for speed, but every decision is a pure function of the
+record sequence seen so far: replaying the same records always reproduces
 the same actions, which the test suite spot-checks.
 
 Tie-breaking everywhere is lexicographic on (distance, node label, port), so
@@ -235,7 +235,10 @@ class _PlannedRun:
     Replanning happens inside ``observe``, at points fully determined by the
     record stream (a new edge appeared, or the plan ran out), so the whole
     state is a pure function of the records and ``next_action`` is a pure
-    read.
+    read of ``observe``'s answer.  A subclass gives only :meth:`_within`,
+    the bound of each new plan: with one, the walk to the closest frontier
+    node within it and the probe of that node's smallest unexplored port,
+    or a halt when there is none; with None, the walk home.
     """
 
     def __init__(self):
@@ -243,34 +246,33 @@ class _PlannedRun:
         self.plan: list[int] | None = []
         self.pos = 0
 
-    def observe(self, rec: MemoryRecord) -> None:
-        new_edge = self.view.observe(rec)
+    def observe(self, rec: MemoryRecord) -> int | None:
+        """Feed one record; returns the next port, or None to halt."""
+        view = self.view
+        new_edge = view.observe(rec)
         plan = self.plan
         if plan is None:
-            return
+            return None
         pos, n = self.pos, len(plan)
         if pos < n and rec.out_port != -1:
             pos += 1
-        if new_edge or pos >= n:
-            self.pos = 0
-            self._replan()
-        else:
+        if not new_edge and pos < n:
             self.pos = pos
-
-    def _replan(self) -> None:
-        raise NotImplementedError
-
-    def _plan_probe(self, within: int) -> None:
-        """Plan the walk to the closest frontier node within ``within`` of
-        the source and the probe of its smallest unexplored port; halt when
-        there is none."""
-        hit = self.view.plan_to(within)
+            return plan[pos]
+        self.pos = 0
+        within = self._within()
+        hit = view.plan_to(within)
         if hit is None:
             self.plan = None
-            return
-        target, ports = hit
-        ports.append(self.view.smallest_unexplored_port(target))
-        self.plan = ports
+            return None
+        target, plan = hit
+        if within is not None:
+            plan.append(view.smallest_unexplored_port(target))
+        self.plan = plan
+        return plan[0]
+
+    def _within(self) -> int | None:
+        raise NotImplementedError
 
     def next_action(self) -> int | None:
         plan, pos = self.plan, self.pos
@@ -314,8 +316,8 @@ class _CautiousRun(_PlannedRun):
         super().__init__()
         self.cap_floor = cap_floor
 
-    def _replan(self) -> None:
-        self._plan_probe(self.cap_floor - 1)
+    def _within(self) -> int:
+        return self.cap_floor - 1
 
 
 class DfsPolicy:
@@ -341,7 +343,7 @@ class _DfsRun:
         self.departed: dict[int, set[int]] = {}
         self.low: dict[int, int] = {}
 
-    def observe(self, rec: MemoryRecord) -> None:
+    def observe(self, rec: MemoryRecord) -> int | None:
         label, degree, out_port, in_port = rec
         if out_port != -1:
             self.departed[self.cur].add(out_port)
@@ -351,6 +353,7 @@ class _DfsRun:
             self.departed[label] = set()
             self.low[label] = 0
         self.cur = label
+        return self.next_action()
 
     def next_action(self) -> int | None:
         cur = self.cur
@@ -389,12 +392,11 @@ class _FuelRun(_PlannedRun):
         super().__init__()
         self.tank_floor = tank_floor
 
-    def _replan(self) -> None:
+    def _within(self) -> int | None:
         if self.view.cur == self.view.source:
             # for an integer d, 2d + 2 <= tank_floor iff d <= (tank_floor - 2) // 2
-            self._plan_probe((self.tank_floor - 2) // 2)
-        else:
-            self.plan = self.view.plan_to(None)[1]
+            return (self.tank_floor - 2) // 2
+        return None
 
 
 POLICY_NAMES = ("cautious-bfs", "dfs", "fuel-cautious")

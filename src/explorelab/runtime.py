@@ -2,11 +2,12 @@
 and distance / fuel / completion monitors.
 
 The agent model: the policy sees only the memory sequence (one 4-tuple per
-traversal) and answers with the next port to take or a halt.  The runtime
-owns the graph, performs traversals, and feeds records back.  Every
-traversal in the package is a step of :meth:`ReplayCursor.run`: ``commit``
-is one such step, the adversary drives the cursor on the graph it rewrites,
-and :func:`execute` runs it to the policy's halt.  A run is judged only by
+traversal) and answers each record it is fed through ``observe`` with the
+next port to take, or None to halt.  The runtime owns the graph, performs
+traversals, and feeds records back.  Every traversal in the package is a
+step of :meth:`ReplayCursor.run`: ``commit`` is one such step, the
+adversary drives the cursor on the graph it rewrites, and :func:`execute`
+runs it to the policy's halt.  A run is judged only by
 its memory, so ``execute``'s monitors read the finished memory in one pass.
 Constraint violations are recorded in the run report and never stop the
 run, so that monitors can observe what an incorrect policy would have done.
@@ -156,9 +157,6 @@ class ExploredDistances:
                     queue.append(u)
 
 
-_UNASKED = object()
-
-
 def _port_error(port, node: int, row: list[int]) -> PolicyError:
     return PolicyError(f"policy chose port {port!r} at node {node} of degree {len(row)}")
 
@@ -167,15 +165,16 @@ class ReplayCursor:
     """Stepwise execution of a policy: :meth:`run` is the one place a
     traversal happens.
 
-    Each step asks the policy for its next port, checks it, builds the
-    memory record, grows the traversed set and the memory, notes the first
-    visit to a label in ``gadgets`` and feeds the record to the policy.
-    :meth:`commit` is one step.  The policy is asked once per step: an
-    answer read through :meth:`pending_port` is kept for the step that
-    takes it.  The policy only ever sees memory records, and the
-    adversary's rewrites preserve labels, degrees and the ports of
-    traversed edges, so the accumulated policy state remains valid when
-    :meth:`replace_graph` swaps the graph underneath it.
+    Each step checks the pending port, builds the memory record, grows the
+    traversed set and the memory, notes the first visit to a label in
+    ``gadgets`` and feeds the record to the policy, whose ``observe``
+    answers with the next pending port.  :meth:`commit` is one step.  The
+    policy is called once per record, the source's included, and
+    :meth:`pending_port` reads the answer kept from the last call.  The
+    policy only ever sees memory records, and the adversary's rewrites
+    preserve labels, degrees and the ports of traversed edges, so the
+    accumulated policy state remains valid when :meth:`replace_graph` swaps
+    the graph underneath it.
     """
 
     def __init__(
@@ -194,8 +193,7 @@ class ReplayCursor:
         self.traversed: set[tuple[int, int]] = set()
         self.gadgets = gadgets
         self.first_gadget_step: int | None = None
-        self.state.observe(self.memory[0])
-        self._pending = _UNASKED
+        self._pending = self.state.observe(self.memory[0])
 
     @property
     def steps(self) -> int:
@@ -206,10 +204,7 @@ class ReplayCursor:
         return self.memory[-1].label
 
     def pending_port(self) -> int | None:
-        port = self._pending
-        if port is _UNASKED:
-            port = self._pending = self.state.next_action()
-        return port
+        return self._pending
 
     def pending_node(self) -> int | None:
         """The node the pending port leads to, None when the policy halts;
@@ -240,12 +235,11 @@ class ReplayCursor:
 
     def run(self, limit: int) -> bool:
         """Take up to ``limit`` traversals; returns whether the policy
-        halted.  After ``limit`` traversals it returns False without asking
-        the policy again.  The graph is read once per call, so a graph
-        swapped in by :meth:`replace_graph` is traversed from the next
-        call on."""
-        state = self.state
-        next_action, observe = state.next_action, state.observe
+        halts, that is whether its last answer is None, which is known
+        after its last step too.  The graph is read once per call, so a
+        graph swapped in by :meth:`replace_graph` is traversed from the
+        next call on."""
+        observe = self.state.observe
         memory = self.memory
         append, add = memory.append, self.traversed.add
         g = self.graph
@@ -260,8 +254,6 @@ class ReplayCursor:
         cur = memory[-1][0]
         port = self._pending
         for _ in range(limit):
-            if port is _UNASKED:
-                port = next_action()
             if port is None:
                 break
             row = ports[cur]
@@ -275,16 +267,16 @@ class ReplayCursor:
             if gadgets is not None and nxt in gadgets:
                 self.first_gadget_step = len(memory) - 1
                 gadgets = None
-            observe(rec)
+            port = observe(rec)
             cur = nxt
-            port = _UNASKED
         self._pending = port
         return port is None
 
     def commit(self) -> MemoryRecord:
         """Traverse the policy's pending choice: one step of :meth:`run`."""
-        if self.run(1):
+        if self._pending is None:
             raise InvariantViolation("commit requested but the policy halted")
+        self.run(1)
         return self.memory[-1]
 
     def as_trace(self) -> Trace:
@@ -321,7 +313,7 @@ def execute(
         max_steps = 50 * edge_total + 1000
 
     cursor = ReplayCursor(g, policy, inst.source, gadgets=gadget_set)
-    halted = cursor.run(max_steps) or cursor.pending_port() is None
+    halted = cursor.run(max_steps)
     explored = len(cursor.traversed)
     trace = cursor.as_trace()
     del cursor  # frees the policy's run state before the monitors build theirs

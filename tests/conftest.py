@@ -31,6 +31,7 @@ class _ScriptRun:
     def observe(self, rec):
         if rec.out_port != -1:
             self.idx += 1
+        return self.next_action()
 
     def next_action(self):
         return self.ports[self.idx] if self.idx < len(self.ports) else None
@@ -139,5 +140,8 @@ def surgery_chain():
                 break
             g = res.graph
         else:
-            unchanged.append((i, res.graph is g, res.graph.to_json() == g.to_json()))
+            # identity implies equal JSON, so only a copy is serialised
+            same_object = res.graph is g
+            same_json = same_object or res.graph.to_json() == g.to_json()
+            unchanged.append((i, same_object, same_json))
     return changed, unchanged

@@ -1,0 +1,160 @@
+"""Mutation gate: small deliberate faults in ``src/`` that named tests must
+catch.
+
+    python3 tests/mutants.py
+
+Each mutant names a file, an exact snippet of it, the snippet's
+replacement, and the test ids that must fail once the edit is made.  The
+script first runs every named test on an unmutated copy of ``src/`` and
+``tests/``, which must pass.  Then, one mutant after another, it copies
+``src/`` and ``tests/`` to a temporary directory, applies the edit and runs
+the mutant's tests there in one pytest subprocess.  The mutant is killed
+when pytest reports failed tests (exit status 1); a pass, or any other
+status (a test id that no longer exists, an import error), leaves it
+alive.  A snippet that does not occur exactly once in its file fails the
+script too, so a refactor has to update the mutants it touches.  Exits 0
+when every mutant is killed.
+
+pytest does not collect this file: its name does not match ``test_*.py``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "the cursor drops observe's answer and reuses the previous port",
+        "src/explorelab/runtime.py",
+        "            port = observe(rec)\n",
+        "            observe(rec)\n",
+        (
+            "tests/test_runtime.py::test_run_returns_whether_the_policy_halted",
+            "tests/test_runtime.py::test_bad_port_message_through_run",
+        ),
+    ),
+    Mutant(
+        "commit skips its halted check",
+        "src/explorelab/runtime.py",
+        "        if self._pending is None:\n"
+        '            raise InvariantViolation("commit requested but the policy halted")\n',
+        "",
+        (
+            "tests/test_runtime.py::test_commit_after_halt_raises",
+            "tests/test_runtime.py::test_run_returns_whether_the_policy_halted",
+        ),
+    ),
+    Mutant(
+        "a planned run answers with the old plan's next port after it replans",
+        "src/explorelab/explorers.py",
+        "        self.plan = plan\n        return plan[0]\n",
+        "        old, self.plan = self.plan, plan\n"
+        "        return old[pos] if pos < len(old) else None\n",
+        (
+            "tests/test_explorers.py::test_policies_are_pure_functions_of_memory",
+            "tests/test_runtime.py::test_budget_error_carries_the_oracle_prefix",
+        ),
+    ),
+    Mutant(
+        "the ledger skips its parallel-edge and self-loop test of dirty rows",
+        "src/explorelab/family.py",
+        "            if len(listed) != len(row) or v in listed:\n"
+        "                return False  # parallel edge or self-loop\n",
+        "",
+        ("tests/test_ledger.py::test_ledger_rejects_each_violation",),
+    ),
+    Mutant(
+        "replace_graph drops its traversed-port test",
+        "src/explorelab/runtime.py",
+        "            for p, u in enumerate(old.get(v, ())):\n"
+        "                if (p >= len(row) or row[p] != u) and edge_key(v, u) in self.traversed:\n",
+        "            for p, u in enumerate(old.get(v, ())):\n"
+        "                if False:\n",
+        (
+            "tests/test_runtime.py::test_replace_graph_refuses_to_move_a_traversed_edge",
+        ),
+    ),
+    Mutant(
+        "pending_node drops its port check",
+        "src/explorelab/runtime.py",
+        "        row = self.graph._ports[self.node]\n"
+        "        if type(port) is not int or not 0 <= port < len(row):\n"
+        "            raise _port_error(port, self.node, row)\n",
+        "        row = self.graph._ports[self.node]\n",
+        ("tests/test_adversary.py::test_pending_node_rejects_bad_port_like_run",),
+    ),
+)
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+
+
+def run_tests(tree: Path, tests) -> int:
+    """The exit status of one pytest run of ``tests`` in ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    done = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    return done.returncode
+
+
+def apply(tree: Path, mutant: Mutant) -> str | None:
+    """Make the mutant's edit in ``tree``; returns why it cannot, or None."""
+    path = tree / mutant.path
+    text = path.read_text()
+    count = text.count(mutant.snippet)
+    if count != 1:
+        return f"snippet occurs {count} times in {mutant.path}"
+    path.write_text(text.replace(mutant.snippet, mutant.replacement))
+    return None
+
+
+def main() -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="explorelab-mutants-") as tmp:
+        clean = Path(tmp) / "clean"
+        copy_tree(clean)
+        tests = sorted({t for m in MUTANTS for t in m.tests})
+        status = run_tests(clean, tests)
+        if status != 0:
+            print(f"FAIL    the named tests exit {status} on the unmutated code")
+            return 1
+        for i, mutant in enumerate(MUTANTS):
+            tree = Path(tmp) / f"mutant{i}"
+            copy_tree(tree)
+            why = apply(tree, mutant)
+            if why is None:
+                status = run_tests(tree, mutant.tests)
+                if status != 1:
+                    why = f"survived: the named tests exit {status}"
+            shutil.rmtree(tree)
+            if why is None:
+                print(f"killed  {mutant.name}")
+            else:
+                failures += 1
+                print(f"FAIL    {mutant.name}: {why}")
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -582,7 +582,7 @@ def test_pending_node_rejects_bad_port_like_run(port):
 
 class CountingPolicy:
     """Wraps a policy and counts, over every run state it starts, the records
-    fed and the next-action questions asked.  Test helper."""
+    fed and the next-action re-reads asked.  Test helper."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -600,22 +600,34 @@ class _CountingRun:
 
     def observe(self, rec):
         self.counts.observed += 1
-        self.state.observe(rec)
+        return self.state.observe(rec)
 
     def next_action(self):
         self.counts.asked += 1
         return self.state.next_action()
 
 
-def test_policy_asked_once_per_step():
-    # the cursor keeps the policy's answer until the next record, so neither
-    # the per-step rewrite nor the prefix replays ask twice for one step
+def test_policy_asked_once_per_step(monkeypatch):
+    # the policy answers through observe's return value: each record a
+    # cursor starts from or appends is fed once, in the per-step rewrite and
+    # in every fresh prefix replay alike, and next_action is never called
+    cursors = []
+    init = ReplayCursor.__init__
+
+    def tracked(cursor, *args, **kwargs):
+        init(cursor, *args, **kwargs)
+        cursors.append(cursor)
+
+    monkeypatch.setattr(ReplayCursor, "__init__", tracked)
     g, _ = build_family_graph(FamilyParams(10, 16, 6))
     policy = CountingPolicy(cautious())
     _, audit = graph_modification(g, ALPHA, policy, 1)
-    assert audit.stages
-    assert 0 < policy.asked <= policy.observed
+    assert audit.stages and audit.prefix_ok and len(cursors) == 2
+    assert policy.observed == sum(len(c.memory) for c in cursors)
+    assert policy.asked == 0
+    cursors.clear()
     policy = CountingPolicy(cautious())
     run = adversary_behavior(6, ALPHA, policy, 16, seed=0)
-    assert run.prefix_checks > 0
-    assert run.step_count < policy.asked <= policy.observed
+    assert run.prefix_checks > 0 and len(cursors) == run.prefix_checks + 1
+    assert policy.observed == sum(len(c.memory) for c in cursors)
+    assert policy.asked == 0

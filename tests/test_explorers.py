@@ -149,14 +149,15 @@ def test_policies_are_pure_functions_of_memory(name):
     inst = Instance(graph=g, source=0, alpha=Fraction(1))
     policy = make_policy(name, inst.alpha, inst.ecc)
     trace, _ = execute(inst, policy)
-    # replay every prefix into a fresh run state: the next action must match
-    for cut in range(trace.steps):
+    # replay every prefix into a fresh run state: the answer observe gives to
+    # its last record, re-read twice by next_action, is the next record's
+    # out-port, and None after the whole memory
+    outs = [rec.out_port for rec in trace.memory[1:]] + [None]
+    for cut, out_port in enumerate(outs):
         fresh = policy.start()
         for rec in trace.memory[: cut + 1]:
-            fresh.observe(rec)
-        action = fresh.next_action()
-        assert action == fresh.next_action()  # idempotent
-        assert action == trace.memory[cut + 1].out_port
+            answer = fresh.observe(rec)
+        assert answer == fresh.next_action() == fresh.next_action() == out_port
 
 
 def test_cautious_never_probes_beyond_cap():

@@ -446,8 +446,9 @@ def test_bad_port_message_through_run(path3, port):
 
 
 def test_run_returns_whether_the_policy_halted(path3):
-    # a run that takes its whole limit returns False without asking again;
-    # one that meets a halt returns True, and a commit after it raises
+    # a run returns whether the policy's last answer is a halt, known after
+    # the step that ends the run too; a commit after a halt raises
+    assert ReplayCursor(path3, ScriptPolicy([0, 0, 1]), source=1).run(3) is True
     cursor = ReplayCursor(path3, ScriptPolicy([0, 0, 1]), source=1)
     assert cursor.run(0) is False and cursor.steps == 0
     assert cursor.run(2) is False and cursor.steps == 2
