@@ -142,108 +142,109 @@ def _first_unexplored_green(cursor: ReplayCursor, meta: FamilyMeta, layer: int, 
     return None
 
 
-def _apply(cursor: ReplayCursor, audit: StepAudit, op: str, args: tuple, result: SurgeryResult) -> bool:
+def _apply(
+    cursor: ReplayCursor, audit: StepAudit, op: str, args: tuple, result: SurgeryResult, noop: str
+) -> bool:
+    """Record the surgery in ``audit`` and traverse its graph from now on;
+    a surgery that changed nothing is flagged ``noop`` instead.  Returns
+    whether it changed the graph."""
     audit.surgeries.append(
         SurgeryAudit(op, args, result.changed, result.reason, result.note)
     )
     if result.changed:
         cursor.replace_graph(result.graph)
+    else:
+        audit.flags.append(noop)
     return result.changed
 
 
 def _modify_step(cursor: ReplayCursor, meta: FamilyMeta, audit: StepAudit) -> None:
-    """One modification round at the cursor's current prefix.
+    """One modification round at the cursor's current prefix; the policy
+    has a port pending.
 
     Three stages, each firing only when its guards hold: repoint the pending
     port onto an unexplored edge of the descending layer; if the pending edge
     is red, move the target gadget onto an unexplored green edge so the
     pending port now descends a green edge; if the reached node has no
     unexplored edge below it, move a spare gadget to mint a fresh green edge
-    and switch the pending edge onto its endpoint, which does.
+    and switch the pending edge onto its endpoint, which does.  The pending
+    port's end is read again only after a stage that changed the graph.
     """
-    g = cursor.graph
     u = cursor.node
-    if cursor.pending_port() is None:
-        raise ParameterError("policy halts before the step being modified")
-    e = edge_key(u, cursor.pending_node())
-    levels = meta.params.levels
+    reached = cursor.pending_node()
     i = meta.level_of(u)
 
-    if cursor.first_gadget_step is not None or e in cursor.traversed or i is None or i >= levels:
+    if (
+        cursor.first_gadget_step is not None
+        or edge_key(u, reached) in cursor.traversed
+        or i is None
+        or i >= meta.params.levels
+    ):
         return
 
     # repoint the pending port onto the descending layer when it aims
     # elsewhere; the pending edge is unexplored, so it descends exactly when
     # its end is a candidate
     candidates = _unexplored_layer_neighbors(cursor, meta, u)
-    if candidates and cursor.pending_node() not in candidates:
-        target = min(candidates)
+    if candidates and reached not in candidates:
         pending = cursor.pending_port()
-        new_port = g.port_of(u, target)
-        res = switch_ports(g, u, pending, new_port)
+        new_port = cursor.graph.port_of(u, min(candidates))
+        res = switch_ports(cursor.graph, u, pending, new_port)
         audit.stages.append(STAGE_DIVERT_PORT)
-        if not _apply(cursor, audit, "switch-ports", (u, pending, new_port), res):
-            audit.flags.append("divert-port-noop")
-        g = cursor.graph
-        e = edge_key(u, cursor.pending_node())
+        if _apply(cursor, audit, "switch-ports", (u, pending, new_port), res, "divert-port-noop"):
+            reached = cursor.pending_node()
 
     # a pending red edge: move its gadget onto an unexplored green edge of the
     # same layer, which turns the pending port into a green descent
-    gadget = cursor.pending_node()
-    if meta.is_gadget(gadget):
-        green = _first_unexplored_green(cursor, meta, meta.gadget_layer(gadget))
+    if meta.is_gadget(reached):
+        green = _first_unexplored_green(cursor, meta, meta.gadget_layer(reached))
         if green:
             audit.stages.append(STAGE_DIVERT_GADGET)
-            res = move_gadget(g, meta, green, gadget)
-            if not _apply(cursor, audit, "move-gadget", (green, gadget), res):
-                audit.flags.append("divert-gadget-noop")
-            g = cursor.graph
-            e = edge_key(u, cursor.pending_node())
+            res = move_gadget(cursor.graph, meta, green, reached)
+            if _apply(cursor, audit, "move-gadget", (green, reached), res, "divert-gadget-noop"):
+                reached = cursor.pending_node()
 
-    reached = cursor.pending_node()
     if (
-        i < levels - 1
+        i < meta.params.levels - 1
         and meta.level_of(reached) == i + 1
         and not _unexplored_layer_neighbors(cursor, meta, reached)
     ):
         audit.stages.append(STAGE_REROUTE)
         blocked = {u, reached}
         for x in (u, reached):
-            for y in g.neighbors(x):
+            for y in cursor.graph.neighbors(x):
                 if meta.is_gadget(y) and meta.gadget_layer(y) == i:
                     blocked.add(y)
         # the first gadget of the layer, in label order, whose two level
         # nodes have no blocked neighbour and whose level-(i+1) node still
         # has an unexplored edge below it
         for gadget in meta._layer_gadgets(i):
-            pair = meta.gadget_level_pair(g, gadget)
+            pair = meta.gadget_level_pair(cursor.graph, gadget)
             if (
                 pair is None
-                or not blocked.isdisjoint(g.neighbors(pair[0]))
-                or not blocked.isdisjoint(g.neighbors(pair[1]))
+                or not blocked.isdisjoint(cursor.graph.neighbors(pair[0]))
+                or not blocked.isdisjoint(cursor.graph.neighbors(pair[1]))
                 or not _unexplored_layer_neighbors(cursor, meta, pair[1])
             ):
                 continue
             # besides the pending edge, two specific green edges would make
             # the follow-up switch collide with a gadget next to the pending
             # edge; skip them
-            banned = {e, edge_key(u, pair[1]), edge_key(pair[0], reached)}
+            banned = {edge_key(u, reached), edge_key(u, pair[1]), edge_key(pair[0], reached)}
             h = _first_unexplored_green(cursor, meta, i, banned)
             if h:
                 break
         else:
             return
         lo, hi = pair
-        res = move_gadget(g, meta, h, gadget)
-        if not _apply(cursor, audit, "move-gadget", (h, gadget), res):
-            audit.flags.append("reroute-move-noop")
+        res = move_gadget(cursor.graph, meta, h, gadget)
+        if not _apply(cursor, audit, "move-gadget", (h, gadget), res, "reroute-move-noop"):
             return
-        g = cursor.graph
-        p_reached = g.port_of(reached, u)
-        p_hi = g.port_of(hi, lo)
-        res = switch_edges(g, meta, reached, hi, p_reached, p_hi)
-        if not _apply(cursor, audit, "switch-edges", (reached, hi, p_reached, p_hi), res):
-            audit.flags.append("reroute-switch-noop")
+        p_reached = cursor.graph.port_of(reached, u)
+        p_hi = cursor.graph.port_of(hi, lo)
+        res = switch_edges(cursor.graph, meta, reached, hi, p_reached, p_hi)
+        args = (reached, hi, p_reached, p_hi)
+        _apply(cursor, audit, "switch-edges", args, res, "reroute-switch-noop")
 
 
 def _replay_agrees(policy, graph: LabeledGraph, records, t: int) -> bool:
@@ -256,13 +257,12 @@ def _replay_agrees(policy, graph: LabeledGraph, records, t: int) -> bool:
     return not fresh.run(t) and fresh.memory == records[: t + 1]
 
 
-def _rewrite(
-    cursor: ReplayCursor, meta: FamilyMeta, ledger: _FamilyLedger | None, step: int
-) -> StepAudit:
-    """Rewrite the graph ahead of traversal ``step``; after a change, check
-    family membership (through ``ledger``) and, by a fresh replay, the
-    memory prefix.  Either failure raises."""
+def _rewrite(cursor: ReplayCursor, meta: FamilyMeta, ledger: _FamilyLedger | None) -> StepAudit:
+    """Rewrite the graph ahead of the cursor's next traversal, whose port is
+    pending; after a change, check family membership (through ``ledger``)
+    and, by a fresh replay, the memory prefix.  Either failure raises."""
     before = cursor.graph
+    step = cursor.steps + 1
     audit = StepAudit(step=step)
     _modify_step(cursor, meta, audit)
     audit.changed = cursor.graph is not before
@@ -270,21 +270,18 @@ def _rewrite(
         report = validate_family_membership(cursor.graph, meta.params, ledger=ledger)
         if not report.ok:
             raise InvariantViolation(f"family membership broken at step {step}: {report.codes()}")
-        audit.prefix_ok = _replay_agrees(cursor.policy, cursor.graph, cursor.memory, step - 1)
+        audit.prefix_ok = _replay_agrees(cursor.policy, cursor.graph, cursor.memory, cursor.steps)
         if not audit.prefix_ok:
             raise InvariantViolation(f"memory prefix not preserved at step {step}")
     return audit
 
 
 def _step(
-    cursor: ReplayCursor,
-    meta: FamilyMeta,
-    ledger: _FamilyLedger,
-    explored_green: dict[int, int],
-    step: int,
+    cursor: ReplayCursor, meta: FamilyMeta, ledger: _FamilyLedger, explored_green: dict[int, int]
 ) -> StepAudit:
-    """Rewrite ahead of traversal ``step``, take it, count a new green edge
-    in ``explored_green`` (by layer), and run the behavioral monitors.  Both
+    """Rewrite ahead of the cursor's pending traversal, take it, count a new
+    green edge in ``explored_green`` (by layer), and run the behavioral
+    monitors; the audit carries the traversal's number.  The monitors
     need the agent at a level node before its first gadget visit:
     ``early-gadget``, with green edges left in every layer, flags a step to
     a gadget; ``dichotomy``, with an unexplored layer edge below the agent
@@ -301,7 +298,7 @@ def _step(
         and all(n <= p.greens_per_layer // 2 for n in explored_green.values())
     )
 
-    audit = _rewrite(cursor, meta, ledger, step)
+    audit = _rewrite(cursor, meta, ledger)
     e = edge_key(u, cursor.pending_node())
     was_seen = e in cursor.traversed
     cursor.commit()
@@ -365,8 +362,6 @@ def adversary_behavior(
     it has not explored: the first red edge explored and the first gadget
     visit are the same step.
     """
-    if ecc < 6:
-        raise ParameterError(f"ecc must be >= 6, got {ecc}")
     if width < 16 or width % 16 != 0:
         raise ParameterError(f"width must be a positive multiple of 16, got {width}")
     params = FamilyParams(family_levels(ecc, alpha), width, ecc)
@@ -381,7 +376,7 @@ def adversary_behavior(
     while cursor.first_gadget_step is None and cursor.pending_port() is not None:
         if cursor.steps >= max_steps:
             raise BudgetError(f"adversary exceeded {max_steps} steps", trace=cursor.as_trace())
-        audit = _step(cursor, meta, ledger, explored_green, cursor.steps + 1)
+        audit = _step(cursor, meta, ledger, explored_green)
         if audit.stages or audit.flags:
             audits.append(audit)
 

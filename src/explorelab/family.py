@@ -505,11 +505,6 @@ class LollipopParams:
     def clique_size(self) -> int:
         return self.order - (self.ecc - 1)
 
-    @property
-    def edge_total(self) -> int:
-        c = self.clique_size
-        return c * (c - 1) // 2 + (self.ecc - 1)
-
 
 def build_lollipop(params: LollipopParams, seed: int = 0) -> tuple[LabeledGraph, int]:
     """Deterministically construct a lollipop graph; returns (graph, source).

@@ -100,6 +100,54 @@ MUTANTS = (
         "        row = self.graph._ports[self.node]\n",
         ("tests/test_adversary.py::test_pending_node_rejects_bad_port_like_run",),
     ),
+    Mutant(
+        "the distance row drops its k^2 gate",
+        "src/explorelab/experiments.py",
+        "        if pen_gadget < k * k:\n"
+        '            failures.append(f"penalty before gadget {pen_gadget} < k^2 = {k * k}")\n',
+        "",
+        ("tests/test_experiments.py::test_distance_row_fails_a_policy_below_both_bounds",),
+    ),
+    Mutant(
+        "the distance row drops its merged-order gate",
+        "src/explorelab/experiments.py",
+        '        if merge_info and merge_info["penalty_before_gadget_merged"] < math.ceil(thm1):\n',
+        "        if False:\n",
+        ("tests/test_experiments.py::test_distance_row_fails_a_policy_below_both_bounds",),
+    ),
+    Mutant(
+        "the adversary step drops its prefix gate",
+        "src/explorelab/adversary.py",
+        "        if not audit.prefix_ok:\n"
+        '            raise InvariantViolation(f"memory prefix not preserved at step {step}")\n',
+        "",
+        (
+            "tests/test_adversary.py"
+            "::test_adversary_refuses_a_replay_that_departs_from_the_prefix",
+        ),
+    ),
+    Mutant(
+        "the adversary step drops its membership gate",
+        "src/explorelab/adversary.py",
+        '            raise InvariantViolation(f"family membership broken at step {step}: '
+        '{report.codes()}")\n',
+        "            pass\n",
+        ("tests/test_ledger.py::test_surgery_with_a_lying_touched_list_is_caught",),
+    ),
+    Mutant(
+        "the merge check skips its first-gadget-step comparison",
+        "src/explorelab/merge.py",
+        "    if trace2.first_gadget_step != t:\n",
+        "    if False:\n",
+        ("tests/test_merge.py::test_merge_behavior_matches_the_five_comparisons",),
+    ),
+    Mutant(
+        "the merge check skips its memory-prefix comparison",
+        "src/explorelab/merge.py",
+        "        if trace.memory[i] != trace2.memory[i]:\n",
+        "        if False:\n",
+        ("tests/test_merge.py::test_merge_behavior_matches_the_five_comparisons",),
+    ),
 )
 
 

@@ -488,7 +488,7 @@ def naive_adversary_behavior(ecc, alpha, policy, width, *, seed=0, max_steps=Non
         x += 1
         if x > max_steps:
             raise BudgetError(f"adversary exceeded {max_steps} steps", trace=cursor.as_trace())
-        audit = _step(cursor, meta, ledger, explored_green, x)
+        audit = _step(cursor, meta, ledger, explored_green)
         flags += [(x, f) for f in audit.flags]
         changed += audit.changed
         if audit.stages or audit.flags:
@@ -616,7 +616,7 @@ def graph_modification(
     cursor = ReplayCursor(graph, policy, source=0, gadgets=meta.gadget_labels)
     if cursor.run(t):
         raise ParameterError(f"policy halted before step {t + 1}")
-    audit = _rewrite(cursor, meta, None, t + 1)
+    audit = _rewrite(cursor, meta, None)
     return cursor.graph, audit
 
 

@@ -8,6 +8,7 @@ from explorelab import (
     BudgetError,
     FamilyParams,
     Instance,
+    InvariantViolation,
     ParameterError,
     PolicyError,
     adversary_behavior,
@@ -136,12 +137,52 @@ def test_prefix_differs_after_relabeling():
     assert not _replay_agrees(cautious(), g2, memory, 30)
 
 
+class DriftingPolicy:
+    """cautious-bfs, except that every run after the first leaves the source
+    by the next port up: not a pure function of its memory.  Test helper."""
+
+    def __init__(self):
+        self.inner = cautious()
+        self.starts = 0
+
+    def start(self):
+        self.starts += 1
+        return _DriftingRun(self.inner.start(), self.starts > 1)
+
+
+class _DriftingRun:
+    def __init__(self, state, drift):
+        self.state = state
+        self.drift = drift
+
+    def observe(self, rec):
+        port = self.state.observe(rec)
+        return port + 1 if self.drift and rec.out_port == -1 else port
+
+
+def test_adversary_refuses_a_replay_that_departs_from_the_prefix():
+    # the adversary's own run is cautious-bfs, but the fresh replay after its
+    # first change leaves the source elsewhere; the per-step prefix gate stops
+    # the run there instead of carrying on to the halt
+    with pytest.raises(InvariantViolation, match="^memory prefix not preserved at step 2$"):
+        adversary_behavior(6, ALPHA, DriftingPolicy(), 16, seed=0)
+
+
 # -- the full adversary -------------------------------------------------------------
 
 
 def test_adversary_rejects_bad_width():
     with pytest.raises(ParameterError):
         adversary_behavior(6, ALPHA, cautious(), 24)
+
+
+def test_adversary_rejects_a_short_tail():
+    # the family's parameters refuse ecc 5; with a bad width too, the width
+    # is checked first
+    with pytest.raises(ParameterError, match="^ecc must be >= 6, got 5$"):
+        adversary_behavior(5, ALPHA, cautious(), 16)
+    with pytest.raises(ParameterError, match="^width must be a positive multiple of 16, got 0$"):
+        adversary_behavior(5, ALPHA, cautious(), 0)
 
 
 def test_adversary_final_graph_in_family(k1_run):

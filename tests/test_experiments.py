@@ -84,6 +84,16 @@ def test_distance_row_gates_the_final_replay(monkeypatch):
         run_distance_experiment(ExperimentConfig("distance", (1,), 6, Fraction(1, 2)))
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_distance_row_fails_a_policy_below_both_bounds(seed):
+    # dfs reaches a gadget at k = 2 without paying any penalty first, on the
+    # adversary's graph and on its merge alike: the row names both bounds
+    cfg = ExperimentConfig("distance", (2,), 6, Fraction(1, 2), "dfs", seed=seed)
+    _, report = run_distance_experiment(cfg)
+    assert "k=2: penalty before gadget 0 < k^2 = 4" in report["failures"]
+    assert "k=2: merged penalty 0 < ceil(thm1 bound) = 2" in report["failures"]
+
+
 def _rows():
     return [
         ExperimentRow(2, 2341, 341, 64, 4, Fraction(1039, 1009), 2184, 0, 0.0),

@@ -50,6 +50,12 @@ def test_instance_rejects_bad_source(path3):
         Instance(graph=path3, source=9, alpha=Fraction(1))
 
 
+@pytest.mark.parametrize("alpha", [Fraction(0), Fraction(-1, 2)])
+def test_instance_rejects_non_positive_alpha(path3, alpha):
+    with pytest.raises(ParameterError, match=f"^alpha must be positive, got {alpha}$"):
+        Instance(graph=path3, source=1, alpha=alpha)
+
+
 def test_cursor_rejects_bad_source(path3):
     with pytest.raises(ParameterError) as err:
         ReplayCursor(path3, ScriptPolicy([]), source=5)
@@ -61,6 +67,10 @@ def test_execute_rejects_a_monitor_name_as_string(path3):
     with pytest.raises(ParameterError) as err:
         execute(inst, ScriptPolicy([]), monitors="distance")
     assert str(err.value) == "monitors='distance': pass a collection of monitor names"
+    # the CLI refuses an unknown name when it parses it; a library caller
+    # meets this check
+    with pytest.raises(ParameterError, match="^unknown monitor 'bogus'$"):
+        execute(inst, ScriptPolicy([]), monitors=("bogus",))
 
 
 def test_execute_reads_monitor_names_from_an_iterator():
