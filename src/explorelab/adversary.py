@@ -25,7 +25,7 @@ until it halts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetError, InvariantViolation, ParameterError
@@ -55,13 +55,7 @@ class SurgeryAudit:
     note: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "op": self.op,
-            "args": list(self.args),
-            "changed": self.changed,
-            "reason": self.reason,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -74,14 +68,7 @@ class StepAudit:
     flags: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "stages": self.stages,
-            "surgeries": [s.to_dict() for s in self.surgeries],
-            "changed": self.changed,
-            "prefix_ok": self.prefix_ok,
-            "flags": self.flags,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -158,9 +145,10 @@ def _apply(
     return result.changed
 
 
-def _modify_step(cursor: ReplayCursor, meta: FamilyMeta, audit: StepAudit) -> None:
+def _modify_step(cursor: ReplayCursor, meta: FamilyMeta, audit: StepAudit) -> int:
     """One modification round at the cursor's current prefix; the policy
-    has a port pending.
+    has a port pending.  Returns the node the pending port reaches after the
+    round.
 
     Three stages, each firing only when its guards hold: repoint the pending
     port onto an unexplored edge of the descending layer; if the pending edge
@@ -180,7 +168,7 @@ def _modify_step(cursor: ReplayCursor, meta: FamilyMeta, audit: StepAudit) -> No
         or i is None
         or i >= meta.params.levels
     ):
-        return
+        return reached
 
     # repoint the pending port onto the descending layer when it aims
     # elsewhere; the pending edge is unexplored, so it descends exactly when
@@ -235,16 +223,18 @@ def _modify_step(cursor: ReplayCursor, meta: FamilyMeta, audit: StepAudit) -> No
             if h:
                 break
         else:
-            return
+            return reached
         lo, hi = pair
         res = move_gadget(cursor.graph, meta, h, gadget)
         if not _apply(cursor, audit, "move-gadget", (h, gadget), res, "reroute-move-noop"):
-            return
+            return reached
         p_reached = cursor.graph.port_of(reached, u)
         p_hi = cursor.graph.port_of(hi, lo)
         res = switch_edges(cursor.graph, meta, reached, hi, p_reached, p_hi)
         args = (reached, hi, p_reached, p_hi)
-        _apply(cursor, audit, "switch-edges", args, res, "reroute-switch-noop")
+        if _apply(cursor, audit, "switch-edges", args, res, "reroute-switch-noop"):
+            reached = cursor.pending_node()
+    return reached
 
 
 def _replay_agrees(policy, graph: LabeledGraph, records, t: int) -> bool:
@@ -257,14 +247,17 @@ def _replay_agrees(policy, graph: LabeledGraph, records, t: int) -> bool:
     return not fresh.run(t) and fresh.memory == records[: t + 1]
 
 
-def _rewrite(cursor: ReplayCursor, meta: FamilyMeta, ledger: _FamilyLedger | None) -> StepAudit:
+def _rewrite(
+    cursor: ReplayCursor, meta: FamilyMeta, ledger: _FamilyLedger | None
+) -> tuple[StepAudit, int]:
     """Rewrite the graph ahead of the cursor's next traversal, whose port is
     pending; after a change, check family membership (through ``ledger``)
-    and, by a fresh replay, the memory prefix.  Either failure raises."""
+    and, by a fresh replay, the memory prefix.  Either failure raises.
+    Returns the step's audit and the node the pending port then reaches."""
     before = cursor.graph
     step = cursor.steps + 1
     audit = StepAudit(step=step)
-    _modify_step(cursor, meta, audit)
+    reached = _modify_step(cursor, meta, audit)
     audit.changed = cursor.graph is not before
     if audit.changed:
         report = validate_family_membership(cursor.graph, meta.params, ledger=ledger)
@@ -273,7 +266,7 @@ def _rewrite(cursor: ReplayCursor, meta: FamilyMeta, ledger: _FamilyLedger | Non
         audit.prefix_ok = _replay_agrees(cursor.policy, cursor.graph, cursor.memory, cursor.steps)
         if not audit.prefix_ok:
             raise InvariantViolation(f"memory prefix not preserved at step {step}")
-    return audit
+    return audit, reached
 
 
 def _step(
@@ -298,8 +291,8 @@ def _step(
         and all(n <= p.greens_per_layer // 2 for n in explored_green.values())
     )
 
-    audit = _rewrite(cursor, meta, ledger)
-    e = edge_key(u, cursor.pending_node())
+    audit, reached = _rewrite(cursor, meta, ledger)
+    e = edge_key(u, reached)
     was_seen = e in cursor.traversed
     cursor.commit()
     if not was_seen:
@@ -307,7 +300,6 @@ def _step(
         if layer is not None:
             explored_green[layer] += 1
 
-    reached = cursor.node
     if avoid_hyp and meta.is_gadget(reached):
         audit.flags.append("early-gadget")
     if descent_hyp and not was_seen:

@@ -235,16 +235,19 @@ class _PlannedRun:
     Replanning happens inside ``observe``, at points fully determined by the
     record stream (a new edge appeared, or the plan ran out), so the whole
     state is a pure function of the records and ``next_action`` is a pure
-    read of ``observe``'s answer.  A subclass gives only :meth:`_within`,
-    the bound of each new plan: with one, the walk to the closest frontier
-    node within it and the probe of that node's smallest unexplored port,
-    or a halt when there is none; with None, the walk home.
+    read of ``observe``'s answer.  The run takes the bound of each new plan
+    when it starts: ``from_source`` for plans from the source, ``elsewhere``
+    for the others.  With a bound, the plan walks to the closest frontier
+    node within it and probes that node's smallest unexplored port, or the
+    run halts when there is none; with None, the plan walks home.
     """
 
-    def __init__(self):
+    def __init__(self, from_source: int | None, elsewhere: int | None):
         self.view = ExploredView()
         self.plan: list[int] | None = []
         self.pos = 0
+        self.from_source = from_source
+        self.elsewhere = elsewhere
 
     def observe(self, rec: MemoryRecord) -> int | None:
         """Feed one record; returns the next port, or None to halt."""
@@ -260,7 +263,7 @@ class _PlannedRun:
             self.pos = pos
             return plan[pos]
         self.pos = 0
-        within = self._within()
+        within = self.from_source if view.cur == view.source else self.elsewhere
         hit = view.plan_to(within)
         if hit is None:
             self.plan = None
@@ -270,9 +273,6 @@ class _PlannedRun:
             plan.append(view.smallest_unexplored_port(target))
         self.plan = plan
         return plan[0]
-
-    def _within(self) -> int | None:
-        raise NotImplementedError
 
     def next_action(self) -> int | None:
         plan, pos = self.plan, self.pos
@@ -308,23 +308,20 @@ class CautiousBfsPolicy:
         self.cap_floor = cap.numerator // cap.denominator
 
     def start(self):
-        return _CautiousRun(self.cap_floor)
+        within = self.cap_floor - 1
+        return _CautiousRun(within, within)
 
 
 class _CautiousRun(_PlannedRun):
-    def __init__(self, cap_floor: int):
-        super().__init__()
-        self.cap_floor = cap_floor
-
-    def _within(self) -> int:
-        return self.cap_floor - 1
+    """Every plan probes below the return cap, from the source or not."""
 
 
 class DfsPolicy:
-    """Depth-first baseline: depart through the smallest port not yet used
-    for departure, keeping the first-entry port for last; halts back at the
-    source once every port is spent.  Traverses each edge once per direction,
-    so a connected graph costs exactly 2|E| moves.  Ignores all constraints.
+    """Depth-first baseline: each node departs through its ports in
+    ascending order, skipping its first-entry port and taking it last; halts
+    back at the source once every port is spent.  Traverses each edge once
+    per direction, so a connected graph costs exactly 2|E| moves.  Ignores
+    all constraints.
     """
 
     def start(self):
@@ -332,39 +329,42 @@ class DfsPolicy:
 
 
 class _DfsRun:
-    """``low[v]`` is the lowest port of ``v`` that may be neither departed
-    through nor the first-entry port; departures only grow, so it only
-    moves up."""
+    """A node departs through its ports in ascending order, its first-entry
+    port skipped and taken last, so one pointer per node says which are
+    spent and no set of departed ports is kept: ``low[v]`` is one past the
+    port ``v`` last departed through, and past ``v``'s degree once the entry
+    port is taken.  ``next_action`` is a pure read of ``low[v]`` and the
+    entry port: ``low[v]``, or the port above it when that is the entry
+    port, then the entry port once the others are spent."""
 
     def __init__(self):
         self.cur: int | None = None
         self.degree: dict[int, int] = {}
         self.first_entry: dict[int, int | None] = {}
-        self.departed: dict[int, set[int]] = {}
         self.low: dict[int, int] = {}
 
     def observe(self, rec: MemoryRecord) -> int | None:
         label, degree, out_port, in_port = rec
         if out_port != -1:
-            self.departed[self.cur].add(out_port)
+            prev = self.cur
+            self.low[prev] = (
+                self.degree[prev] + 1 if out_port == self.first_entry[prev] else out_port + 1
+            )
         if label not in self.degree:  # the first visit; only the source's has no entry port
             self.first_entry[label] = None if out_port == -1 else in_port
             self.degree[label] = degree
-            self.departed[label] = set()
             self.low[label] = 0
         self.cur = label
         return self.next_action()
 
     def next_action(self) -> int | None:
         cur = self.cur
-        used, entry, deg = self.departed[cur], self.first_entry[cur], self.degree[cur]
-        p = self.low[cur]
-        while p < deg and (p in used or p == entry):
+        p, entry, deg = self.low[cur], self.first_entry[cur], self.degree[cur]
+        if p == entry:
             p += 1
-        self.low[cur] = p
         if p < deg:
             return p
-        return entry if entry is not None and entry not in used else None
+        return entry if p == deg else None
 
 
 class FuelCautiousPolicy:
@@ -384,19 +384,13 @@ class FuelCautiousPolicy:
         self.tank_floor = tank.numerator // tank.denominator
 
     def start(self):
-        return _FuelRun(self.tank_floor)
+        # for an integer d, 2d + 2 <= tank_floor iff d <= (tank_floor - 2) // 2
+        return _FuelRun((self.tank_floor - 2) // 2, None)
 
 
 class _FuelRun(_PlannedRun):
-    def __init__(self, tank_floor: int):
-        super().__init__()
-        self.tank_floor = tank_floor
-
-    def _within(self) -> int | None:
-        if self.view.cur == self.view.source:
-            # for an integer d, 2d + 2 <= tank_floor iff d <= (tank_floor - 2) // 2
-            return (self.tank_floor - 2) // 2
-        return None
+    """Plans from the source probe within the tank's reach; every other
+    plan walks home."""
 
 
 POLICY_NAMES = ("cautious-bfs", "dfs", "fuel-cautious")

@@ -16,7 +16,7 @@ run, so that monitors can observe what an incorrect policy would have done.
 from __future__ import annotations
 
 from collections.abc import Container
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -102,12 +102,7 @@ class RunReport:
         return [v for v in self.violations if v["kind"] == kind]
 
     def to_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "penalty": self.penalty,
-            "complete": self.complete,
-            "violations": self.violations,
-        }
+        return asdict(self)
 
 
 class ExploredDistances:

@@ -116,6 +116,30 @@ MUTANTS = (
         ("tests/test_experiments.py::test_distance_row_fails_a_policy_below_both_bounds",),
     ),
     Mutant(
+        "the distance row drops its monitor-violation gate",
+        "src/explorelab/experiments.py",
+        "    if report.violations:\n"
+        '        failures.append(f"{len(report.violations)} monitor violations'
+        ' in the final replay")\n',
+        "",
+        ("tests/test_experiments.py::test_distance_row_fails_a_policy_below_both_bounds",),
+    ),
+    Mutant(
+        "the distance row drops its behavioral-flag gate",
+        "src/explorelab/experiments.py",
+        "    if run.flags:\n"
+        '        failures.append(f"adversary behavioral flags: {run.flags[:4]}")\n',
+        "",
+        ("tests/test_experiments.py::test_distance_row_fails_a_policy_below_both_bounds",),
+    ),
+    Mutant(
+        "the fuel row drops its fuel-violation gate",
+        "src/explorelab/experiments.py",
+        '    if report.violations_of("fuel"):\n        failures.append("fuel violations")\n',
+        "",
+        ("tests/test_experiments.py::test_fuel_row_fails_a_policy_that_runs_dry",),
+    ),
+    Mutant(
         "the adversary step drops its prefix gate",
         "src/explorelab/adversary.py",
         "        if not audit.prefix_ok:\n"
@@ -133,6 +157,40 @@ MUTANTS = (
         '{report.codes()}")\n',
         "            pass\n",
         ("tests/test_ledger.py::test_surgery_with_a_lying_touched_list_is_caught",),
+    ),
+    Mutant(
+        "the adversary step never raises its dichotomy flag",
+        "src/explorelab/adversary.py",
+        '            audit.flags.append("dichotomy")\n',
+        "            pass\n",
+        ("tests/test_experiments.py::test_distance_row_fails_a_policy_below_both_bounds",),
+    ),
+    Mutant(
+        "the adversary step never raises its early-gadget flag",
+        "src/explorelab/adversary.py",
+        '        audit.flags.append("early-gadget")\n',
+        "        pass\n",
+        ("tests/test_experiments.py::test_distance_row_fails_a_policy_below_both_bounds",),
+    ),
+    Mutant(
+        "the DFS run takes its entry port in ascending order, before the ports above it",
+        "src/explorelab/explorers.py",
+        "        if p == entry:\n            p += 1\n",
+        "",
+        (
+            "tests/test_explorers.py::test_port_pointers_match_port_scans",
+            "tests/test_explorers.py::test_port_pointers_match_port_scans_on_any_walk",
+        ),
+    ),
+    Mutant(
+        "the DFS run does not advance its pointer past a departed port",
+        "src/explorelab/explorers.py",
+        " else out_port + 1\n",
+        " else out_port\n",
+        (
+            "tests/test_explorers.py::test_port_pointers_match_port_scans",
+            "tests/test_explorers.py::test_port_pointers_match_port_scans_on_any_walk",
+        ),
     ),
     Mutant(
         "the merge check skips its first-gadget-step comparison",

@@ -366,21 +366,25 @@ def naive_view_distances(view):
     return naive_distances(adj, view.source)
 
 
-def naive_dfs_next_action(run):
-    """Scan of the current node's ports for the smallest one not yet departed
-    through, keeping the first-entry port for last: the slow counterpart of
-    the DFS policy's ``next_action``."""
-    used = run.departed[run.cur]
-    entry = run.first_entry[run.cur]
-    fallback = None
-    for p in range(run.degree[run.cur]):
-        if p in used:
-            continue
-        if p == entry:
-            fallback = p
-            continue
-        return p
-    return fallback
+def naive_dfs_next_action(records):
+    """The DFS policy's next port after ``records``, read off the records
+    alone: the current node lists its ports ascending, its first-entry port
+    moved to the end, and the next port follows the one the node last
+    departed through in that list (the first one before any departure,
+    None after the last).  On the policy's own runs that is the smallest
+    port not yet departed through, the entry port kept for last.  The slow
+    counterpart of the DFS run state's ``next_action``."""
+    cur = records[-1].label
+    first = next(i for i, rec in enumerate(records) if rec.label == cur)
+    entry = records[first].in_port if first else None
+    order = [p for p in range(records[first].degree) if p != entry]
+    if entry is not None:
+        order.append(entry)
+    departed = [
+        rec.out_port for prev, rec in zip(records, records[1:]) if prev.label == cur
+    ]
+    i = order.index(departed[-1]) + 1 if departed else 0
+    return order[i] if i < len(order) else None
 
 
 def naive_fuel_violations(memory, source, tank):
@@ -616,7 +620,7 @@ def graph_modification(
     cursor = ReplayCursor(graph, policy, source=0, gadgets=meta.gadget_labels)
     if cursor.run(t):
         raise ParameterError(f"policy halted before step {t + 1}")
-    audit = _rewrite(cursor, meta, None)
+    audit, _ = _rewrite(cursor, meta, None)
     return cursor.graph, audit
 
 

@@ -354,9 +354,9 @@ def test_reroute_stage_fires_and_reroutes():
         "step": 16,
         "stages": ["reroute"],
         "surgeries": [
-            {"op": "move-gadget", "args": [(15, 17), 163], "changed": True,
+            {"op": "move-gadget", "args": ((15, 17), 163), "changed": True,
              "reason": None, "note": None},
-            {"op": "switch-edges", "args": [31, 19, 0, 1], "changed": True,
+            {"op": "switch-edges", "args": (31, 19, 0, 1), "changed": True,
              "reason": None, "note": None},
         ],
         "changed": True,

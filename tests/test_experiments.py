@@ -86,12 +86,27 @@ def test_distance_row_gates_the_final_replay(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_distance_row_fails_a_policy_below_both_bounds(seed):
-    # dfs reaches a gadget at k = 2 without paying any penalty first, on the
-    # adversary's graph and on its merge alike: the row names both bounds
+    # dfs oversteps the distance cap, trips both behavioural monitors and
+    # reaches a gadget at k = 2 without paying any penalty first, on the
+    # adversary's graph and on its merge alike: the row lists all four
     cfg = ExperimentConfig("distance", (2,), 6, Fraction(1, 2), "dfs", seed=seed)
     _, report = run_distance_experiment(cfg)
-    assert "k=2: penalty before gadget 0 < k^2 = 4" in report["failures"]
-    assert "k=2: merged penalty 0 < ceil(thm1 bound) = 2" in report["failures"]
+    violations = {0: 11, 1: 121}[seed]
+    assert report["failures"] == [
+        f"k=2: {violations} monitor violations in the final replay",
+        "k=2: adversary behavioral flags: [(10, 'dichotomy'), (11, 'early-gadget')]",
+        "k=2: penalty before gadget 0 < k^2 = 4",
+        "k=2: merged penalty 0 < ceil(thm1 bound) = 2",
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fuel_row_fails_a_policy_that_runs_dry(seed):
+    # dfs explores the whole lollipop and pays above the bound, but never
+    # goes home to refuel
+    cfg = ExperimentConfig("fuel", (1,), 2, Fraction(1), "dfs", seed=seed)
+    _, report = run_fuel_experiment(cfg)
+    assert report["failures"] == ["k=1: fuel violations"]
 
 
 def _rows():

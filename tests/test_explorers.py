@@ -196,7 +196,7 @@ def test_port_pointers_match_port_scans(case, policy_name, monkeypatch):
     budget = 50 * g.edge_count() + 1000  # execute's default: a policy that never halts fails
     while True:
         if policy_name == "dfs":
-            assert state.next_action() == naive_dfs_next_action(state), cursor.steps
+            assert state.next_action() == naive_dfs_next_action(cursor.memory), cursor.steps
         else:
             state.view.smallest_unexplored_port(state.view.cur)
         if cursor.pending_port() is None:
@@ -487,7 +487,7 @@ def test_port_pointers_match_port_scans_on_any_walk(name, choices):
         # holds exactly the ports the records name
         assert view.adj is view.dist.adj
         assert view.adj == naive_explored_rows(records)
-        assert dfs.next_action() == naive_dfs_next_action(dfs)
+        assert dfs.next_action() == naive_dfs_next_action(records)
         for v in view.degree:
             assert view.smallest_unexplored_port(v) == naive_smallest_unexplored_port(view, v)
         assert view.dist.dist == naive_view_distances(view)
