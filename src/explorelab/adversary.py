@@ -243,7 +243,7 @@ def _replay_agrees(policy, graph: LabeledGraph, records, t: int) -> bool:
     A halt before step ``t`` counts as disagreement.  ``run`` also reports
     a halt right after step ``t``, which cannot come with agreeing records:
     the caller's policy, fed the same records, has a port pending."""
-    fresh = ReplayCursor(graph, policy, source=records[0].label)
+    fresh = ReplayCursor(graph, policy, source=records[0][0])
     return not fresh.run(t) and fresh.memory == records[: t + 1]
 
 

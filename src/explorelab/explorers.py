@@ -1,11 +1,13 @@
 """Reference deterministic exploration policies.
 
 A policy is a stateless descriptor; :meth:`start` creates the per-run state,
-which answers each memory record fed to ``observe`` with the next action (a
-port number, or None to halt); ``next_action`` re-reads it.  Run states keep
-derived structures for speed, but every decision is a pure function of the
-record sequence seen so far: replaying the same records always reproduces
-the same actions, which the test suite spot-checks.
+which answers each memory record fed to ``observe``, the plain tuple
+``(label, degree, out_port, in_port)`` described in :mod:`.runtime`, with
+the next action (a port number, or None to halt); ``next_action`` re-reads
+it.  Run states keep derived structures for speed, but every decision is a
+pure function of the record sequence seen so far: replaying the same
+records always reproduces the same actions, which the test suite
+spot-checks.
 
 Tie-breaking everywhere is lexicographic on (distance, node label, port), so
 runs are bit-reproducible.
@@ -16,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParameterError
-from .runtime import ExploredDistances, MemoryRecord
+from .runtime import ExploredDistances
 
 
 class ExploredView:
@@ -54,7 +56,7 @@ class ExploredView:
         self._tree: list[dict[int, tuple[int | None, int | None, int | None]]] = []
         self._ranked: list[int] = []
 
-    def observe(self, rec: MemoryRecord) -> bool:
+    def observe(self, rec: tuple[int, int, int, int]) -> bool:
         """Feed one record; returns whether its edge was new."""
         label, deg, out_port, in_port = rec
         degree = self.degree
@@ -249,7 +251,7 @@ class _PlannedRun:
         self.from_source = from_source
         self.elsewhere = elsewhere
 
-    def observe(self, rec: MemoryRecord) -> int | None:
+    def observe(self, rec: tuple[int, int, int, int]) -> int | None:
         """Feed one record; returns the next port, or None to halt."""
         view = self.view
         new_edge = view.observe(rec)
@@ -257,7 +259,7 @@ class _PlannedRun:
         if plan is None:
             return None
         pos, n = self.pos, len(plan)
-        if pos < n and rec.out_port != -1:
+        if pos < n and rec[2] != -1:  # the record has an out-port
             pos += 1
         if not new_edge and pos < n:
             self.pos = pos
@@ -343,7 +345,7 @@ class _DfsRun:
         self.first_entry: dict[int, int | None] = {}
         self.low: dict[int, int] = {}
 
-    def observe(self, rec: MemoryRecord) -> int | None:
+    def observe(self, rec: tuple[int, int, int, int]) -> int | None:
         label, degree, out_port, in_port = rec
         if out_port != -1:
             prev = self.cur

@@ -1,8 +1,8 @@
 """Deterministic execution of exploration policies with penalty accounting
 and distance / fuel / completion monitors.
 
-The agent model: the policy sees only the memory sequence (one 4-tuple per
-traversal) and answers each record it is fed through ``observe`` with the
+The agent model: the policy sees only the memory sequence, one record per
+traversal, and answers each record it is fed through ``observe`` with the
 next port to take, or None to halt.  The runtime owns the graph, performs
 traversals, and feeds records back.  Every traversal in the package is a
 step of :meth:`ReplayCursor.run`: ``commit`` is one such step, the
@@ -11,6 +11,13 @@ runs it to the policy's halt.  A run is judged only by
 its memory, so ``execute``'s monitors read the finished memory in one pass.
 Constraint violations are recorded in the run report and never stop the
 run, so that monitors can observe what an incorrect policy would have done.
+
+A memory record is the plain tuple ``(label, degree, out_port, in_port)``:
+the label and degree of the node reached, the port it was left through and
+the port it was entered by (both -1 in the source's record, the first).
+Readers unpack it or index it.  The cyclic garbage collector stops tracking
+an exact tuple of ints the first time it examines it (a tuple subclass
+stays tracked), so a long memory costs later collections nothing.
 """
 
 from __future__ import annotations
@@ -18,22 +25,12 @@ from __future__ import annotations
 from collections.abc import Container
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import BudgetError, InvariantViolation, ParameterError, PolicyError
 from .family import FamilyMeta
 from .graph import LabeledGraph, edge_key, eccentricity
 
 MONITOR_KINDS = ("distance", "fuel", "completion")
-
-
-class MemoryRecord(NamedTuple):
-    """What the agent learns from one traversal (ports are -1 initially)."""
-
-    label: int
-    degree: int
-    out_port: int
-    in_port: int
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,7 @@ class Trace:
     first gadget visit.  The traversed edges are derived from the memory
     on each read, so a trace keeps no copy of them."""
 
-    memory: list[MemoryRecord]
+    memory: list[tuple[int, int, int, int]]
     first_gadget_step: int | None = None
 
     @property
@@ -88,7 +85,7 @@ class Trace:
         """The edge of the i-th traversal, for ``i`` in ``1..steps``."""
         if not 0 < i < len(self.memory):
             raise ParameterError(f"traversal {i} outside 1..{self.steps}")
-        return edge_key(self.memory[i - 1].label, self.memory[i].label)
+        return edge_key(self.memory[i - 1][0], self.memory[i][0])
 
 
 @dataclass
@@ -184,7 +181,7 @@ class ReplayCursor:
         self.graph = graph
         self.policy = policy
         self.state = policy.start()
-        self.memory: list[MemoryRecord] = [MemoryRecord(source, graph.degree(source), -1, -1)]
+        self.memory = [(source, graph.degree(source), -1, -1)]
         self.traversed: set[tuple[int, int]] = set()
         self.gadgets = gadgets
         self.first_gadget_step: int | None = None
@@ -196,7 +193,7 @@ class ReplayCursor:
 
     @property
     def node(self) -> int:
-        return self.memory[-1].label
+        return self.memory[-1][0]
 
     def pending_port(self) -> int | None:
         return self._pending
@@ -243,9 +240,6 @@ class ReplayCursor:
         if rev is None:
             rev = g._reverse()
         gadgets = self.gadgets if self.first_gadget_step is None else None
-        # this is the hot path: tuple.__new__ skips the NamedTuple's
-        # Python-level __new__, and the edge key is edge_key(cur, nxt) inlined
-        record = tuple.__new__
         cur = memory[-1][0]
         port = self._pending
         for _ in range(limit):
@@ -256,8 +250,8 @@ class ReplayCursor:
                 self._pending = port
                 raise _port_error(port, cur, row)
             nxt = row[port]
-            rec = record(MemoryRecord, (nxt, len(ports[nxt]), port, rev[nxt][cur]))
-            add((cur, nxt) if cur <= nxt else (nxt, cur))
+            rec = (nxt, len(ports[nxt]), port, rev[nxt][cur])
+            add((cur, nxt) if cur <= nxt else (nxt, cur))  # edge_key(cur, nxt), inlined
             append(rec)
             if gadgets is not None and nxt in gadgets:
                 self.first_gadget_step = len(memory) - 1
@@ -267,7 +261,7 @@ class ReplayCursor:
         self._pending = port
         return port is None
 
-    def commit(self) -> MemoryRecord:
+    def commit(self) -> tuple[int, int, int, int]:
         """Traverse the policy's pending choice: one step of :meth:`run`."""
         if self._pending is None:
             raise InvariantViolation("commit requested but the policy halted")
@@ -334,7 +328,7 @@ def execute(
 
 
 def _fuel_and_distance_violations(
-    inst: Instance, memory: list[MemoryRecord], fuel_on: bool, distance_on: bool
+    inst: Instance, memory: list[tuple[int, int, int, int]], fuel_on: bool, distance_on: bool
 ) -> list[dict]:
     """The fuel and distance monitors' violations of a finished memory, in
     step order, a step's fuel violation before its distance violation.
@@ -382,10 +376,9 @@ def layer_traversal_stats(trace: Trace, meta: FamilyMeta) -> dict[int, tuple[int
     if cutoff is None:
         cutoff = trace.steps
     counts = {i: [0, 0] for i in range(1, meta.params.levels)}
+    memory = trace.memory
     for i in range(1, cutoff + 1):
-        a = trace.memory[i - 1].label
-        b = trace.memory[i].label
-        la, lb = meta.level_of(a), meta.level_of(b)
+        la, lb = meta.level_of(memory[i - 1][0]), meta.level_of(memory[i][0])
         if la is None or lb is None:
             continue
         if lb == la + 1:

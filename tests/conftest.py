@@ -29,7 +29,7 @@ class _ScriptRun:
         self.idx = 0
 
     def observe(self, rec):
-        if rec.out_port != -1:
+        if rec[2] != -1:  # not the source's record
             self.idx += 1
         return self.next_action()
 
@@ -45,11 +45,11 @@ def explored_return_distances(trace, source):
     seen = set()
     for i in range(1, trace.steps + 1):
         edge = trace.edge_at(i)
-        rec = trace.memory[i]
+        label, _, out_port, in_port = trace.memory[i]
         if edge not in seen:
             seen.add(edge)
-            dists.add_edge(trace.memory[i - 1].label, rec.out_port, rec.label, rec.in_port)
-        yield i, seen, dists.dist.get(rec.label)
+            dists.add_edge(trace.memory[i - 1][0], out_port, label, in_port)
+        yield i, seen, dists.dist.get(label)
 
 
 def port_script(graph, labels):

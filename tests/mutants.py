@@ -133,11 +133,49 @@ MUTANTS = (
         ("tests/test_experiments.py::test_distance_row_fails_a_policy_below_both_bounds",),
     ),
     Mutant(
+        "the distance row drops its completion gate",
+        "src/explorelab/experiments.py",
+        "    if not report.complete:\n"
+        '        failures.append("replay on the final graph did not complete exploration")\n',
+        "",
+        ("tests/test_experiments.py::test_distance_row_fails_a_policy_that_halts_at_once",),
+    ),
+    Mutant(
+        "the distance row drops its merge-behaviour gate",
+        "src/explorelab/experiments.py",
+        "    if not behavior.ok:\n"
+        '        failures.append(f"merge behavior checks failed: {behavior.codes()}")\n',
+        "",
+        ("tests/test_experiments.py::test_distance_row_fails_a_policy_that_halts_at_once",),
+    ),
+    Mutant(
+        "the distance row never reports a run that visits no gadget",
+        "src/explorelab/experiments.py",
+        '        failures.append("no gadget was ever visited")\n',
+        "        pass\n",
+        ("tests/test_experiments.py::test_distance_row_fails_a_policy_that_halts_at_once",),
+    ),
+    Mutant(
         "the fuel row drops its fuel-violation gate",
         "src/explorelab/experiments.py",
         '    if report.violations_of("fuel"):\n        failures.append("fuel violations")\n',
         "",
         ("tests/test_experiments.py::test_fuel_row_fails_a_policy_that_runs_dry",),
+    ),
+    Mutant(
+        "the fuel row drops its completion gate",
+        "src/explorelab/experiments.py",
+        '    if not report.complete:\n        failures.append("exploration incomplete")\n',
+        "",
+        ("tests/test_experiments.py::test_fuel_row_fails_a_policy_that_halts_at_once",),
+    ),
+    Mutant(
+        "the fuel row drops its bound gate",
+        "src/explorelab/experiments.py",
+        "    if report.penalty < bound:\n"
+        '        failures.append(f"penalty {report.penalty} below bound {bound}")\n',
+        "",
+        ("tests/test_experiments.py::test_fuel_row_fails_a_policy_that_halts_at_once",),
     ),
     Mutant(
         "the adversary step drops its prefix gate",

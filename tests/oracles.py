@@ -43,7 +43,7 @@ from explorelab.graph import (
     edge_key,
     validate_consistent_labeling,
 )
-from explorelab.runtime import Instance, MemoryRecord, ReplayCursor, execute, penalty_before_step
+from explorelab.runtime import Instance, ReplayCursor, execute, penalty_before_step
 
 
 def adjacency(graph):
@@ -96,14 +96,14 @@ def naive_run(graph, policy, source):
     memory sequence and the traversed edge set, from neighbor and port
     lookups alone."""
     state = policy.start()
-    memory = [MemoryRecord(source, graph.degree(source), -1, -1)]
+    memory = [(source, graph.degree(source), -1, -1)]
     traversed = set()
     state.observe(memory[0])
     cur = source
     port = state.next_action()
     while port is not None:
         nxt = graph.neighbor(cur, port)
-        memory.append(MemoryRecord(nxt, graph.degree(nxt), port, graph.port_of(nxt, cur)))
+        memory.append((nxt, graph.degree(nxt), port, graph.port_of(nxt, cur)))
         traversed.add((min(cur, nxt), max(cur, nxt)))
         state.observe(memory[-1])
         cur = nxt
@@ -326,12 +326,12 @@ def naive_explored_rows(records):
     node seen maps every port it was left or entered by to the neighbour at
     the other end; the slow counterpart of ``ExploredDistances.adj``."""
     rows, prev = {}, None
-    for rec in records:
-        rows.setdefault(rec.label, {})
-        if rec.out_port != -1:
-            rows[prev][rec.out_port] = rec.label
-            rows[rec.label][rec.in_port] = prev
-        prev = rec.label
+    for label, _, out_port, in_port in records:
+        rows.setdefault(label, {})
+        if out_port != -1:
+            rows[prev][out_port] = label
+            rows[label][in_port] = prev
+        prev = label
     return rows
 
 
@@ -341,12 +341,12 @@ def naive_open_nodes(records):
     records alone: the slow counterpart of ``ExploredView``'s rule that a
     node's explored row is shorter than its degree."""
     unexplored, prev = {}, None
-    for rec in records:
-        unexplored.setdefault(rec.label, set(range(rec.degree)))
-        if rec.out_port != -1:
-            unexplored[prev].discard(rec.out_port)
-            unexplored[rec.label].discard(rec.in_port)
-        prev = rec.label
+    for label, degree, out_port, in_port in records:
+        unexplored.setdefault(label, set(range(degree)))
+        if out_port != -1:
+            unexplored[prev].discard(out_port)
+            unexplored[label].discard(in_port)
+        prev = label
         yield {v for v, ports in unexplored.items() if ports}
 
 
@@ -374,15 +374,14 @@ def naive_dfs_next_action(records):
     None after the last).  On the policy's own runs that is the smallest
     port not yet departed through, the entry port kept for last.  The slow
     counterpart of the DFS run state's ``next_action``."""
-    cur = records[-1].label
-    first = next(i for i, rec in enumerate(records) if rec.label == cur)
-    entry = records[first].in_port if first else None
-    order = [p for p in range(records[first].degree) if p != entry]
+    cur = records[-1][0]
+    first = next(i for i, rec in enumerate(records) if rec[0] == cur)
+    _, degree, _, in_port = records[first]
+    entry = in_port if first else None
+    order = [p for p in range(degree) if p != entry]
     if entry is not None:
         order.append(entry)
-    departed = [
-        rec.out_port for prev, rec in zip(records, records[1:]) if prev.label == cur
-    ]
+    departed = [rec[2] for prev, rec in zip(records, records[1:]) if prev[0] == cur]
     i = order.index(departed[-1]) + 1 if departed else 0
     return order[i] if i < len(order) else None
 
@@ -396,7 +395,7 @@ def naive_fuel_violations(memory, source, tank):
         if fuel < 1:
             out.append({"kind": "fuel", "step": step, "detail": f"tank {fuel}"})
         fuel -= 1
-        if memory[step].label == source:
+        if memory[step][0] == source:
             fuel = tank
     return out
 
@@ -409,7 +408,7 @@ def naive_distance_violations(memory, source, cap):
     adj, dist = {source: []}, {source: 0}
     out = []
     for step in range(1, len(memory)):
-        a, b = memory[step - 1].label, memory[step].label
+        a, b = memory[step - 1][0], memory[step][0]
         if b not in adj.get(a, ()):
             adj.setdefault(a, []).append(b)
             adj.setdefault(b, []).append(a)
@@ -538,7 +537,7 @@ def naive_merge_behavior(g, merged, plan, meta, policy_factory, alpha):
         if trace.memory[i] != trace2.memory[i]:
             report.add("memory-prefix", f"records differ at index {i}")
             break
-        if map_label(trace.memory[i].label) != trace2.memory[i].label:
+        if map_label(trace.memory[i][0]) != trace2.memory[i][0]:
             report.add("node-map", f"merge map broken at index {i}")
             break
     edges_g = {edge_key(*map(map_label, trace.edge_at(i))) for i in range(1, upto)}

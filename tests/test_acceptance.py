@@ -228,8 +228,8 @@ def test_supporting_invariants_adversary_monitors(adversary_runs):
         assert first_gadget is None or first_gadget > lam
         down = up = 0
         for i in range(1, lam + 1):
-            la = meta.level_of(run.trace.memory[i - 1].label)
-            lb = meta.level_of(run.trace.memory[i].label)
+            la = meta.level_of(run.trace.memory[i - 1][0])
+            lb = meta.level_of(run.trace.memory[i][0])
             if la == layer and lb == layer + 1:
                 down += 1
             elif la == layer + 1 and lb == layer:
@@ -248,6 +248,6 @@ def test_criterion_9_oracle_equivalence(graph_corpus):
         inst = Instance(graph=g, source=source, alpha=Fraction(1))
         trace, _ = execute(inst, make_policy("cautious-bfs", Fraction(1), inst.ecc))
         for i, seen, d in explored_return_distances(trace, source):
-            want = naive_return_distance(seen, trace.memory[i].label, source)
+            want = naive_return_distance(seen, trace.memory[i][0], source)
             assert d == want, (name, i)
     note(9, True, f"exact agreement on all {len(graph_corpus)} corpus graphs")

@@ -157,7 +157,7 @@ class _DriftingRun:
 
     def observe(self, rec):
         port = self.state.observe(rec)
-        return port + 1 if self.drift and rec.out_port == -1 else port
+        return port + 1 if self.drift and rec[2] == -1 else port
 
 
 def test_adversary_refuses_a_replay_that_departs_from_the_prefix():
@@ -224,8 +224,7 @@ def half_exploration_moment(trace, meta):
     half = meta.params.greens_per_layer // 2
     per: dict[int, set] = {i: set() for i in range(1, meta.params.levels)}
     for i in range(1, trace.steps + 1):
-        a = trace.memory[i - 1].label
-        b = trace.memory[i].label
+        a, b = trace.memory[i - 1][0], trace.memory[i][0]
         layer = meta.green_layer(a, b)
         if layer is not None:
             per[layer].add(edge_key(a, b))
@@ -241,8 +240,7 @@ def test_down_up_balance_until_half_moment(k1_run):
     assert k1_run.trace.first_gadget_step is None or k1_run.trace.first_gadget_step > lam
     down = up = 0
     for i in range(1, lam + 1):
-        a = k1_run.trace.memory[i - 1].label
-        b = k1_run.trace.memory[i].label
+        a, b = k1_run.trace.memory[i - 1][0], k1_run.trace.memory[i][0]
         la, lb = meta.level_of(a), meta.level_of(b)
         if la == layer and lb == layer + 1:
             down += 1

@@ -109,6 +109,40 @@ def test_fuel_row_fails_a_policy_that_runs_dry(seed):
     assert report["failures"] == ["k=1: fuel violations"]
 
 
+class _HaltingPolicy:
+    """A policy whose run halts at the source: ``observe`` answers None."""
+
+    def start(self):
+        return self
+
+    def observe(self, rec):
+        return None
+
+
+def test_fuel_row_fails_a_policy_that_halts_at_once(monkeypatch):
+    # no package policy leaves the lollipop unexplored or pays below the bound
+    monkeypatch.setattr(experiments, "make_policy", lambda *args: _HaltingPolicy())
+    _, report = run_fuel_experiment(ExperimentConfig("fuel", (1,), 2, Fraction(1)))
+    assert report["failures"] == [
+        "k=1: exploration incomplete",
+        "k=1: penalty -352 below bound 98",
+    ]
+
+
+def test_distance_row_fails_a_policy_that_halts_at_once(monkeypatch):
+    # a run that never leaves the source leaves every edge unexplored (the
+    # one monitor violation is completion's) and reaches no gadget, on the
+    # adversary's graph or on its merge
+    monkeypatch.setattr(experiments, "make_policy", lambda *args: _HaltingPolicy())
+    _, report = run_distance_experiment(ExperimentConfig("distance", (2,), 6, Fraction(1, 2)))
+    assert report["failures"] == [
+        "k=2: 1 monitor violations in the final replay",
+        "k=2: replay on the final graph did not complete exploration",
+        "k=2: merge behavior checks failed: {'no-gadget-visit'}",
+        "k=2: no gadget was ever visited",
+    ]
+
+
 def _rows():
     return [
         ExperimentRow(2, 2341, 341, 64, 4, Fraction(1039, 1009), 2184, 0, 0.0),

@@ -17,7 +17,7 @@ from explorelab import (
 from explorelab.explorers import POLICY_NAMES, DfsPolicy, ExploredView
 from explorelab.family import LollipopParams, build_lollipop
 from explorelab.graph import LabeledGraph
-from explorelab.runtime import MemoryRecord, ReplayCursor
+from explorelab.runtime import ReplayCursor
 
 from conftest import engine_cases, small_graph_corpus
 from oracles import (
@@ -53,7 +53,7 @@ def test_cautious_single_edge(single_edge):
     trace, report = run(
         single_edge, 0, Fraction(1), "cautious-bfs", monitors=("completion",)
     )
-    assert trace.memory[1].out_port == 0
+    assert trace.memory[1][2] == 0  # the out-port
     assert report.steps == 1
     assert report.penalty == 0
     assert report.complete
@@ -103,7 +103,7 @@ def test_dfs_halts_at_source():
     g, _ = build_family_graph(FamilyParams(2, 4, 6))
     trace, report = run(g, 0, Fraction(1), "dfs", monitors=("completion",))
     assert report.complete
-    assert trace.memory[-1].label == 0
+    assert trace.memory[-1][0] == 0
 
 
 def test_fuel_single_edge(single_edge):
@@ -113,7 +113,7 @@ def test_fuel_single_edge(single_edge):
     assert report.complete
     assert report.steps == 2
     assert report.penalty == 1
-    assert trace.memory[-1].label == 0
+    assert trace.memory[-1][0] == 0
 
 
 def test_fuel_lollipop_safe_and_complete():
@@ -136,9 +136,9 @@ def test_fuel_respects_tank_between_refuels():
     )
     assert report.complete and not report.violations_of("fuel")
     streak = 0
-    for rec in trace.memory[1:]:
+    for label, *_ in trace.memory[1:]:
         streak += 1
-        if rec.label == source:
+        if label == source:
             streak = 0
         assert streak <= inst.fuel_tank
 
@@ -152,7 +152,7 @@ def test_policies_are_pure_functions_of_memory(name):
     # replay every prefix into a fresh run state: the answer observe gives to
     # its last record, re-read twice by next_action, is the next record's
     # out-port, and None after the whole memory
-    outs = [rec.out_port for rec in trace.memory[1:]] + [None]
+    outs = [out_port for _, _, out_port, _ in trace.memory[1:]] + [None]
     for cut, out_port in enumerate(outs):
         fresh = policy.start()
         for rec in trace.memory[: cut + 1]:
@@ -308,9 +308,9 @@ def test_open_ports_and_distances_read_off_the_rows_match_the_memory(case, polic
 
 def walk_records(g, labels):
     """The memory records of the walk through ``labels``."""
-    yield MemoryRecord(labels[0], g.degree(labels[0]), -1, -1)
+    yield (labels[0], g.degree(labels[0]), -1, -1)
     for a, b in zip(labels, labels[1:]):
-        yield MemoryRecord(b, g.degree(b), g.port_of(a, b), g.port_of(b, a))
+        yield (b, g.degree(b), g.port_of(a, b), g.port_of(b, a))
 
 
 # a path 0-1-2-3-4-5-6 with a chord 3-6, a leaf 9 off 2, and leaves 7 and 8
@@ -351,7 +351,7 @@ def test_source_plans_across_a_distance_drop():
         ranked = len(view._tree)
         got = view.plan_to(within)
         assert got == naive_plan_to(view, oracle_target(view, within)), (rec, within)
-        if within is not None and rec.out_port != -1:
+        if within is not None and rec[2] != -1:
             plans.append((got[0], dropped, len(view._tree) == ranked))
             dropped = False
     assert plans == [(2, False, False), (2, True, True), (6, False, False)]
@@ -473,12 +473,12 @@ def test_port_pointers_match_port_scans_on_any_walk(name, choices):
     # are all spent, say) keep the pointers equal to the scans too
     g, cur = WALK_GRAPHS[name]
     view, dfs = ExploredView(), DfsPolicy().start()
-    records = [MemoryRecord(cur, g.degree(cur), -1, -1)]
+    records = [(cur, g.degree(cur), -1, -1)]
     for choice in [None, *choices]:
         if choice is not None:
             port = choice % g.degree(cur)
             nxt = g.neighbor(cur, port)
-            records.append(MemoryRecord(nxt, g.degree(nxt), port, g.port_of(nxt, cur)))
+            records.append((nxt, g.degree(nxt), port, g.port_of(nxt, cur)))
             cur = nxt
         rec = records[-1]
         view.observe(rec)

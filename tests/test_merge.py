@@ -238,9 +238,9 @@ def test_merge_behavior_matches_the_five_comparisons(
             "source": [meta.source_label],
             # the level nodes the run stands on before its first gadget visit
             "level": [
-                r.label
-                for r in trace.memory[: trace.first_gadget_step]
-                if meta.level_of(r.label) is not None
+                label
+                for label, *_ in trace.memory[: trace.first_gadget_step]
+                if meta.level_of(label) is not None
             ],
             "merged": sorted(set(plan.gadget_map.values())),
             "critical": [meta.critical_label],

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,6 @@ from explorelab.family import LollipopParams, build_lollipop
 from explorelab.graph import LabeledGraph
 from explorelab.runtime import (
     ExploredDistances,
-    MemoryRecord,
     ReplayCursor,
     Trace,
     layer_traversal_stats,
@@ -99,17 +99,36 @@ def test_single_edge_script(single_edge):
     assert report.steps == 1
     assert report.penalty == 0
     assert report.complete
-    assert trace.memory == [
-        MemoryRecord(0, 1, -1, -1),
-        MemoryRecord(1, 1, 0, 0),
-    ]
+    assert trace.memory == [(0, 1, -1, -1), (1, 1, 0, 0)]
 
 
 def test_memory_records_carry_both_ports(path3):
     inst = Instance(graph=path3, source=0, alpha=Fraction(1))
     trace, _ = execute(inst, ScriptPolicy([0, 1]))
-    assert trace.memory[1] == MemoryRecord(1, 2, 0, 0)
-    assert trace.memory[2] == MemoryRecord(2, 1, 1, 0)
+    assert trace.memory[1] == (1, 2, 0, 0)
+    assert trace.memory[2] == (2, 1, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "build, policy",
+    [
+        (
+            lambda: build_lollipop(LollipopParams(scale=3, ecc=2, alpha=Fraction(1))),
+            "fuel-cautious",
+        ),
+        (lambda: (build_family_graph(FamilyParams(10, 16, 6))[0], 0), "cautious-bfs"),
+    ],
+    ids=["lollipop", "member"],
+)
+def test_memory_records_are_left_untracked_by_the_collector(build, policy):
+    # a record is an exact tuple of ints, which the cyclic collector stops
+    # tracking once it has examined it; a tuple subclass would stay tracked
+    g, source = build()
+    inst = Instance(graph=g, source=source, alpha=Fraction(1))
+    trace, _ = execute(inst, make_policy(policy, inst.alpha, inst.ecc))
+    gc.collect()
+    assert trace.steps > 100
+    assert all(type(rec) is tuple and not gc.is_tracked(rec) for rec in trace.memory)
 
 
 def test_policy_error_on_bad_port(single_edge):
@@ -178,7 +197,7 @@ def test_distance_monitor_matches_oracle_per_step():
     seen = set()
     for i in range(1, trace.steps + 1):
         seen.add(trace.edge_at(i))
-        d = naive_return_distance(seen, trace.memory[i].label, 0)
+        d = naive_return_distance(seen, trace.memory[i][0], 0)
         if d is None or d > inst.dist_cap_floor:
             expect.add(i)
     assert flagged == expect
@@ -200,7 +219,7 @@ def test_known_return_distance_tracks_oracle_midrun():
     trace, _ = execute(inst, policy)
     for i, seen, d in explored_return_distances(trace, 0):
         if i % 97 == 1:
-            assert d == naive_return_distance(seen, trace.memory[i].label, 0)
+            assert d == naive_return_distance(seen, trace.memory[i][0], 0)
 
 
 def test_penalty_before_step():
@@ -244,7 +263,7 @@ def test_layer_traversal_stats():
     inst = Instance(graph=g, source=0, alpha=Fraction(1))
     trace, _ = execute(inst, port_script(g, walk))
     assert layer_traversal_stats(trace, meta) == {1: (1, 1)}
-    empty = Trace(memory=[MemoryRecord(0, g.degree(0), -1, -1)])
+    empty = Trace(memory=[(0, g.degree(0), -1, -1)])
     assert layer_traversal_stats(empty, meta) == {1: (0, 0)}
 
 
@@ -389,9 +408,9 @@ def test_commit_reads_entry_ports_of_a_swapped_in_graph(reverse_built):
         cursor.commit()
     # reverse the ports of a node the walk reaches only later; the commits
     # have built base's reverse map, a fresh copy has none
-    seen = {rec.label for rec in cursor.memory}
+    seen = {label for label, *_ in cursor.memory}
     unswapped, _ = naive_run(base, policy, 0)
-    v = next(r.label for r in unswapped if r.label not in seen and base.degree(r.label) > 1)
+    v = next(v for v, deg, *_ in unswapped if v not in seen and deg > 1)
     old = base if reverse_built else LabeledGraph.from_json(base.to_json())
     swapped = old.replace_ports({v: base.neighbors(v)[::-1]})
     assert (swapped._rports is not None) == reverse_built
@@ -449,7 +468,7 @@ def test_bad_port_message_through_run(path3, port):
     with pytest.raises(PolicyError) as err:
         cursor.run(5)
     assert str(err.value) == f"policy chose port {port!r} at node 0 of degree 1"
-    assert cursor.memory == [MemoryRecord(1, 2, -1, -1), MemoryRecord(0, 1, 0, 0)]
+    assert cursor.memory == [(1, 2, -1, -1), (0, 1, 0, 0)]
     with pytest.raises(PolicyError) as again:
         cursor.commit()
     assert str(again.value) == str(err.value)
@@ -478,9 +497,9 @@ def test_run_reads_a_graph_swapped_in_between_calls(chunk):
     cursor = ReplayCursor(base, policy, source=0)
     for _ in range(5):
         assert cursor.run(1) is False
-    seen = {rec.label for rec in cursor.memory}
+    seen = {label for label, *_ in cursor.memory}
     unswapped, _ = naive_run(base, policy, 0)
-    v = next(r.label for r in unswapped if r.label not in seen and base.degree(r.label) > 1)
+    v = next(v for v, deg, *_ in unswapped if v not in seen and deg > 1)
     swapped = base.replace_ports({v: base.neighbors(v)[::-1]})
     cursor.replace_graph(swapped)
     while not cursor.run(chunk):
@@ -508,7 +527,7 @@ def test_budget_error_carries_the_oracle_prefix(case):
         assert err.value.trace.memory == memory[: budget + 1]
         assert "traversed" not in vars(err.value.trace)
         assert err.value.trace.traversed == {
-            (min(a.label, b.label), max(a.label, b.label))
+            (min(a[0], b[0]), max(a[0], b[0]))
             for a, b in zip(memory[:budget], memory[1 : budget + 1])
         }
     trace, _ = execute(inst, policy, max_steps=steps, gadget_set=gadgets)
