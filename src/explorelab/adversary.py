@@ -38,7 +38,7 @@ from .family import (
     validate_family_membership,
 )
 from .graph import LabeledGraph, edge_key
-from .runtime import ReplayCursor, Trace
+from .runtime import ReplayCursor, Trace, step_budget
 from .surgery import SurgeryResult, move_gadget, switch_edges, switch_ports
 
 STAGE_DIVERT_PORT = "divert-port"
@@ -104,9 +104,7 @@ def _unexplored_layer_neighbors(cursor: ReplayCursor, meta: FamilyMeta, v: int) 
     layer below it: green edges to the next level and red edges to that
     layer's gadgets."""
     j = meta.level_of(v)
-    # level_labels(levels + 1) would be gadget labels
-    down = meta.level_labels(j + 1) if j < meta.params.levels else ()
-    gadgets, traversed = meta._layer_gadgets(j), cursor.traversed
+    down, gadgets, traversed = meta.level_labels(j + 1), meta._layer_gadgets(j), cursor.traversed
     return [
         u
         for u in cursor.graph.neighbors(v)
@@ -117,16 +115,9 @@ def _unexplored_layer_neighbors(cursor: ReplayCursor, meta: FamilyMeta, v: int) 
 def _first_unexplored_green(cursor: ReplayCursor, meta: FamilyMeta, layer: int, skip=()):
     """The first green edge of ``layer`` in ``meta.green_edges`` order that
     is neither traversed nor in ``skip``, or None."""
-    done, neighbors = cursor.traversed, cursor.graph.neighbors
-    # level layer + 1 is lo < u <= hi; a chained comparison beats range's `in`
-    lo, hi = meta.width * layer, meta.width * (layer + 1)
-    for v in meta.level_labels(layer):
-        ends = [
-            u for u in neighbors(v) if lo < u <= hi and (v, u) not in done and (v, u) not in skip
-        ]
-        if ends:
-            return (v, min(ends))
-    return None
+    done = cursor.traversed
+    walk = meta._green_walk(cursor.graph, layer)
+    return next((e for e in walk if e not in done and e not in skip), None)
 
 
 def _apply(
@@ -362,7 +353,7 @@ def adversary_behavior(
     ledger = _FamilyLedger(params)
     explored_green = {i: 0 for i in range(1, params.levels)}
     if max_steps is None:
-        max_steps = 50 * graph.edge_count() + 1000
+        max_steps = step_budget(graph)
 
     audits: list[StepAudit] = []
     while cursor.first_gadget_step is None and cursor.pending_port() is not None:

@@ -20,11 +20,12 @@ from .family import (
     build_family_graph,
     build_lollipop,
     family_levels,
+    layer_traversal_stats,
     validate_family_membership,
 )
 from .graph import LabeledGraph, eccentricity, validate_consistent_labeling
 from .merge import merge_gadgets, validate_merge_behavior
-from .runtime import MONITOR_KINDS, Instance, execute, layer_traversal_stats, penalty_before_step
+from .runtime import MONITOR_KINDS, Instance, execute, penalty_before_step
 
 
 def _fraction(text: str) -> Fraction:

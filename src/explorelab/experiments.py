@@ -65,8 +65,12 @@ class ExperimentConfig:
             raise ParameterError(f"alpha must be positive, got {self.alpha}")
         if self.variant == "distance" and self.ecc < 6:
             raise ParameterError("distance experiments need ecc >= 6")
-        if self.variant == "fuel" and self.ecc * self.alpha < 1:
-            raise ParameterError("fuel experiments need ecc * alpha >= 1")
+        if self.variant == "fuel":  # every row's lollipop, before any row runs
+            for k in self.k_values:
+                try:
+                    LollipopParams(scale=k, ecc=self.ecc, alpha=self.alpha)
+                except ParameterError as exc:
+                    raise ParameterError(f"k={k}: {exc}") from None
 
 
 @dataclass

@@ -15,10 +15,11 @@ runs are bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import ParameterError
-from .runtime import ExploredDistances
+from .runtime import ExploredDistances, fuel_tank, return_cap
 
 
 class ExploredView:
@@ -305,9 +306,7 @@ class CautiousBfsPolicy:
     """
 
     def __init__(self, alpha: Fraction, ecc: int):
-        alpha = _require_slack(alpha, ecc)
-        cap = (1 + alpha) * ecc
-        self.cap_floor = cap.numerator // cap.denominator
+        self.cap_floor = return_cap(_require_slack(alpha, ecc), ecc)
 
     def start(self):
         within = self.cap_floor - 1
@@ -381,9 +380,7 @@ class FuelCautiousPolicy:
     """
 
     def __init__(self, alpha: Fraction, ecc: int):
-        alpha = _require_slack(alpha, ecc)
-        tank = 2 * (1 + alpha) * ecc
-        self.tank_floor = tank.numerator // tank.denominator
+        self.tank_floor = math.floor(fuel_tank(_require_slack(alpha, ecc), ecc))
 
     def start(self):
         # for an integer d, 2d + 2 <= tank_floor iff d <= (tank_floor - 2) // 2

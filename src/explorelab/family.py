@@ -25,6 +25,7 @@ from .graph import (
     circulant_pairs,
     validate_consistent_labeling,
 )
+from .runtime import Trace, return_cap
 
 
 @dataclass(frozen=True)
@@ -87,13 +88,12 @@ class FamilyParams:
 
 
 def family_levels(ecc: int, alpha) -> int:
-    """Levels of the family that forces the return cap ``(1+alpha)*ecc``:
-    ``floor((1+alpha)*ecc) + 1``, exact for rational ``alpha > 0``."""
+    """Levels of the family that forces the return cap: one more than
+    :func:`~.runtime.return_cap`, for rational ``alpha > 0``."""
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    cap = (1 + alpha) * ecc
-    return cap.numerator // cap.denominator + 1
+    return return_cap(alpha, ecc) + 1
 
 
 class FamilyMeta:
@@ -118,7 +118,10 @@ class FamilyMeta:
         return None
 
     def level_labels(self, i: int) -> range:
-        w = self.params.width
+        """The labels of level ``i``; empty outside 1..levels."""
+        if not 1 <= i <= self.params.levels:
+            return range(0)
+        w = self.width
         return range(w * (i - 1) + 1, w * i + 1)
 
     def is_gadget(self, label: int) -> bool:
@@ -159,16 +162,15 @@ class FamilyMeta:
 
     def green_edges(self, g: LabeledGraph, layer: int) -> list[tuple[int, int]]:
         """Green edges of one layer, sorted by (level-i label, level-i+1 label)."""
-        lo = self.level_labels(layer)
-        hi_min = self.params.width * layer + 1
-        hi_max = self.params.width * (layer + 1)
-        out = []
-        for v in lo:
-            for u in g.neighbors(v):
-                if hi_min <= u <= hi_max:
-                    out.append((v, u))
-        out.sort()
-        return out
+        return list(self._green_walk(g, layer))
+
+    def _green_walk(self, g: LabeledGraph, layer: int):
+        """Yield :meth:`green_edges` one level-i row at a time."""
+        up = self.level_labels(layer + 1)
+        lo, hi = up.start, up.stop  # a chained comparison beats range's `in`
+        for v in self.level_labels(layer):
+            for u in sorted([u for u in g.neighbors(v) if lo <= u < hi]):
+                yield (v, u)
 
     def gadget_level_pair(self, g: LabeledGraph, gadget: int) -> tuple[int, int] | None:
         """The (level-i node, level-i+1 node) neighbors of a gadget, or None
@@ -181,8 +183,7 @@ class FamilyMeta:
         if len(row) != 3:
             return None
         w = self.width
-        # the last label of level i, for a gadget of layer i
-        mid = w * ((gadget - self._level_top - 1) // self.gadgets_per_layer + 1)
+        mid = w * self.gadget_layer(gadget)  # the last label of level i, for a gadget of layer i
         lo = hi = None
         for u in row:
             if mid - w < u <= mid:
@@ -194,6 +195,22 @@ class FamilyMeta:
         if lo is None or hi is None:
             return None
         return (lo, hi)
+
+
+def layer_traversal_stats(trace: Trace, meta: FamilyMeta) -> dict[int, tuple[int, int]]:
+    """Per-layer (descending, ascending) green-edge traversal counts, taken
+    up to the first gadget visit (whole trace when no gadget was visited)."""
+    cutoff = trace.first_gadget_step
+    if cutoff is None:
+        cutoff = trace.steps
+    counts = {i: [0, 0] for i in range(1, meta.params.levels)}
+    memory = trace.memory
+    for i in range(1, cutoff + 1):
+        a, b = memory[i - 1][0], memory[i][0]
+        layer = meta.green_layer(a, b)
+        if layer is not None:  # a level's labels all lie below the next level's
+            counts[layer][0 if a < b else 1] += 1
+    return {i: (d, u) for i, (d, u) in counts.items()}
 
 
 # -- port assignment ----------------------------------------------------------
@@ -232,11 +249,8 @@ def build_family_graph(params: FamilyParams, seed: int = 0) -> tuple[LabeledGrap
 
     gadget = meta._level_top  # next gadget label - 1
     for layer in range(1, p.levels):
-        lo0 = p.width * (layer - 1) + 1
-        hi0 = p.width * layer + 1
-        edges = sorted(
-            (lo0 + i, hi0 + j) for i, j in circulant_pairs(p.width, p.layer_degree)
-        )
+        lower, upper = meta.level_labels(layer), meta.level_labels(layer + 1)
+        edges = sorted((lower[i], upper[j]) for i, j in circulant_pairs(p.width, p.layer_degree))
         for u, v in edges[: p.gadgets_per_layer]:
             gadget += 1
             join(u, gadget)
@@ -405,7 +419,7 @@ class _FamilyLedger:
         sums["degree",] += sign * len(row)
         j = meta.level_of(v)
         if j is not None:
-            up = meta.level_labels(j + 1) if j < meta.params.levels else ()
+            up = meta.level_labels(j + 1)
             below, above = meta._layer_gadgets(j - 1), meta._layer_gadgets(j)
             greens = reds_below = reds_above = 0
             for u in row:

@@ -22,23 +22,40 @@ stays tracked), so a long memory costs later collections nothing.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Container
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetError, InvariantViolation, ParameterError, PolicyError
-from .family import FamilyMeta
 from .graph import LabeledGraph, edge_key, eccentricity
 
 MONITOR_KINDS = ("distance", "fuel", "completion")
+
+
+def return_cap(alpha: Fraction, ecc: int) -> int:
+    """The return cap ``floor((1+alpha)*ecc)``: the longest way home the
+    agent may know after any traversal, exact for rational ``alpha``."""
+    return math.floor((1 + alpha) * ecc)
+
+
+def fuel_tank(alpha: Fraction, ecc: int) -> Fraction:
+    """The fuel variant's tank ``2*(1+alpha)*ecc``, in traversals, refilled
+    at the source."""
+    return 2 * (1 + alpha) * ecc
+
+
+def step_budget(graph: LabeledGraph) -> int:
+    """The default traversal budget of a run on ``graph``: ``50*|E| + 1000``."""
+    return 50 * graph.edge_count() + 1000
 
 
 @dataclass(frozen=True)
 class Instance:
     """A problem instance: graph, source label, and the slack constant.
 
-    The source eccentricity, the return-distance cap and the fuel tank size
-    are derived exactly (alpha is kept as a Fraction so the floors are exact).
+    The source eccentricity is derived; alpha is kept as a Fraction, so
+    :func:`return_cap` and :func:`fuel_tank` of an instance are exact.
     """
 
     graph: LabeledGraph
@@ -53,15 +70,6 @@ class Instance:
         if self.source not in self.graph:
             raise ParameterError(f"source {self.source} not in graph")
         object.__setattr__(self, "ecc", eccentricity(self.graph, self.source))
-
-    @property
-    def fuel_tank(self) -> Fraction:
-        return 2 * (1 + self.alpha) * self.ecc
-
-    @property
-    def dist_cap_floor(self) -> int:
-        d = (1 + self.alpha) * self.ecc
-        return d.numerator // d.denominator
 
 
 @dataclass
@@ -286,9 +294,9 @@ def execute(
     is read from the cursor's traversed set, and the cursor, with the
     policy's run state, is dropped before the monitors ("distance", "fuel",
     "completion") read the finished memory and record violations; none of
-    them stops the run.  ``max_steps`` defaults to 50*|E| + 1000; a policy
-    still moving after that many traversals raises :class:`BudgetError`
-    carrying the partial trace.
+    them stops the run.  ``max_steps`` defaults to :func:`step_budget`; a
+    policy still moving after that many traversals raises
+    :class:`BudgetError` carrying the partial trace.
     """
     g = inst.graph
     if isinstance(monitors, str):
@@ -299,7 +307,7 @@ def execute(
             raise ParameterError(f"unknown monitor {m!r}")
     edge_total = g.edge_count()
     if max_steps is None:
-        max_steps = 50 * edge_total + 1000
+        max_steps = step_budget(g)
 
     cursor = ReplayCursor(g, policy, inst.source, gadgets=gadget_set)
     halted = cursor.run(max_steps)
@@ -343,13 +351,13 @@ def _fuel_and_distance_violations(
     out: list[dict] = []
     tank = fuel = unit = None
     if fuel_on:
-        tank, unit = inst.fuel_tank.as_integer_ratio()
+        tank, unit = fuel_tank(inst.alpha, inst.ecc).as_integer_ratio()
         fuel = tank
     dists = adj = dist = None
     if distance_on:
         dists = ExploredDistances(source)
         adj, dist = dists.adj, dists.dist
-    cap = inst.dist_cap_floor
+    cap = return_cap(inst.alpha, inst.ecc)
     prev = source
     for step in range(1, len(memory)):
         cur, _, out_port, in_port = memory[step]
@@ -367,25 +375,6 @@ def _fuel_and_distance_violations(
                 out.append({"kind": "distance", "step": step, "detail": detail})
         prev = cur
     return out
-
-
-def layer_traversal_stats(trace: Trace, meta: FamilyMeta) -> dict[int, tuple[int, int]]:
-    """Per-layer (descending, ascending) green-edge traversal counts, taken
-    up to the first gadget visit (whole trace when no gadget was visited)."""
-    cutoff = trace.first_gadget_step
-    if cutoff is None:
-        cutoff = trace.steps
-    counts = {i: [0, 0] for i in range(1, meta.params.levels)}
-    memory = trace.memory
-    for i in range(1, cutoff + 1):
-        la, lb = meta.level_of(memory[i - 1][0]), meta.level_of(memory[i][0])
-        if la is None or lb is None:
-            continue
-        if lb == la + 1:
-            counts[la][0] += 1
-        elif lb == la - 1:
-            counts[lb][1] += 1
-    return {i: (d, u) for i, (d, u) in counts.items()}
 
 
 def penalty_before_step(trace: Trace, cutoff: int) -> int:

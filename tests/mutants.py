@@ -178,6 +178,36 @@ MUTANTS = (
         ("tests/test_experiments.py::test_fuel_row_fails_a_policy_that_halts_at_once",),
     ),
     Mutant(
+        "level_labels answers past the last level again",
+        "src/explorelab/family.py",
+        "        if not 1 <= i <= self.params.levels:\n            return range(0)\n",
+        "",
+        (
+            "tests/test_family.py::test_meta_label_geometry",
+            "tests/test_adversary.py::test_role_questions_on_every_label_pair",
+        ),
+    ),
+    Mutant(
+        "the shared green walk stops sorting a row",
+        "src/explorelab/family.py",
+        "            for u in sorted([u for u in g.neighbors(v) if lo <= u < hi]):\n",
+        "            for u in [u for u in g.neighbors(v) if lo <= u < hi]:\n",
+        (
+            "tests/test_family.py::test_green_edges_match_the_level_oracle[1]",
+            "tests/test_adversary.py::test_first_unexplored_green_is_the_sorted_layers_first[1]",
+        ),
+    ),
+    Mutant(
+        "the adversary drops its final membership check",
+        "src/explorelab/adversary.py",
+        "    final_report = validate_family_membership(cursor.graph, params)\n"
+        "    if not final_report.ok:\n"
+        '        raise InvariantViolation(f"final graph left the family: '
+        '{final_report.codes()}")\n',
+        "",
+        ("tests/test_ledger.py::test_a_graph_the_ledger_wrongly_admits_fails_the_final_check",),
+    ),
+    Mutant(
         "the adversary step drops its prefix gate",
         "src/explorelab/adversary.py",
         "        if not audit.prefix_ok:\n"

@@ -43,7 +43,7 @@ from explorelab.graph import (
     edge_key,
     validate_consistent_labeling,
 )
-from explorelab.runtime import Instance, ReplayCursor, execute, penalty_before_step
+from explorelab.runtime import Instance, ReplayCursor, execute, penalty_before_step, step_budget
 
 
 def adjacency(graph):
@@ -159,10 +159,23 @@ def naive_gadget_level_pair(g, meta, gadget):
     return (lo, hi)
 
 
+def naive_green_edges(g, meta, layer):
+    """Every edge of ``g`` from a level-``layer`` node to a level-(``layer``
+    + 1) node, found by ``level_of`` alone and sorted by (level-i label,
+    level-(i+1) label)."""
+    return sorted(
+        (v, u)
+        for v in g.labels()
+        if meta.level_of(v) == layer
+        for u in g.neighbors(v)
+        if meta.level_of(u) == layer + 1
+    )
+
+
 def naive_unexplored_greens(g, meta, layer, traversed, skip=()):
     """Every green edge of ``layer`` that is neither traversed nor in
-    ``skip``, sorted by (level-i label, level-(i+1) label)."""
-    return [e for e in meta.green_edges(g, layer) if e not in traversed and e not in skip]
+    ``skip``, in ``naive_green_edges`` order."""
+    return [e for e in naive_green_edges(g, meta, layer) if e not in traversed and e not in skip]
 
 
 def naive_contract_layer(g, meta, layer):
@@ -484,7 +497,7 @@ def naive_adversary_behavior(ecc, alpha, policy, width, *, seed=0, max_steps=Non
     ledger = _FamilyLedger(params)
     explored_green = {i: 0 for i in range(1, params.levels)}
     if max_steps is None:
-        max_steps = 50 * graph.edge_count() + 1000
+        max_steps = step_budget(graph)
     audits, flags, changed = [], [], 0
     x = 0
     while cursor.pending_port() is not None:

@@ -22,14 +22,15 @@ from explorelab.adversary import (
     _replay_agrees,
     _unexplored_layer_neighbors,
 )
-from explorelab.family import FamilyMeta, family_levels
+from explorelab.family import FamilyMeta, family_levels, layer_traversal_stats
 from explorelab.graph import LabeledGraph, edge_key
-from explorelab.runtime import ReplayCursor, layer_traversal_stats, penalty_before_step
+from explorelab.runtime import ReplayCursor, penalty_before_step
 
 from conftest import ScriptPolicy
 from oracles import (
     graph_modification,
     naive_adversary_behavior,
+    naive_green_edges,
     naive_run,
     naive_unexplored_greens,
 )
@@ -215,6 +216,7 @@ def test_adversary_green_counts_conserved(k1_run):
     for layer in range(1, meta.params.levels):
         greens = meta.green_edges(k1_run.final_graph, layer)
         assert len(greens) == meta.params.greens_per_layer
+        assert greens == naive_green_edges(k1_run.final_graph, meta, layer)
 
 
 def half_exploration_moment(trace, meta):
@@ -406,6 +408,9 @@ def test_adversary_k2_alternate_seed_still_pays():
     # the bound is seed-independent; guard against a lucky default seed
     run = adversary_behavior(6, ALPHA, cautious(), 32, seed=1)
     assert run.flags == []
+    for layer in range(1, run.meta.params.levels):
+        greens = run.meta.green_edges(run.final_graph, layer)
+        assert greens == naive_green_edges(run.final_graph, run.meta, layer)
     inst = Instance(graph=run.final_graph, source=0, alpha=ALPHA)
     trace, report = execute(
         inst,

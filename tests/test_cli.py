@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from explorelab import FamilyParams, build_family_graph, merge_gadgets
-from explorelab import cli
+from explorelab import cli, experiments
 from explorelab.cli import main
 from explorelab.experiments import default_config, rows_to_csv, rows_to_json, run_experiment
 from explorelab.family import FamilyMeta, LollipopParams, build_lollipop
@@ -321,6 +321,22 @@ def test_experiment_refuses_an_empty_option(tmp_path, capsys, variant, option, e
     err = capsys.readouterr().err
     assert err.startswith(error) and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_experiment_refuses_a_bad_k_before_any_row(tmp_path, capsys, monkeypatch):
+    # at alpha = 1/3, r = 4 the lollipop of k = 12 has an integer order and
+    # that of k = 1 does not: every k is checked before the first row runs
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(experiments, "_fuel_row", must_not_run)
+    csv_path = tmp_path / "fuel.csv"
+    argv = ["experiment", "--variant", "fuel", "--alpha", "1/3", "--r", "4", "--k", "12,1"]
+    assert main(argv + ["--csv", str(csv_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: k=1: (8*alpha+6)*ecc*scale = 104/3 is not an integer\n"
+    assert not csv_path.exists()
 
 
 def test_experiment_writes_the_emitted_bytes(tmp_path):

@@ -17,7 +17,7 @@ from explorelab import (
 from explorelab.explorers import POLICY_NAMES, DfsPolicy, ExploredView
 from explorelab.family import LollipopParams, build_lollipop
 from explorelab.graph import LabeledGraph
-from explorelab.runtime import ReplayCursor
+from explorelab.runtime import ReplayCursor, fuel_tank, step_budget
 
 from conftest import engine_cases, small_graph_corpus
 from oracles import (
@@ -140,7 +140,7 @@ def test_fuel_respects_tank_between_refuels():
         streak += 1
         if label == source:
             streak = 0
-        assert streak <= inst.fuel_tank
+        assert streak <= fuel_tank(inst.alpha, inst.ecc)
 
 
 @pytest.mark.parametrize("name", ["cautious-bfs", "dfs", "fuel-cautious"])
@@ -193,7 +193,7 @@ def test_port_pointers_match_port_scans(case, policy_name, monkeypatch):
     monkeypatch.setattr(ExploredView, "smallest_unexplored_port", checked)
     cursor = ReplayCursor(g, make_policy(policy_name, inst.alpha, inst.ecc), source=source)
     state = cursor.state
-    budget = 50 * g.edge_count() + 1000  # execute's default: a policy that never halts fails
+    budget = step_budget(g)  # execute's default: a policy that never halts fails
     while True:
         if policy_name == "dfs":
             assert state.next_action() == naive_dfs_next_action(cursor.memory), cursor.steps

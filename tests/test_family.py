@@ -15,6 +15,7 @@ from oracles import (
     check_eccentricity_properties,
     naive_distance,
     naive_eccentricity,
+    naive_green_edges,
 )
 
 
@@ -42,6 +43,8 @@ def test_params_rejected():
 def test_meta_label_geometry():
     meta = FamilyMeta(FamilyParams(4, 8, 7))
     assert list(meta.level_labels(1)) == list(range(1, 9))
+    assert list(meta.level_labels(4)) == list(range(25, 33))
+    assert meta.level_labels(0) == meta.level_labels(5) == range(0)
     assert meta.level_of(32) == 4
     assert meta.level_of(33) is None
     assert list(meta.gadget_labels) == list(range(33, 75))
@@ -50,6 +53,15 @@ def test_meta_label_geometry():
     assert meta.critical_label == 75
     assert meta.tail_labels == [76, 77, 78, 79]
     assert meta.tail_tip == 79
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_green_edges_match_the_level_oracle(seed):
+    # every layer's green edges against the edges found from level_of alone,
+    # the last level's empty layer included; seeds 1 and 2 shuffle every row
+    g, meta = build_family_graph(FamilyParams(10, 16, 6), seed)
+    for layer in range(1, meta.params.levels + 1):
+        assert meta.green_edges(g, layer) == naive_green_edges(g, meta, layer)
 
 
 def test_build_small_member():

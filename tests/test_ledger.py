@@ -360,6 +360,32 @@ def test_surgery_with_a_lying_touched_list_is_caught(monkeypatch):
     assert str(err.value) == "family membership broken at step 4: {'asymmetric-edge'}"
 
 
+def test_a_graph_the_ledger_wrongly_admits_fails_the_final_check(monkeypatch):
+    # with a ledger that admits every graph, the first changed gadget move
+    # also moves the tip's link from its neighbour to the first tail node: a
+    # consistent labeling, far from the agent's prefix, so every step check
+    # and prefix replay passes and the run reaches its end; the final
+    # graph's full check refuses it
+    monkeypatch.setattr(_FamilyLedger, "admits", lambda self, g: True)
+    move_gadget = adversary.move_gadget
+
+    def relinking_move_gadget(g, meta, edge, gadget):
+        res = move_gadget(g, meta, edge, gadget)
+        t1, tip = meta.tail_labels[0], meta.tail_tip
+        if not res.changed or g.has_edge(t1, tip):
+            return res
+        h = res.graph
+        (u,) = h.neighbors(tip)
+        rows = {t1: [*h.neighbors(t1), tip], u: [x for x in h.neighbors(u) if x != tip]}
+        return dataclasses.replace(res, graph=h.replace_ports({**rows, tip: [t1]}))
+
+    monkeypatch.setattr(adversary, "move_gadget", relinking_move_gadget)
+    policy = make_policy("cautious-bfs", ALPHA, 6)
+    with pytest.raises(InvariantViolation) as err:
+        adversary_behavior(6, ALPHA, policy, 16, seed=0)
+    assert str(err.value) == "final graph left the family: {'tail'}"
+
+
 # -- the full check against the per-layer reference -----------------------------------
 
 

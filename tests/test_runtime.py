@@ -1,5 +1,7 @@
+import ast
 import gc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,14 +19,16 @@ from explorelab import (
     execute,
     make_policy,
 )
-from explorelab.family import LollipopParams, build_lollipop
+from explorelab import runtime
+from explorelab.family import LollipopParams, build_lollipop, layer_traversal_stats
 from explorelab.graph import LabeledGraph
 from explorelab.runtime import (
     ExploredDistances,
     ReplayCursor,
     Trace,
-    layer_traversal_stats,
+    fuel_tank,
     penalty_before_step,
+    return_cap,
 )
 from explorelab.surgery import switch_ports
 
@@ -41,8 +45,19 @@ from oracles import (
 def test_instance_derives_limits(path3):
     inst = Instance(graph=path3, source=1, alpha=Fraction(1, 2))
     assert inst.ecc == 1
-    assert inst.dist_cap_floor == 1
-    assert inst.fuel_tank == 3
+    assert return_cap(inst.alpha, inst.ecc) == 1
+    assert fuel_tank(inst.alpha, inst.ecc) == 3
+
+
+def test_runtime_imports_only_graph_and_errors_from_the_package():
+    # the engine knows nothing of the family: the family reads the return
+    # cap from the runtime, never the other way round
+    nodes = list(ast.walk(ast.parse(Path(runtime.__file__).read_text())))
+    relative = {n.module for n in nodes if isinstance(n, ast.ImportFrom) and n.level}
+    absolute = {n.module for n in nodes if isinstance(n, ast.ImportFrom) and not n.level}
+    absolute |= {a.name for n in nodes if isinstance(n, ast.Import) for a in n.names}
+    assert relative == {"graph", "errors"}
+    assert not any(name.split(".")[0] == "explorelab" for name in absolute)
 
 
 def test_instance_rejects_bad_source(path3):
@@ -157,7 +172,7 @@ def test_completion_monitor_flags_partial_run(path3):
 def test_fuel_violation_at_step_nine():
     g, _ = build_lollipop(LollipopParams(scale=1, ecc=2, alpha=Fraction(1)))
     inst = Instance(graph=g, source=0, alpha=Fraction(1))
-    assert inst.fuel_tank == 8
+    assert fuel_tank(inst.alpha, inst.ecc) == 8
     walk = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]  # nine hops away from the source
     trace, report = execute(inst, port_script(g, walk), monitors=("fuel",))
     fuel = report.violations_of("fuel")
@@ -173,7 +188,7 @@ def test_fuel_violations_match_fraction_oracle(alpha):
     inst = Instance(graph=g, source=0, alpha=alpha)
     walk = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 1, 0, 1] + list(range(13, 27))
     trace, report = execute(inst, port_script(g, walk), monitors=("fuel",))
-    want = naive_fuel_violations(trace.memory, 0, inst.fuel_tank)
+    want = naive_fuel_violations(trace.memory, 0, fuel_tank(inst.alpha, inst.ecc))
     assert report.violations_of("fuel") == want
     assert len(want) > 10
 
@@ -198,7 +213,7 @@ def test_distance_monitor_matches_oracle_per_step():
     for i in range(1, trace.steps + 1):
         seen.add(trace.edge_at(i))
         d = naive_return_distance(seen, trace.memory[i][0], 0)
-        if d is None or d > inst.dist_cap_floor:
+        if d is None or d > return_cap(inst.alpha, inst.ecc):
             expect.add(i)
     assert flagged == expect
     assert expect, "dfs should overrun the return cap somewhere on this graph"
@@ -379,8 +394,8 @@ def test_engine_matches_plain_stepping_oracle(case, policy_name):
     assert report.steps == len(memory) - 1
     # the monitors read the finished memory: each kind matches its oracle,
     # and at a step with both, the fuel violation comes first
-    fuel = naive_fuel_violations(memory, source, inst.fuel_tank)
-    distance = naive_distance_violations(memory, source, inst.dist_cap_floor)
+    fuel = naive_fuel_violations(memory, source, fuel_tank(inst.alpha, inst.ecc))
+    distance = naive_distance_violations(memory, source, return_cap(inst.alpha, inst.ecc))
     assert report.violations_of("fuel") == fuel
     assert report.violations_of("distance") == distance
     monitored = [v for v in report.violations if v["kind"] != "completion"]
