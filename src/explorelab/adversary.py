@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from .errors import BudgetError, InvariantViolation, ParameterError
+from .errors import BudgetError, InvariantViolation
 from .family import (
     FamilyMeta,
     FamilyParams,
@@ -36,6 +36,7 @@ from .family import (
     build_family_graph,
     family_levels,
     validate_family_membership,
+    width_multiplier,
 )
 from .graph import LabeledGraph, edge_key
 from .runtime import ReplayCursor, Trace, step_budget
@@ -311,7 +312,6 @@ def adversary_behavior(
     width: int,
     *,
     seed: int = 0,
-    max_steps: int | None = None,
 ) -> AdversaryRun:
     """Run the full adversary: build a fresh family member, rewrite it ahead
     of every traversal of the policy, and return it once the policy halts.
@@ -321,7 +321,8 @@ def adversary_behavior(
     the change rewrote, and in full on the final graph; the prefix by a fresh
     replay.  Gadget-avoidance and descent-dichotomy flags are recorded per
     step but never raise: they are only promised for policies that actually
-    solve the distance-constrained problem.
+    solve the distance-constrained problem.  A policy still moving after
+    :func:`~.runtime.step_budget` traversals raises :class:`BudgetError`.
 
     The run has two phases.  The *rewrite phase* is one :func:`_step` per
     traversal, until the agent first visits a gadget (the cursor's
@@ -345,27 +346,25 @@ def adversary_behavior(
     it has not explored: the first red edge explored and the first gadget
     visit are the same step.
     """
-    if width < 16 or width % 16 != 0:
-        raise ParameterError(f"width must be a positive multiple of 16, got {width}")
+    width_multiplier(width)
     params = FamilyParams(family_levels(ecc, alpha), width, ecc)
     graph, meta = build_family_graph(params, seed)
     cursor = ReplayCursor(graph, policy, source=0, gadgets=meta.gadget_labels)
     ledger = _FamilyLedger(params)
     explored_green = {i: 0 for i in range(1, params.levels)}
-    if max_steps is None:
-        max_steps = step_budget(graph)
+    budget = step_budget(graph)
 
     audits: list[StepAudit] = []
     while cursor.first_gadget_step is None and cursor.pending_port() is not None:
-        if cursor.steps >= max_steps:
-            raise BudgetError(f"adversary exceeded {max_steps} steps", trace=cursor.as_trace())
+        if cursor.steps >= budget:
+            raise BudgetError(f"adversary exceeded {budget} steps", trace=cursor.as_trace())
         audit = _step(cursor, meta, ledger, explored_green)
         if audit.stages or audit.flags:
             audits.append(audit)
 
     # replay phase: no rewrite or monitor can fire any more (see docstring)
-    if not cursor.run(max_steps - cursor.steps):
-        raise BudgetError(f"adversary exceeded {max_steps} steps", trace=cursor.as_trace())
+    if not cursor.run(budget - cursor.steps):
+        raise BudgetError(f"adversary exceeded {budget} steps", trace=cursor.as_trace())
 
     final_report = validate_family_membership(cursor.graph, params)
     if not final_report.ok:

@@ -22,6 +22,7 @@ from .family import (
     family_levels,
     layer_traversal_stats,
     validate_family_membership,
+    width_multiplier,
 )
 from .graph import LabeledGraph, eccentricity, validate_consistent_labeling
 from .merge import merge_gadgets, validate_merge_behavior
@@ -175,16 +176,13 @@ def cmd_merge(args) -> int:
     try:
         # the source is adjacent to exactly level 1, so its degree is the width
         ecc, width = eccentricity(graph, 0), graph.degree(0)
+        k = width_multiplier(width)
     except (ParameterError, StructuralError) as exc:
         raise type(exc)(f"{args.infile}: {exc}") from None
-    if width < 16 or width % 16:
-        raise ParameterError(
-            f"{args.infile}: graph width {width} is not a positive multiple of 16"
-        )
     levels = family_levels(ecc, args.alpha)
     meta = FamilyMeta(FamilyParams(levels, width, ecc))
     try:
-        merged, plan = merge_gadgets(graph, meta, width // 16)
+        merged, plan = merge_gadgets(graph, meta, k)
     except (ParameterError, StructuralError) as exc:
         # name the file and the family --alpha selected, as run --family does
         raise type(exc)(f"{args.infile} (family {levels},{width},{ecc}): {exc}") from None

@@ -27,9 +27,9 @@ from fractions import Fraction
 from .adversary import adversary_behavior
 from .errors import InvariantViolation, ParameterError
 from .explorers import make_policy
-from .family import LollipopParams, build_lollipop
+from .family import FamilyParams, LollipopParams, build_lollipop, family_levels
 from .merge import merge_gadgets, validate_merge_behavior
-from .runtime import Instance, execute, penalty_before_step
+from .runtime import Instance, execute, penalty_before_step, slack
 
 CSV_COLUMNS = (
     "k",
@@ -55,22 +55,20 @@ class ExperimentConfig:
     timing: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
         object.__setattr__(self, "k_values", tuple(self.k_values))
         if self.variant not in ("distance", "fuel"):
             raise ParameterError(f"variant must be distance or fuel, got {self.variant}")
         if any(k < 1 for k in self.k_values) or not self.k_values:
             raise ParameterError("k values must be positive")
-        if self.alpha <= 0:
-            raise ParameterError(f"alpha must be positive, got {self.alpha}")
-        if self.variant == "distance" and self.ecc < 6:
-            raise ParameterError("distance experiments need ecc >= 6")
-        if self.variant == "fuel":  # every row's lollipop, before any row runs
-            for k in self.k_values:
-                try:
-                    LollipopParams(scale=k, ecc=self.ecc, alpha=self.alpha)
-                except ParameterError as exc:
-                    raise ParameterError(f"k={k}: {exc}") from None
+        object.__setattr__(self, "alpha", slack(self.alpha))
+        for k in self.k_values:  # every row's parameters, before any row runs
+            try:
+                if self.variant == "distance":
+                    FamilyParams(family_levels(self.ecc, self.alpha), 16 * k, self.ecc)
+                else:
+                    LollipopParams(k, self.ecc, self.alpha)
+            except ParameterError as exc:
+                raise ParameterError(f"k={k}: {exc}") from None
 
 
 @dataclass

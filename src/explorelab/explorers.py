@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 
 from .errors import ParameterError
-from .runtime import ExploredDistances, fuel_tank, return_cap
+from .runtime import ExploredDistances, fuel_tank, return_cap, slack
 
 
 class ExploredView:
@@ -284,15 +284,6 @@ class _PlannedRun:
         return plan[pos]
 
 
-def _require_slack(alpha: Fraction, ecc: int) -> Fraction:
-    alpha = Fraction(alpha)
-    if alpha <= 0 or alpha * ecc < 1:
-        raise ParameterError(
-            f"need alpha > 0 and alpha * ecc >= 1, got alpha={alpha}, ecc={ecc}"
-        )
-    return alpha
-
-
 class CautiousBfsPolicy:
     """Distance-safe explorer: repeatedly walks to the closest known node
     that still owns an unexplored port and whose known distance from the
@@ -306,7 +297,7 @@ class CautiousBfsPolicy:
     """
 
     def __init__(self, alpha: Fraction, ecc: int):
-        self.cap_floor = return_cap(_require_slack(alpha, ecc), ecc)
+        self.cap_floor = return_cap(slack(alpha, ecc), ecc)
 
     def start(self):
         within = self.cap_floor - 1
@@ -380,7 +371,7 @@ class FuelCautiousPolicy:
     """
 
     def __init__(self, alpha: Fraction, ecc: int):
-        self.tank_floor = math.floor(fuel_tank(_require_slack(alpha, ecc), ecc))
+        self.tank_floor = math.floor(fuel_tank(slack(alpha, ecc), ecc))
 
     def start(self):
         # for an integer d, 2d + 2 <= tank_floor iff d <= (tank_floor - 2) // 2

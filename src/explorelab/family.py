@@ -25,7 +25,7 @@ from .graph import (
     circulant_pairs,
     validate_consistent_labeling,
 )
-from .runtime import Trace, return_cap
+from .runtime import Trace, return_cap, slack
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,14 @@ class FamilyParams:
 def family_levels(ecc: int, alpha) -> int:
     """Levels of the family that forces the return cap: one more than
     :func:`~.runtime.return_cap`, for rational ``alpha > 0``."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
-    return return_cap(alpha, ecc) + 1
+    return return_cap(slack(alpha), ecc) + 1
+
+
+def width_multiplier(width: int) -> int:
+    """The k of a family width ``16 * k``, refused unless ``k >= 1``."""
+    if width < 16 or width % 16:
+        raise ParameterError(f"width must be a positive multiple of 16, got {width}")
+    return width // 16
 
 
 class FamilyMeta:
@@ -495,13 +499,11 @@ class LollipopParams:
     alpha: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
         if self.scale < 1:
             raise ParameterError(f"scale must be >= 1, got {self.scale}")
         if self.ecc < 2:
             raise ParameterError(f"ecc must be >= 2, got {self.ecc}")
-        if self.alpha <= 0 or self.ecc * self.alpha < 1:
-            raise ParameterError("need alpha > 0 and ecc * alpha >= 1")
+        object.__setattr__(self, "alpha", slack(self.alpha, self.ecc))
         if Fraction(self.order_exact).denominator != 1:
             raise ParameterError(
                 f"(8*alpha+6)*ecc*scale = {self.order_exact} is not an integer"

@@ -33,6 +33,18 @@ from .graph import LabeledGraph, edge_key, eccentricity
 MONITOR_KINDS = ("distance", "fuel", "completion")
 
 
+def slack(alpha, ecc: int | None = None) -> Fraction:
+    """The slack constant ``alpha`` as a Fraction, refused unless positive
+    and, when ``ecc`` is given, unless ``alpha * ecc >= 1``: the one check
+    of the slack rule for every module that takes an ``alpha``."""
+    alpha = Fraction(alpha)
+    if alpha <= 0:
+        raise ParameterError(f"alpha must be positive, got {alpha}")
+    if ecc is not None and alpha * ecc < 1:
+        raise ParameterError(f"need alpha * ecc >= 1, got alpha={alpha}, ecc={ecc}")
+    return alpha
+
+
 def return_cap(alpha: Fraction, ecc: int) -> int:
     """The return cap ``floor((1+alpha)*ecc)``: the longest way home the
     agent may know after any traversal, exact for rational ``alpha``."""
@@ -46,7 +58,7 @@ def fuel_tank(alpha: Fraction, ecc: int) -> Fraction:
 
 
 def step_budget(graph: LabeledGraph) -> int:
-    """The default traversal budget of a run on ``graph``: ``50*|E| + 1000``."""
+    """The traversal budget of every run on ``graph``: ``50*|E| + 1000``."""
     return 50 * graph.edge_count() + 1000
 
 
@@ -64,9 +76,7 @@ class Instance:
     ecc: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        if self.alpha <= 0:
-            raise ParameterError(f"alpha must be positive, got {self.alpha}")
+        object.__setattr__(self, "alpha", slack(self.alpha))
         if self.source not in self.graph:
             raise ParameterError(f"source {self.source} not in graph")
         object.__setattr__(self, "ecc", eccentricity(self.graph, self.source))
@@ -285,7 +295,6 @@ def execute(
     policy,
     *,
     monitors: frozenset | set | tuple = (),
-    max_steps: int | None = None,
     gadget_set: set[int] | None = None,
 ) -> tuple[Trace, RunReport]:
     """Run ``policy`` on ``inst`` until it halts; returns (trace, report).
@@ -294,9 +303,8 @@ def execute(
     is read from the cursor's traversed set, and the cursor, with the
     policy's run state, is dropped before the monitors ("distance", "fuel",
     "completion") read the finished memory and record violations; none of
-    them stops the run.  ``max_steps`` defaults to :func:`step_budget`; a
-    policy still moving after that many traversals raises
-    :class:`BudgetError` carrying the partial trace.
+    them stops the run.  A policy still moving after :func:`step_budget`
+    traversals raises :class:`BudgetError` carrying the partial trace.
     """
     g = inst.graph
     if isinstance(monitors, str):
@@ -306,16 +314,15 @@ def execute(
         if m not in MONITOR_KINDS:
             raise ParameterError(f"unknown monitor {m!r}")
     edge_total = g.edge_count()
-    if max_steps is None:
-        max_steps = step_budget(g)
+    budget = step_budget(g)
 
     cursor = ReplayCursor(g, policy, inst.source, gadgets=gadget_set)
-    halted = cursor.run(max_steps)
+    halted = cursor.run(budget)
     explored = len(cursor.traversed)
     trace = cursor.as_trace()
     del cursor  # frees the policy's run state before the monitors build theirs
     if not halted:
-        raise BudgetError(f"exceeded {max_steps} traversals", trace=trace)
+        raise BudgetError(f"exceeded {budget} traversals", trace=trace)
 
     report = RunReport(steps=trace.steps, penalty=trace.steps - edge_total)
     if "fuel" in monitors or "distance" in monitors:

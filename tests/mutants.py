@@ -274,6 +274,79 @@ MUTANTS = (
         "        if False:\n",
         ("tests/test_merge.py::test_merge_behavior_matches_the_five_comparisons",),
     ),
+    Mutant(
+        "the view ranks a new level ascending, so the nearest frontier node is its largest label",
+        "src/explorelab/explorers.py",
+        "            ranked.extend(sorted(level, reverse=True))\n",
+        "            ranked.extend(sorted(level))\n",
+        (
+            "tests/test_explorers.py"
+            "::test_plans_match_bfs_oracle[fuel-cautious-family-10-16-6-s0]",
+        ),
+    ),
+    Mutant(
+        "the view stops popping ranked labels that left the frontier",
+        "src/explorelab/explorers.py",
+        "            while ranked and len(adj[ranked[-1]]) == degree[ranked[-1]]:\n"
+        "                ranked.pop()\n",
+        "",
+        (
+            "tests/test_explorers.py::test_fuel_lollipop_safe_and_complete",
+            "tests/test_explorers.py"
+            "::test_plans_match_bfs_oracle[cautious-bfs-family-10-16-6-s0]",
+        ),
+    ),
+    Mutant(
+        "the view builds levels past its within cap",
+        "src/explorelab/explorers.py",
+        "            if d > within:\n                return None\n",
+        "",
+        (
+            "tests/test_explorers.py"
+            "::test_source_plan_after_a_plan_from_elsewhere_reuses_the_tree",
+        ),
+    ),
+    Mutant(
+        "the view keeps building levels after an empty one",
+        "src/explorelab/explorers.py",
+        "            if not level:\n                return None\n",
+        "",
+        ("tests/test_explorers.py::test_port_pointers_match_port_scans_on_any_walk",),
+    ),
+    Mutant(
+        "the ledger drops a gadget's red edge into the layer below",
+        "src/explorelab/family.py",
+        '            sums["red", j - 1] += sign * reds_below\n',
+        "",
+        ("tests/test_ledger.py::test_ledger_matches_full_validator_on_adversary_runs[1-0]",),
+    ),
+    Mutant(
+        "slack skips its alpha * ecc test",
+        "src/explorelab/runtime.py",
+        "    if ecc is not None and alpha * ecc < 1:\n",
+        "    if False:\n",
+        (
+            "tests/test_runtime.py::test_each_rule_refuses_one_way[lollipop-slack]",
+            "tests/test_explorers.py::test_cautious_needs_slack",
+        ),
+    ),
+    Mutant(
+        "width_multiplier takes any width of 16 or more",
+        "src/explorelab/family.py",
+        "    if width < 16 or width % 16:\n",
+        "    if width < 16:\n",
+        ("tests/test_cli.py::test_merge_refuses_a_width_that_is_not_a_multiple_of_16",),
+    ),
+    Mutant(
+        "the sweep config stops checking each row's parameters",
+        "src/explorelab/experiments.py",
+        "        for k in self.k_values:  # every row's parameters, before any row runs\n",
+        "        for k in ():\n",
+        (
+            "tests/test_runtime.py::test_each_rule_refuses_one_way[distance-config-ecc]",
+            "tests/test_experiments.py::test_config_validation",
+        ),
+    ),
 )
 
 

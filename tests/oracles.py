@@ -183,7 +183,7 @@ def naive_contract_layer(g, meta, layer):
     edges: (the green edges then one pair per well-shaped gadget, the
     gadget -> pair map, the report of the contraction's faults)."""
     p = meta.params
-    edges = meta.green_edges(g, layer)
+    edges = naive_green_edges(g, meta, layer)
     by_gadget = {}
     problems = ValidationReport()
     glo = meta.gadget_labels[0] + (layer - 1) * p.gadgets_per_layer
@@ -247,7 +247,7 @@ def naive_family_violations(g, params):
 
     # no green edge's endpoints may share a gadget neighbor
     for layer in range(1, p.levels):
-        for u, v in meta.green_edges(g, layer):
+        for u, v in naive_green_edges(g, meta, layer):
             shared = {x for x in g.neighbors(u) if meta.is_gadget(x)} & {
                 x for x in g.neighbors(v) if meta.is_gadget(x)
             }

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -17,6 +18,7 @@ from explorelab import (
     make_policy,
     validate_family_membership,
 )
+from explorelab import adversary
 from explorelab.adversary import (
     _first_unexplored_green,
     _replay_agrees,
@@ -547,16 +549,17 @@ def test_two_phase_run_matches_rewriting_every_step(policy_name, k, seed):
 
 
 @pytest.mark.parametrize("past_gadget", [-1, 0, 10])
-def test_budget_error_matches_rewriting_every_step(past_gadget):
+def test_budget_error_matches_rewriting_every_step(past_gadget, monkeypatch):
     # a budget that ends just before, at and after the first gadget visit:
     # the last two run out in the replay phase
     full, _ = naive_adversary_behavior(6, ALPHA, cautious(), 16, seed=0)
     budget = full.trace.first_gadget_step + past_gadget
     assert budget < full.step_count
+    monkeypatch.setattr(adversary, "step_budget", lambda graph: budget)
     errors = []
-    for behavior in (adversary_behavior, naive_adversary_behavior):
+    for behavior in (adversary_behavior, partial(naive_adversary_behavior, max_steps=budget)):
         with pytest.raises(BudgetError) as err:
-            behavior(6, ALPHA, cautious(), 16, seed=0, max_steps=budget)
+            behavior(6, ALPHA, cautious(), 16, seed=0)
         errors.append(err.value)
     assert str(errors[0]) == str(errors[1]) == f"adversary exceeded {budget} steps"
     assert errors[0].trace.steps == errors[1].trace.steps == budget
@@ -564,21 +567,23 @@ def test_budget_error_matches_rewriting_every_step(past_gadget):
 
 
 @pytest.mark.parametrize("before_halt", [1, 2, 1000])
-def test_replay_phase_budget_error_matches_rewriting_every_step(before_halt):
+def test_replay_phase_budget_error_matches_rewriting_every_step(before_halt, monkeypatch):
     # budgets that run out deep in the replay phase, which is one
     # ReplayCursor.run call: the same message and the same partial memory as
     # rewriting before every step, and the full run's memory up to the budget
     full, _ = naive_adversary_behavior(6, ALPHA, cautious(), 16, seed=0)
     budget = full.step_count - before_halt
     assert budget > full.trace.first_gadget_step
+    monkeypatch.setattr(adversary, "step_budget", lambda graph: budget)
     errors = []
-    for behavior in (adversary_behavior, naive_adversary_behavior):
+    for behavior in (adversary_behavior, partial(naive_adversary_behavior, max_steps=budget)):
         with pytest.raises(BudgetError) as err:
-            behavior(6, ALPHA, cautious(), 16, seed=0, max_steps=budget)
+            behavior(6, ALPHA, cautious(), 16, seed=0)
         errors.append(err.value)
     assert str(errors[0]) == str(errors[1]) == f"adversary exceeded {budget} steps"
     assert errors[0].trace.memory == errors[1].trace.memory == full.trace.memory[: budget + 1]
-    run = adversary_behavior(6, ALPHA, cautious(), 16, seed=0, max_steps=full.step_count)
+    monkeypatch.setattr(adversary, "step_budget", lambda graph: full.step_count)
+    run = adversary_behavior(6, ALPHA, cautious(), 16, seed=0)
     assert run.step_count == full.step_count
 
 

@@ -595,7 +595,7 @@ def test_merge_refuses_a_width_that_is_not_a_multiple_of_16(tmp_path, capsys):
     out = tmp_path / "merged.json"
     assert main(["merge", "--in", str(path), "--alpha", "0.5", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: {path}: graph width 20 is not a positive multiple of 16\n"
+    assert err == f"error: {path}: width must be a positive multiple of 16, got 20\n"
     assert not out.exists()
 
 

@@ -20,7 +20,8 @@ from explorelab import (
     make_policy,
 )
 from explorelab import runtime
-from explorelab.family import LollipopParams, build_lollipop, layer_traversal_stats
+from explorelab.experiments import ExperimentConfig
+from explorelab.family import LollipopParams, build_lollipop, family_levels, layer_traversal_stats
 from explorelab.graph import LabeledGraph
 from explorelab.runtime import (
     ExploredDistances,
@@ -69,6 +70,41 @@ def test_instance_rejects_bad_source(path3):
 def test_instance_rejects_non_positive_alpha(path3, alpha):
     with pytest.raises(ParameterError, match=f"^alpha must be positive, got {alpha}$"):
         Instance(graph=path3, source=1, alpha=alpha)
+
+
+NOT_POSITIVE = "alpha must be positive, got 0"
+SLACK_TOO_SMALL = "need alpha * ecc >= 1, got alpha=1/10, ecc=2"
+REFUSALS = {
+    # each input rule has one owner, and every module asks it: one message
+    "instance-alpha": (lambda: Instance(LabeledGraph({0: [1], 1: [0]}), 0, 0), NOT_POSITIVE),
+    "family-levels-alpha": (lambda: family_levels(6, 0), NOT_POSITIVE),
+    "distance-config-alpha": (lambda: ExperimentConfig("distance", (2,), 6, 0), NOT_POSITIVE),
+    "fuel-config-alpha": (lambda: ExperimentConfig("fuel", (1,), 2, 0), NOT_POSITIVE),
+    "lollipop-alpha": (lambda: LollipopParams(1, 2, 0), NOT_POSITIVE),
+    "cautious-bfs-alpha": (lambda: make_policy("cautious-bfs", 0, 2), NOT_POSITIVE),
+    "fuel-cautious-alpha": (lambda: make_policy("fuel-cautious", 0, 2), NOT_POSITIVE),
+    "cautious-bfs-slack": (
+        lambda: make_policy("cautious-bfs", Fraction(1, 10), 2),
+        SLACK_TOO_SMALL,
+    ),
+    "fuel-cautious-slack": (
+        lambda: make_policy("fuel-cautious", Fraction(1, 10), 2),
+        SLACK_TOO_SMALL,
+    ),
+    "lollipop-slack": (lambda: LollipopParams(1, 2, Fraction(1, 10)), SLACK_TOO_SMALL),
+    "distance-config-ecc": (
+        lambda: ExperimentConfig("distance", (2,), 5, Fraction(1, 2)),
+        "k=2: ecc must be >= 6, got 5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_each_rule_refuses_one_way(case):
+    make, message = REFUSALS[case]
+    with pytest.raises(ParameterError) as err:
+        make()
+    assert str(err.value) == message
 
 
 def test_cursor_rejects_bad_source(path3):
@@ -152,11 +188,12 @@ def test_policy_error_on_bad_port(single_edge):
         execute(inst, ScriptPolicy([5]))
 
 
-def test_budget_error_carries_trace(triangle):
+def test_budget_error_carries_trace(triangle, monkeypatch):
     inst = Instance(graph=triangle, source=0, alpha=Fraction(1))
     looping = ScriptPolicy([0, 0, 0, 0, 0, 0, 0, 0])
+    monkeypatch.setattr(runtime, "step_budget", lambda graph: 3)
     with pytest.raises(BudgetError) as err:
-        execute(inst, looping, max_steps=3)
+        execute(inst, looping)
     assert err.value.trace.steps == 3
 
 
@@ -526,7 +563,7 @@ def test_run_reads_a_graph_swapped_in_between_calls(chunk):
 
 
 @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
-def test_budget_error_carries_the_oracle_prefix(case):
+def test_budget_error_carries_the_oracle_prefix(case, monkeypatch):
     # at any budget below the run's length, execute raises with the same
     # message and the memory of exactly that many steps; at the length, the
     # run completes
@@ -536,8 +573,9 @@ def test_budget_error_carries_the_oracle_prefix(case):
     memory, _ = naive_run(g, policy, source)
     steps = len(memory) - 1
     for budget in (0, 1, 37, steps // 2, steps - 1):
+        monkeypatch.setattr(runtime, "step_budget", lambda graph: budget)
         with pytest.raises(BudgetError) as err:
-            execute(inst, policy, monitors=("distance", "fuel"), max_steps=budget)
+            execute(inst, policy, monitors=("distance", "fuel"))
         assert str(err.value) == f"exceeded {budget} traversals"
         assert err.value.trace.memory == memory[: budget + 1]
         assert "traversed" not in vars(err.value.trace)
@@ -545,5 +583,6 @@ def test_budget_error_carries_the_oracle_prefix(case):
             (min(a[0], b[0]), max(a[0], b[0]))
             for a, b in zip(memory[:budget], memory[1 : budget + 1])
         }
-    trace, _ = execute(inst, policy, max_steps=steps, gadget_set=gadgets)
+    monkeypatch.setattr(runtime, "step_budget", lambda graph: steps)
+    trace, _ = execute(inst, policy, gadget_set=gadgets)
     assert trace.memory == memory
