@@ -55,9 +55,6 @@ class SurgeryAudit:
     reason: str | None = None
     note: str | None = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class StepAudit:
@@ -167,7 +164,7 @@ def _modify_step(cursor: ReplayCursor, meta: FamilyMeta, audit: StepAudit) -> in
     # its end is a candidate
     candidates = _unexplored_layer_neighbors(cursor, meta, u)
     if candidates and reached not in candidates:
-        pending = cursor.pending_port()
+        pending = cursor.pending
         new_port = cursor.graph.port_of(u, min(candidates))
         res = switch_ports(cursor.graph, u, pending, new_port)
         audit.stages.append(STAGE_DIVERT_PORT)
@@ -286,7 +283,7 @@ def _step(
     audit, reached = _rewrite(cursor, meta, ledger)
     e = edge_key(u, reached)
     was_seen = e in cursor.traversed
-    cursor.commit()
+    cursor.run(1)
     if not was_seen:
         layer = meta.green_layer(*e)
         if layer is not None:
@@ -355,7 +352,7 @@ def adversary_behavior(
     budget = step_budget(graph)
 
     audits: list[StepAudit] = []
-    while cursor.first_gadget_step is None and cursor.pending_port() is not None:
+    while cursor.first_gadget_step is None and cursor.pending is not None:
         if cursor.steps >= budget:
             raise BudgetError(f"adversary exceeded {budget} steps", trace=cursor.as_trace())
         audit = _step(cursor, meta, ledger, explored_green)

@@ -129,7 +129,7 @@ def cmd_run(args) -> int:
                 f"{sorted(membership.codes())}"
             )
         meta = FamilyMeta(params)
-        gadget_set = set(meta.gadget_labels)
+        gadget_set = meta.gadget_labels
     try:
         inst = Instance(graph=graph, source=args.source, alpha=args.alpha)
     except (ParameterError, StructuralError) as exc:
@@ -180,8 +180,8 @@ def cmd_merge(args) -> int:
     except (ParameterError, StructuralError) as exc:
         raise type(exc)(f"{args.infile}: {exc}") from None
     levels = family_levels(ecc, args.alpha)
-    meta = FamilyMeta(FamilyParams(levels, width, ecc))
     try:
+        meta = FamilyMeta(FamilyParams(levels, width, ecc))
         merged, plan = merge_gadgets(graph, meta, k)
     except (ParameterError, StructuralError) as exc:
         # name the file and the family --alpha selected, as run --family does

@@ -114,7 +114,7 @@ def _distance_row(cfg: ExperimentConfig, k: int) -> tuple[ExperimentRow, dict, l
         Instance(graph=run.final_graph, source=0, alpha=cfg.alpha),
         make_policy(cfg.policy, cfg.alpha, cfg.ecc),
         monitors=("distance", "completion"),
-        gadget_set=set(meta.gadget_labels),
+        gadget_set=meta.gadget_labels,
     )
     if trace.memory != run.trace.memory:
         raise InvariantViolation(f"k={k}: the final replay departs from the adversary's run")

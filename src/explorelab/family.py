@@ -13,10 +13,12 @@ ranges alone, so :class:`FamilyMeta` carries no per-graph state.
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 
 from .errors import ParameterError
 from .graph import (
@@ -30,7 +32,8 @@ from .runtime import Trace, return_cap, slack
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Parameters of the layered family: levels >= 2, width >= 4, ecc >= 6."""
+    """Parameters of the layered family: levels >= 2, width >= 4, ecc >= 6,
+    and an order of at most ``sys.maxsize``, the most a graph can hold."""
 
     levels: int
     width: int
@@ -44,6 +47,8 @@ class FamilyParams:
         if self.ecc < 6:
             # A shorter tail would leave the label/distance layout undefined.
             raise ParameterError(f"ecc must be >= 6, got {self.ecc}")
+        if self.order > sys.maxsize:
+            raise ParameterError("family order exceeds sys.maxsize")
 
     @cached_property
     def layer_degree(self) -> int:
@@ -112,7 +117,7 @@ class FamilyMeta:
         self._level_top = p.width * p.levels
         self._gadget_top = self._level_top + p.gadget_count
         self.critical_label = self._gadget_top + 1
-        self.tail_labels = [self.critical_label + d for d in range(1, p.ecc - 2)]
+        self.tail_labels = range(self.critical_label + 1, self.critical_label + p.ecc - 2)
 
     # -- label geometry ------------------------------------------------------
 
@@ -150,9 +155,6 @@ class FamilyMeta:
     @property
     def tail_tip(self) -> int:
         return self.tail_labels[-1]
-
-    def expected_labels(self) -> set[int]:
-        return set(range(self.params.order))
 
     # -- edge roles ------------------------------------------------------------
 
@@ -313,13 +315,13 @@ def validate_family_membership(
     terms = ledger if ledger is not None else _FamilyLedger(params)
     report = validate_consistent_labeling(g)
 
-    expected = terms.meta.expected_labels()
-    actual = set(g.labels())
-    if actual != expected:
-        report.add(
-            "label-range",
-            f"missing={sorted(expected - actual)[:8]} extra={sorted(actual - expected)[:8]}",
-        )
+    # the labels are read off the graph and compared with the range, which is
+    # never built: the check costs the size of the graph it is given
+    span = range(params.order)
+    extra = sorted(v for v in g.labels() if v not in span)
+    if extra or len(g) != params.order:
+        missing = list(islice((v for v in span if v not in g), 8))
+        report.add("label-range", f"missing={missing} extra={extra[:8]}")
         return report  # remaining checks assume the exact label set
 
     sums: Counter = Counter()
@@ -371,7 +373,6 @@ class _FamilyLedger:
         self.rows: dict[int, list[int]] | None = None
         self.diff: list | None = None
         self.sums: Counter = Counter()
-        self._critical_row = set(self.meta.gadget_labels) | {self.meta.tail_labels[0]}
         ld = params.layer_degree
         self._want = dict(up=ld, down=ld, green=params.greens_per_layer, red=params.reds_per_layer)
 
@@ -452,10 +453,15 @@ class _FamilyLedger:
                 return []
             return [("source-edges", "source is not adjacent to exactly level 1")]
         if v == meta.critical_label:
-            if len(row) == len(self._critical_row) and set(row) == self._critical_row:
+            t1 = meta.tail_labels[0]
+            if (
+                len(row) == meta.params.gadget_count + 1
+                and len(set(row)) == len(row)
+                and all(u == t1 or meta.is_gadget(u) for u in row)
+            ):
                 return []
             out = [("critical-shape", "critical node adjacency is not gadgets + tail")]
-            links = [meta.tail_labels[0]]
+            links = [t1]
         else:  # a tail node: the tip lists one neighbour, any other the next too
             want = 1 if v == meta.tail_tip else 2
             out = []
@@ -492,7 +498,8 @@ class _FamilyLedger:
 @dataclass(frozen=True)
 class LollipopParams:
     """A clique on (8*alpha+6)*ecc*scale - (ecc-1) nodes joined by a bridge to
-    a path whose free endpoint is the source."""
+    a path whose free endpoint is the source; the order is at most
+    ``sys.maxsize``, the most a graph can hold."""
 
     scale: int
     ecc: int
@@ -508,6 +515,8 @@ class LollipopParams:
             raise ParameterError(
                 f"(8*alpha+6)*ecc*scale = {self.order_exact} is not an integer"
             )
+        if self.order > sys.maxsize:
+            raise ParameterError("lollipop order exceeds sys.maxsize")
 
     @property
     def order_exact(self) -> Fraction:

@@ -220,7 +220,7 @@ def validate_merge_behavior(
     penalties) but not judged.
     """
     report = ValidationReport()
-    gadgets = set(meta.gadget_labels)
+    gadgets = meta.gadget_labels
     merged_gadgets = set(plan.merged_even.values()) | set(plan.merged_odd.values())
 
     inst = Instance(graph=g, source=meta.source_label, alpha=alpha)

@@ -5,10 +5,10 @@ The agent model: the policy sees only the memory sequence, one record per
 traversal, and answers each record it is fed through ``observe`` with the
 next port to take, or None to halt.  The runtime owns the graph, performs
 traversals, and feeds records back.  Every traversal in the package is a
-step of :meth:`ReplayCursor.run`: ``commit`` is one such step, the
-adversary drives the cursor on the graph it rewrites, and :func:`execute`
-runs it to the policy's halt.  A run is judged only by
-its memory, so ``execute``'s monitors read the finished memory in one pass.
+step of :meth:`ReplayCursor.run`: the adversary drives the cursor one
+``run(1)`` at a time on the graph it rewrites, and :func:`execute` runs it
+to the policy's halt.  A run is judged only by its memory, so
+``execute``'s monitors read the finished memory in one pass.
 Constraint violations are recorded in the run report and never stop the
 run, so that monitors can observe what an incorrect policy would have done.
 
@@ -178,13 +178,13 @@ class ReplayCursor:
     Each step checks the pending port, builds the memory record, grows the
     traversed set and the memory, notes the first visit to a label in
     ``gadgets`` and feeds the record to the policy, whose ``observe``
-    answers with the next pending port.  :meth:`commit` is one step.  The
-    policy is called once per record, the source's included, and
-    :meth:`pending_port` reads the answer kept from the last call.  The
-    policy only ever sees memory records, and the adversary's rewrites
-    preserve labels, degrees and the ports of traversed edges, so the
-    accumulated policy state remains valid when :meth:`replace_graph` swaps
-    the graph underneath it.
+    answers with the next pending port.  The policy is called once per
+    record, the source's included, and ``pending`` holds the answer to the
+    last call: a port, or None once the policy halts.  The policy only ever
+    sees memory records, and the adversary's rewrites preserve labels,
+    degrees and the ports of traversed edges, so the accumulated policy
+    state remains valid when :meth:`replace_graph` swaps the graph
+    underneath it.
     """
 
     def __init__(
@@ -203,7 +203,7 @@ class ReplayCursor:
         self.traversed: set[tuple[int, int]] = set()
         self.gadgets = gadgets
         self.first_gadget_step: int | None = None
-        self._pending = self.state.observe(self.memory[0])
+        self.pending = self.state.observe(self.memory[0])
 
     @property
     def steps(self) -> int:
@@ -213,13 +213,10 @@ class ReplayCursor:
     def node(self) -> int:
         return self.memory[-1][0]
 
-    def pending_port(self) -> int | None:
-        return self._pending
-
     def pending_node(self) -> int | None:
         """The node the pending port leads to, None when the policy halts;
         a port that :meth:`run` would reject raises the same error."""
-        port = self.pending_port()
+        port = self.pending
         if port is None:
             return None
         row = self.graph._ports[self.node]
@@ -259,13 +256,13 @@ class ReplayCursor:
             rev = g._reverse()
         gadgets = self.gadgets if self.first_gadget_step is None else None
         cur = memory[-1][0]
-        port = self._pending
+        port = self.pending
         for _ in range(limit):
             if port is None:
                 break
             row = ports[cur]
             if type(port) is not int or not 0 <= port < len(row):
-                self._pending = port
+                self.pending = port
                 raise _port_error(port, cur, row)
             nxt = row[port]
             rec = (nxt, len(ports[nxt]), port, rev[nxt][cur])
@@ -276,15 +273,8 @@ class ReplayCursor:
                 gadgets = None
             port = observe(rec)
             cur = nxt
-        self._pending = port
+        self.pending = port
         return port is None
-
-    def commit(self) -> tuple[int, int, int, int]:
-        """Traverse the policy's pending choice: one step of :meth:`run`."""
-        if self._pending is None:
-            raise InvariantViolation("commit requested but the policy halted")
-        self.run(1)
-        return self.memory[-1]
 
     def as_trace(self) -> Trace:
         return Trace(memory=self.memory, first_gadget_step=self.first_gadget_step)
@@ -295,7 +285,7 @@ def execute(
     policy,
     *,
     monitors: frozenset | set | tuple = (),
-    gadget_set: set[int] | None = None,
+    gadget_set: Container[int] | None = None,
 ) -> tuple[Trace, RunReport]:
     """Run ``policy`` on ``inst`` until it halts; returns (trace, report).
 

@@ -51,17 +51,6 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "commit skips its halted check",
-        "src/explorelab/runtime.py",
-        "        if self._pending is None:\n"
-        '            raise InvariantViolation("commit requested but the policy halted")\n',
-        "",
-        (
-            "tests/test_runtime.py::test_commit_after_halt_raises",
-            "tests/test_runtime.py::test_run_returns_whether_the_policy_halted",
-        ),
-    ),
-    Mutant(
         "a planned run answers with the old plan's next port after it replans",
         "src/explorelab/explorers.py",
         "        self.plan = plan\n        return plan[0]\n",
@@ -345,6 +334,42 @@ MUTANTS = (
         (
             "tests/test_runtime.py::test_each_rule_refuses_one_way[distance-config-ecc]",
             "tests/test_experiments.py::test_config_validation",
+        ),
+    ),
+    Mutant(
+        "the label check trusts a graph with no label outside the range",
+        "src/explorelab/family.py",
+        "    if extra or len(g) != params.order:\n",
+        "    if extra:\n",
+        ("tests/test_family.py::test_label_range_costs_the_size_of_the_graph[levels]",),
+    ),
+    Mutant(
+        "the critical row skips its distinctness test",
+        "src/explorelab/family.py",
+        "                and len(set(row)) == len(row)\n",
+        "",
+        ("tests/test_ledger.py::test_ledger_rejects_each_violation[critical-duplicate]",),
+    ),
+    Mutant(
+        "FamilyParams takes an order no dict can hold",
+        "src/explorelab/family.py",
+        "        if self.order > sys.maxsize:\n"
+        '            raise ParameterError("family order exceeds sys.maxsize")\n',
+        "",
+        (
+            "tests/test_runtime.py::test_each_rule_refuses_one_way[family-size]",
+            "tests/test_runtime.py::test_each_rule_refuses_one_way[distance-config-size]",
+        ),
+    ),
+    Mutant(
+        "LollipopParams takes an order no dict can hold",
+        "src/explorelab/family.py",
+        "        if self.order > sys.maxsize:\n"
+        '            raise ParameterError("lollipop order exceeds sys.maxsize")\n',
+        "",
+        (
+            "tests/test_runtime.py::test_each_rule_refuses_one_way[lollipop-size]",
+            "tests/test_runtime.py::test_each_rule_refuses_one_way[fuel-config-size]",
         ),
     ),
 )

@@ -214,7 +214,7 @@ def naive_family_violations(g, params):
     meta = FamilyMeta(p)
     report = validate_consistent_labeling(g)
 
-    expected = meta.expected_labels()
+    expected = set(range(meta.params.order))
     actual = set(g.labels())
     if actual != expected:
         report.add(
@@ -264,7 +264,7 @@ def naive_family_violations(g, params):
     want_crit = set(meta.gadget_labels) | {meta.tail_labels[0]}
     if set(g.neighbors(crit)) != want_crit or g.degree(crit) != len(want_crit):
         report.add("critical-shape", "critical node adjacency is not gadgets + tail")
-    chain = [crit] + meta.tail_labels
+    chain = [crit, *meta.tail_labels]
     for a, b in zip(chain, chain[1:]):
         if not g.has_edge(a, b):
             report.add("tail", f"missing tail edge ({a},{b})")
@@ -500,7 +500,7 @@ def naive_adversary_behavior(ecc, alpha, policy, width, *, seed=0, max_steps=Non
         max_steps = step_budget(graph)
     audits, flags, changed = [], [], 0
     x = 0
-    while cursor.pending_port() is not None:
+    while cursor.pending is not None:
         x += 1
         if x > max_steps:
             raise BudgetError(f"adversary exceeded {max_steps} steps", trace=cursor.as_trace())

@@ -8,8 +8,9 @@ def test_ci_digests_the_files_its_outputs_script_writes():
     # CI runs .github/outputs.sh once and checks its directory against
     # outputs.sha256, so every digested name must be a file the script
     # writes, and the workflow runs no other explorelab command than the
-    # three that go through the installed console script: its help, a parse
-    # error and a constructor's refusal
+    # four that go through the installed console script: its help, a parse
+    # error, a constructor's refusal and the refusal of a family too large
+    # for any graph
     script = (GITHUB / "outputs.sh").read_text()
     workflow = (GITHUB / "workflows" / "tests.yml").read_text()
     names = [line.split()[1] for line in (GITHUB / "outputs.sha256").read_text().splitlines()]
@@ -21,4 +22,5 @@ def test_ci_digests_the_files_its_outputs_script_writes():
         "--help",
         "run --alpha abc",
         'gen --lollipop 1,2,1/4 --out "$RUNNER_TEMP/l.json"',
+        'experiment --variant distance --alpha 1e400 --csv "$RUNNER_TEMP/huge.csv"',
     ]

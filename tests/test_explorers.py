@@ -199,10 +199,10 @@ def test_port_pointers_match_port_scans(case, policy_name, monkeypatch):
             assert state.next_action() == naive_dfs_next_action(cursor.memory), cursor.steps
         else:
             state.view.smallest_unexplored_port(state.view.cur)
-        if cursor.pending_port() is None:
+        if cursor.pending is None:
             break
         assert cursor.steps < budget, f"policy still moving after {budget} traversals"
-        cursor.commit()
+        cursor.run(1)
     if policy_name == "dfs":
         assert cursor.steps == 2 * g.edge_count()
     else:

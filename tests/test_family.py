@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,9 @@ import pytest
 from explorelab import (
     FamilyParams,
     ParameterError,
+    StructuralError,
     build_family_graph,
+    merge_gadgets,
     validate_family_membership,
 )
 from explorelab.family import FamilyMeta, LollipopParams, build_lollipop
@@ -51,7 +54,7 @@ def test_meta_label_geometry():
     assert meta.gadget_layer(33) == 1
     assert meta.gadget_layer(74) == 3
     assert meta.critical_label == 75
-    assert meta.tail_labels == [76, 77, 78, 79]
+    assert list(meta.tail_labels) == [76, 77, 78, 79]
     assert meta.tail_tip == 79
 
 
@@ -126,6 +129,34 @@ def test_relabeled_node_breaks_membership():
         ports[v] = [1003 if x == 3 else x for x in ports[v]]
     report = validate_family_membership(type(g)(ports), p)
     assert "label-range" in report.codes()
+
+
+@pytest.mark.parametrize(
+    "params", [FamilyParams(10**4, 16, 6), FamilyParams(10, 16, 10**6)], ids=["levels", "ecc"]
+)
+def test_label_range_costs_the_size_of_the_graph(params):
+    # a 669-node member checked against a family of millions of labels: the
+    # label set is read off the graph, so the check allocates and reports as
+    # it would against a family of the member's own size
+    g, _ = build_family_graph(FamilyParams(10, 16, 6))
+    tracemalloc.start()
+    try:
+        report = validate_family_membership(g, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.to_dict() == {
+        "ok": False,
+        "violations": [
+            {
+                "code": "label-range",
+                "detail": "missing=[669, 670, 671, 672, 673, 674, 675, 676] extra=[]",
+            }
+        ],
+    }
+    assert peak < 4 * 2**20
+    with pytest.raises(StructuralError, match="label-range"):
+        merge_gadgets(g, FamilyMeta(FamilyParams(10**4, 16, 6)), 1)
 
 
 def test_eccentricity_properties_pass():

@@ -284,6 +284,13 @@ def _critical_shape(g, meta):
     return _rewired(g, {crit: {None: v}, v: {None: crit}})
 
 
+def _critical_duplicate(g, meta):
+    # the critical node lists the first tail node in place of a gadget: the
+    # row keeps its length and each label's role, but not distinct labels
+    first = meta.gadget_labels[0]
+    return _rewired(g, {meta.critical_label: {first: meta.tail_labels[0]}})
+
+
 def _tail(g, meta):
     # the first tail node trades its link to the second for a level node,
     # which cuts the rest of the tail off
@@ -310,6 +317,10 @@ MUTANTS = {
     "stray-pair": ({"critical-shape", "layer-contraction", "red-count"}, _stray_pair),
     "source-edges": ({"source-edges"}, _source_edges),
     "critical-shape": ({"critical-shape", "edge-count"}, _critical_shape),
+    "critical-duplicate": (
+        {"critical-shape", "parallel-edge", "asymmetric-edge"},
+        _critical_duplicate,
+    ),
     "tail": ({"tail"}, _tail),
 }
 

@@ -96,6 +96,21 @@ REFUSALS = {
         lambda: ExperimentConfig("distance", (2,), 5, Fraction(1, 2)),
         "k=2: ecc must be >= 6, got 5",
     ),
+    # no dict holds more than sys.maxsize entries, so no graph of a larger
+    # order can be built
+    "family-size": (lambda: FamilyParams(10**20, 16, 6), "family order exceeds sys.maxsize"),
+    "lollipop-size": (
+        lambda: LollipopParams(1, 2, 10**400),
+        "lollipop order exceeds sys.maxsize",
+    ),
+    "distance-config-size": (
+        lambda: ExperimentConfig("distance", (2,), 6, 10**400),
+        "k=2: family order exceeds sys.maxsize",
+    ),
+    "fuel-config-size": (
+        lambda: ExperimentConfig("fuel", (1,), 2, 10**400),
+        "k=1: lollipop order exceeds sys.maxsize",
+    ),
 }
 
 
@@ -442,8 +457,8 @@ def test_engine_matches_plain_stepping_oracle(case, policy_name):
         assert len(both) > 100, "dfs overruns the tank and the return cap at the same steps"
 
     cursor = ReplayCursor(g, policy(), source=source, gadgets=gadgets)
-    while cursor.pending_port() is not None:
-        cursor.commit()
+    while cursor.pending is not None:
+        cursor.run(1)
     assert cursor.memory == memory
     assert cursor.traversed == traversed
     assert cursor.first_gadget_step == trace.first_gadget_step
@@ -457,8 +472,8 @@ def test_commit_reads_entry_ports_of_a_swapped_in_graph(reverse_built):
     policy = make_policy("cautious-bfs", Fraction(1, 2), 6)
     cursor = ReplayCursor(base, policy, source=0)
     for _ in range(5):
-        cursor.commit()
-    # reverse the ports of a node the walk reaches only later; the commits
+        cursor.run(1)
+    # reverse the ports of a node the walk reaches only later; the steps
     # have built base's reverse map, a fresh copy has none
     seen = {label for label, *_ in cursor.memory}
     unswapped, _ = naive_run(base, policy, 0)
@@ -467,8 +482,8 @@ def test_commit_reads_entry_ports_of_a_swapped_in_graph(reverse_built):
     swapped = old.replace_ports({v: base.neighbors(v)[::-1]})
     assert (swapped._rports is not None) == reverse_built
     cursor.replace_graph(swapped)
-    while cursor.pending_port() is not None:
-        cursor.commit()
+    while cursor.pending is not None:
+        cursor.run(1)
     memory, traversed = naive_run(swapped, policy, 0)
     assert memory != unswapped
     assert cursor.memory == memory
@@ -500,44 +515,34 @@ def test_replace_graph_refuses_to_move_a_traversed_edge(derived):
 def test_bad_port_message(path3, port):
     cursor = ReplayCursor(path3, ScriptPolicy([port]), source=1)
     with pytest.raises(PolicyError) as err:
-        cursor.commit()
+        cursor.run(1)
     assert str(err.value) == f"policy chose port {port!r} at node 1 of degree 2"
-
-
-def test_commit_after_halt_raises(path3):
-    cursor = ReplayCursor(path3, ScriptPolicy([]), source=1)
-    assert cursor.pending_port() is None
-    with pytest.raises(InvariantViolation) as err:
-        cursor.commit()
-    assert str(err.value) == "commit requested but the policy halted"
 
 
 @pytest.mark.parametrize("port", ["1", -1, 1], ids=["str", "negative", "degree"])
 def test_bad_port_message_through_run(path3, port):
     # the check runs at every step of a run, not only the first; the bad
-    # answer stays pending, so a commit raises the same error
+    # answer stays pending, so the next step raises the same error
     cursor = ReplayCursor(path3, ScriptPolicy([0, port]), source=1)
     with pytest.raises(PolicyError) as err:
         cursor.run(5)
     assert str(err.value) == f"policy chose port {port!r} at node 0 of degree 1"
     assert cursor.memory == [(1, 2, -1, -1), (0, 1, 0, 0)]
     with pytest.raises(PolicyError) as again:
-        cursor.commit()
+        cursor.run(1)
     assert str(again.value) == str(err.value)
 
 
 def test_run_returns_whether_the_policy_halted(path3):
     # a run returns whether the policy's last answer is a halt, known after
-    # the step that ends the run too; a commit after a halt raises
+    # the step that ends the run too, and then nothing is pending
     assert ReplayCursor(path3, ScriptPolicy([0, 0, 1]), source=1).run(3) is True
     cursor = ReplayCursor(path3, ScriptPolicy([0, 0, 1]), source=1)
     assert cursor.run(0) is False and cursor.steps == 0
     assert cursor.run(2) is False and cursor.steps == 2
     assert cursor.run(5) is True and cursor.steps == 3
     assert cursor.run(5) is True and cursor.steps == 3
-    with pytest.raises(InvariantViolation) as err:
-        cursor.commit()
-    assert str(err.value) == "commit requested but the policy halted"
+    assert cursor.pending is None
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 10**9])
