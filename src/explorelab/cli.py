@@ -184,8 +184,10 @@ def cmd_merge(args) -> int:
         meta = FamilyMeta(FamilyParams(levels, width, ecc))
         merged, plan = merge_gadgets(graph, meta, k)
     except (ParameterError, StructuralError) as exc:
-        # name the file and the family --alpha selected, as run --family does
-        raise type(exc)(f"{args.infile} (family {levels},{width},{ecc}): {exc}") from None
+        # name the file and the family --alpha selected, as run --family
+        # does, unless its level count alone is too large for any graph
+        family = f" (family {levels},{width},{ecc})" if levels <= sys.maxsize else ""
+        raise type(exc)(f"{args.infile}{family}: {exc}") from None
     _write(args.out, merged.to_json())
     if args.plan:
         _write(args.plan, json.dumps(plan.to_dict(), indent=2))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 import sys
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -189,7 +189,8 @@ class FamilyMeta:
         if len(row) != 3:
             return None
         w = self.width
-        mid = w * self.gadget_layer(gadget)  # the last label of level i, for a gadget of layer i
+        # the last label of level i, for a gadget of layer i
+        mid = w * ((gadget - self._level_top - 1) // self.gadgets_per_layer + 1)
         lo = hi = None
         for u in row:
             if mid - w < u <= mid:
@@ -324,7 +325,7 @@ def validate_family_membership(
         report.add("label-range", f"missing={missing} extra={extra[:8]}")
         return report  # remaining checks assume the exact label set
 
-    sums: Counter = Counter()
+    sums: defaultdict = defaultdict(int)
     for v, row in g._ports.items():
         for code, detail in terms._add_row(v, row, 1, sums):
             report.add(code, detail)
@@ -372,7 +373,7 @@ class _FamilyLedger:
         self.meta = FamilyMeta(params)
         self.rows: dict[int, list[int]] | None = None
         self.diff: list | None = None
-        self.sums: Counter = Counter()
+        self.sums: defaultdict = defaultdict(int)
         ld = params.layer_degree
         self._want = dict(up=ld, down=ld, green=params.greens_per_layer, red=params.reds_per_layer)
 
@@ -386,16 +387,17 @@ class _FamilyLedger:
         dirty = g._replaced_since(self.diff)
         if dirty is None:
             return False
+        rev = g._reverse()
         for v in dirty:
             row = new[v]
             listed = set(row)
             if len(listed) != len(row) or v in listed:
                 return False  # parallel edge or self-loop
-            if not all(g.has_edge(u, v) for u in row):
+            if not all(v in rev.get(u, ()) for u in row):
                 return False  # unknown neighbour or one-way edge
-            if any(u not in listed and g.has_edge(u, v) for u in old[v]):
+            if any(u not in listed and v in rev[u] for u in old[v]):
                 return False  # a dropped neighbour still lists v
-        delta: Counter = Counter()
+        delta: defaultdict = defaultdict(int)
         for v in dirty:
             self._add_row(v, old[v], -1, delta)
             if self._add_row(v, new[v], 1, delta):
@@ -416,12 +418,19 @@ class _FamilyLedger:
             return total // 2 == self.meta.params.edge_total
         return total == self._want[kind]
 
-    def _add_row(self, v: int, row: list[int], sign: int, sums: Counter) -> list:
+    def _add_row(self, v: int, row: list[int], sign: int, sums: defaultdict) -> list:
         """Add ``sign`` times row ``v``'s terms to ``sums``; returns the
         ``(code, detail)`` pairs naming how a source, critical, tail or
         gadget row lacks its shape."""
         meta = self.meta
         sums["degree",] += sign * len(row)
+        if meta._level_top < v <= meta._gadget_top:  # most rows are gadgets'
+            pair = meta._row_level_pair(v, row)
+            if pair is None:
+                return [("gadget-shape", f"gadget {v} lacks the degree-3 shape")]
+            for key in (("edge", *pair), ("up", pair[0]), ("down", pair[1])):
+                sums[key] += sign
+            return []
         j = meta.level_of(v)
         if j is not None:
             up = meta.level_labels(j + 1)
@@ -441,23 +450,18 @@ class _FamilyLedger:
             sums["red", j] += sign * reds_above
             sums["red", j - 1] += sign * reds_below
             return []
-        if meta.is_gadget(v):
-            pair = meta._row_level_pair(v, row)
-            if pair is None:
-                return [("gadget-shape", f"gadget {v} lacks the degree-3 shape")]
-            for key in (("edge", *pair), ("up", pair[0]), ("down", pair[1])):
-                sums[key] += sign
-            return []
         if v == meta.source_label:
             if sorted(row) == list(meta.level_labels(1)):
                 return []
             return [("source-edges", "source is not adjacent to exactly level 1")]
         if v == meta.critical_label:
-            t1 = meta.tail_labels[0]
+            # gadget_count + 1 entries that cover t1 and every gadget are
+            # exactly those labels, each listed once
+            t1, listed = meta.tail_labels[0], set(row)
             if (
                 len(row) == meta.params.gadget_count + 1
-                and len(set(row)) == len(row)
-                and all(u == t1 or meta.is_gadget(u) for u in row)
+                and t1 in listed
+                and listed.issuperset(meta.gadget_labels)
             ):
                 return []
             out = [("critical-shape", "critical node adjacency is not gadgets + tail")]
@@ -470,7 +474,7 @@ class _FamilyLedger:
             links = [v + 1] if want == 2 else []
         return out + [("tail", f"missing tail edge ({v},{u})") for u in links if u not in row]
 
-    def _report_sums(self, sums: Counter, report: ValidationReport) -> None:
+    def _report_sums(self, sums: defaultdict, report: ValidationReport) -> None:
         """Add to ``report`` each sum of a full pass that is off target."""
         meta, p, on = self.meta, self.meta.params, self._on_target
         if not on(("degree",), sums["degree",]):

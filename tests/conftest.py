@@ -114,6 +114,20 @@ def graph_corpus():
 
 
 @pytest.fixture(scope="session")
+def k2_adversary_runs():
+    """The unpatched k = 2 cautious-bfs adversary runs (ecc 6, alpha 1/2) at
+    seeds 0 and 1, keyed by seed, made once for every test that reads them.
+    A test that patches the adversary makes its own run."""
+    from explorelab import adversary_behavior, make_policy
+
+    alpha = Fraction(1, 2)
+    return {
+        seed: adversary_behavior(6, alpha, make_policy("cautious-bfs", alpha, 6), 32, seed=seed)
+        for seed in (0, 1)
+    }
+
+
+@pytest.fixture(scope="session")
 def surgery_chain():
     """Criterion 3's chain of 1000 random surgeries on member 10,16,6 at seed
     0, run once for the two tests that judge it. Returns ``(changed,

@@ -344,11 +344,31 @@ MUTANTS = (
         ("tests/test_family.py::test_label_range_costs_the_size_of_the_graph[levels]",),
     ),
     Mutant(
-        "the critical row skips its distinctness test",
+        "the critical row skips its first-tail-label test",
         "src/explorelab/family.py",
-        "                and len(set(row)) == len(row)\n",
+        "                and t1 in listed\n",
         "",
-        ("tests/test_ledger.py::test_ledger_rejects_each_violation[critical-duplicate]",),
+        ("tests/test_ledger.py::test_ledger_rejects_each_violation[critical-no-first-tail]",),
+    ),
+    Mutant(
+        "the labelling check's clean-row shortcut ignores the neighbours' repeats",
+        "src/explorelab/graph.py",
+        "repeats.isdisjoint(ns) and ",
+        "",
+        (
+            "tests/test_graph.py::test_validator_matches_count_oracle_on_malformed"
+            "[listed-twice-back-once]",
+        ),
+    ),
+    Mutant(
+        "the labelling check's clean-row shortcut clears a self-loop",
+        "src/explorelab/graph.py",
+        " and v not in rev[v]",
+        "",
+        (
+            "tests/test_graph.py::test_validator_matches_count_oracle_on_malformed"
+            "[self-loop-no-repeats]",
+        ),
     ),
     Mutant(
         "FamilyParams takes an order no dict can hold",

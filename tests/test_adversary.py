@@ -406,9 +406,9 @@ def test_adversary_other_seeds(seed):
     assert penalty_before_step(run.trace, lam) >= 1
 
 
-def test_adversary_k2_alternate_seed_still_pays():
+def test_adversary_k2_alternate_seed_still_pays(k2_adversary_runs):
     # the bound is seed-independent; guard against a lucky default seed
-    run = adversary_behavior(6, ALPHA, cautious(), 32, seed=1)
+    run = k2_adversary_runs[1]
     assert run.flags == []
     for layer in range(1, run.meta.params.levels):
         greens = run.meta.green_edges(run.final_graph, layer)
@@ -530,12 +530,13 @@ def run_fields(run):
     [("cautious-bfs", 1, 0), ("cautious-bfs", 1, 1), ("cautious-bfs", 2, 0),
      ("cautious-bfs", 2, 1), ("dfs", 1, 0)],
 )
-def test_two_phase_run_matches_rewriting_every_step(policy_name, k, seed):
+def test_two_phase_run_matches_rewriting_every_step(k2_adversary_runs, policy_name, k, seed):
     def run(behavior):
         policy = make_policy(policy_name, ALPHA, 6)
         return behavior(6, ALPHA, policy, 16 * k, seed=seed)
 
-    got = run(adversary_behavior)
+    shared = (policy_name, k) == ("cautious-bfs", 2)  # conftest's runs
+    got = k2_adversary_runs[seed] if shared else run(adversary_behavior)
     naive, counts = run(naive_adversary_behavior)
     assert run_fields(got) == run_fields(naive)
     assert counts == {name: getattr(got, name) for name in counts}

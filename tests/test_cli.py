@@ -611,6 +611,19 @@ def test_merge_names_the_file_and_family_it_refuses(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_merge_refuses_a_family_too_large_in_one_short_line(tmp_path, capsys):
+    # --alpha 1e400 selects a level count of 401 digits; the refusal names
+    # the file, not that family
+    path = tmp_path / "m.json"
+    assert main(["gen", "--family", "10,16,6", "--out", str(path)]) == 0
+    out = tmp_path / "merged.json"
+    assert main(["merge", "--in", str(path), "--alpha", "1e400", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: family order exceeds sys.maxsize\n"
+    assert len(err) < 200
+    assert not out.exists()
+
+
 def test_validate_rejects_a_label_listed_twice(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(MALFORMED["duplicate-label"][0])

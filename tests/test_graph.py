@@ -16,6 +16,7 @@ from explorelab.graph import (
     hopcroft_karp,
     validate_consistent_labeling,
 )
+from explorelab.merge import merge_gadgets
 from explorelab.runtime import Instance
 
 from oracles import (
@@ -68,6 +69,10 @@ MALFORMED_PORTS = {
     "self-loop": {0: [0, 1], 1: [0]},
     "parallel-edge": {0: [1, 1], 1: [0, 0]},
     "listed-twice-back-once": {0: [1, 1], 1: [0], 2: [1]},
+    # each fails one test of the clean-row shortcut and passes the others
+    "negative-label": {-1: [0], 0: [-1], 1: [0]},
+    "one-unknown-neighbor": {0: [1, 2, 3], 1: [0], 2: [0]},
+    "self-loop-no-repeats": {0: [1, 0, 2], 1: [0], 2: [0]},
 }
 
 
@@ -89,12 +94,36 @@ def test_validator_matches_count_oracle_on_members(seed):
     assert assert_validator_matches_oracle(g)["ok"]
 
 
-@given(
-    st.dictionaries(
-        st.integers(-1, 6), st.lists(st.integers(-1, 7), max_size=6), max_size=7
-    )
-)
-@settings(max_examples=200, deadline=None)
+def test_validator_matches_count_oracle_on_the_k2_adversary(k2_adversary_runs):
+    # the adversary's final graph and its merged graph, each also with the
+    # source listing its first neighbour twice
+    run = k2_adversary_runs[0]
+    merged, _ = merge_gadgets(run.final_graph, run.meta, 2)
+    for g in (run.final_graph, merged):
+        assert assert_validator_matches_oracle(g)["ok"]
+        row = g.neighbors(0)
+        broken = assert_validator_matches_oracle(g.replace_ports({0: [*row, row[0]]}))
+        assert [v["code"] for v in broken["violations"]] == ["parallel-edge", "asymmetric-edge"]
+
+
+LABELS = st.integers(-1, 30)
+
+
+@st.composite
+def port_rows(draw):
+    """Rows of up to 12 entries on labels -1..30: some as drawn, the others
+    listing each other, so that clean rows sit beside broken ones."""
+    rows = draw(st.dictionaries(LABELS, st.lists(LABELS, max_size=12), max_size=8))
+    for a, b in draw(st.lists(st.tuples(LABELS, LABELS), max_size=40)):
+        for x, y in ((a, b), (b, a)):
+            row = rows.setdefault(x, [])
+            if len(row) < 12:
+                row.append(y)
+    return rows
+
+
+@given(port_rows())
+@settings(max_examples=300, deadline=None)
 def test_validator_matches_count_oracle_on_random_ports(ports):
     assert_validator_matches_oracle(LabeledGraph(ports))
 

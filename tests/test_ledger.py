@@ -291,6 +291,33 @@ def _critical_duplicate(g, meta):
     return _rewired(g, {meta.critical_label: {first: meta.tail_labels[0]}})
 
 
+# Each of the next four rewrites the critical row alone, so that the row
+# fails one clause of its shape test: gadget_count + 1 entries, the first
+# tail label among them, and every gadget.
+
+
+def _critical_gadget_twice(g, meta):
+    # the first gadget takes the second's place: right length, t1 listed
+    g1, g2 = meta.gadget_labels[:2]
+    return _rewired(g, {meta.critical_label: {g2: g1}})
+
+
+def _critical_no_first_tail(g, meta):
+    # the second tail node takes the first's place: right length, every gadget
+    t1, t2 = meta.tail_labels[:2]
+    return _rewired(g, {meta.critical_label: {t1: t2}})
+
+
+def _critical_level_node(g, meta):
+    first = meta.gadget_labels[0]
+    return _rewired(g, {meta.critical_label: {first: meta.level_labels(2)[0]}})
+
+
+def _critical_one_too_many(g, meta):
+    # every label it should list, and the second tail node
+    return _rewired(g, {meta.critical_label: {None: meta.tail_labels[1]}})
+
+
 def _tail(g, meta):
     # the first tail node trades its link to the second for a level node,
     # which cuts the rest of the tail off
@@ -321,6 +348,16 @@ MUTANTS = {
         {"critical-shape", "parallel-edge", "asymmetric-edge"},
         _critical_duplicate,
     ),
+    "critical-gadget-twice": (
+        {"critical-shape", "parallel-edge", "asymmetric-edge"},
+        _critical_gadget_twice,
+    ),
+    "critical-no-first-tail": (
+        {"critical-shape", "asymmetric-edge", "tail"},
+        _critical_no_first_tail,
+    ),
+    "critical-level-node": ({"critical-shape", "asymmetric-edge"}, _critical_level_node),
+    "critical-one-too-many": ({"critical-shape", "asymmetric-edge"}, _critical_one_too_many),
     "tail": ({"tail"}, _tail),
 }
 
